@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race fuzz bench benchcheck corpus corpus-update profile lint ci
+.PHONY: all vet build test race benchmod fuzz bench benchcheck corpus corpus-update profile lint ci
 
 all: ci
 
@@ -42,6 +42,11 @@ test:
 # on declaration order.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# bench/ is a separate module, so the root `go test ./...` skips it;
+# it compiles against the sim API, so vet and test it offline here.
+benchmod:
+	cd bench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test -count=1 ./...
 
 # Short fuzz passes over the scenario-DSL parser and the wire-format
 # decoder; FUZZTIME can be raised for deeper runs.
@@ -102,4 +107,4 @@ profile: build
 		-cpuprofile $(PROFDIR)/bench_cpu.pprof -memprofile $(PROFDIR)/bench_mem.pprof -o $(PROFDIR)/bench.test .
 	@echo "profiles written to $(PROFDIR)/ (inspect: go tool pprof -top $(PROFDIR)/cpu.pprof)"
 
-ci: lint build test race
+ci: lint build test race benchmod

@@ -39,7 +39,7 @@ func TestPublicAPISimulation(t *testing.T) {
 		Seed:      1,
 		Mode:      coefficient.Streaming,
 		Duration:  200 * time.Millisecond,
-		Recorder:  rec,
+		Sink:      rec,
 	}, coefficient.NewCoEfficient(coefficient.SchedulerOptions{BER: 1e-7, Goal: 0.999}))
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)

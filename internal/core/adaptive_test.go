@@ -51,7 +51,7 @@ func runScenario(t *testing.T, sched sim.Scheduler, set signal.Set, scn *scenari
 		Mode:     sim.Streaming,
 		Duration: dur,
 		Seed:     seed,
-		Recorder: rec,
+		Sink:     rec,
 		Scenario: scn,
 	}, sched)
 	if err != nil {

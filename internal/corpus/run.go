@@ -145,7 +145,7 @@ func (st *caseState) runCell(c *Case, schedName string) (Outcome, error) {
 		return Outcome{}, fmt.Errorf("%s/%s: %w", c.Name, schedName, err)
 	}
 	rec := trace.New()
-	if err := state.Reset(sim.ReplicaOptions{Seed: c.SimSeed, Recorder: rec}); err != nil {
+	if err := state.Reset(sim.ReplicaOptions{Seed: c.SimSeed, Sink: rec}); err != nil {
 		return Outcome{}, fmt.Errorf("%s/%s: %w", c.Name, schedName, err)
 	}
 	res, err := state.Run()

@@ -49,7 +49,7 @@ func TestBlindCopiesGoOutEvenWithoutFaults(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
 		Seed:     1,
-		Recorder: rec,
+		Sink:     rec,
 	}, fspec.New(fspec.Options{Copies: 3}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -116,7 +116,7 @@ func TestDynamicSegmentOnly(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
 		Seed:     3,
-		Recorder: rec,
+		Sink:     rec,
 	}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -18,11 +18,11 @@
 //  3. results are reassembled in canonical cell order — the order a
 //     serial `for` nest would have produced them — not completion order.
 //
-// Map and FlatMap guarantee (3); the experiment harnesses guarantee (1)
-// and (2).  Under this contract `-parallel 1` and `-parallel N` produce
-// byte-identical tables, and the first error reported is the error of
-// the lowest-indexed failing cell, exactly as a serial loop that stops
-// at the first failure would report it.
+// MapCtx, FlatMapCtx and MapBatchCtx guarantee (3); the experiment
+// harnesses guarantee (1) and (2).  Under this contract `-parallel 1`
+// and `-parallel N` produce byte-identical tables, and the first error
+// reported is the error of the lowest-indexed failing cell, exactly as a
+// serial loop that stops at the first failure would report it.
 package runner
 
 import (
@@ -66,100 +66,34 @@ func mix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// Map runs fn(0..n-1) on Workers(parallel) goroutines and returns the
-// results in index order.  If any cells fail, the error of the
+// MapCtx runs fn(0..n-1) on Workers(parallel) goroutines and returns
+// the results in index order.  If any cells fail, the error of the
 // lowest-indexed failing cell is returned (the same error a serial loop
-// would have stopped at) and the results slice is nil.  parallel == 1
-// or n <= 1 runs inline with no goroutines.
-func Map[T any](parallel, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(nil, parallel, n, fn)
-}
-
-// MapCtx is Map with cooperative cancellation: every cell checks ctx
-// before it starts, so a deadline or a cancel stops the sweep at the
-// next cell boundary (a cell already inside fn runs to completion —
-// the engine's cycle loop is not context-aware, by design: checking a
-// context per cycle would put an atomic load on the zero-alloc hot
-// path).  A cancelled cell fails with a "cell N cancelled" error
-// wrapping ctx.Err(), and the usual lowest-index error policy applies,
-// so errors.Is(err, context.DeadlineExceeded) works on the result.
-// A nil ctx means no cancellation, exactly like Map.
+// would have stopped at) and the results slice is nil.  parallel == 1 or
+// n <= 1 runs inline with no goroutines.  A panicking cell fails with a
+// "cell N panicked" error carrying the panic value and stack.
+//
+// Every cell checks ctx before it starts, so a deadline or a cancel
+// stops the sweep at the next cell boundary (a cell already inside fn
+// runs to completion — the engine's cycle loop is not context-aware, by
+// design: checking a context per cycle would put an atomic load on the
+// zero-alloc hot path).  A cancelled cell fails with a "cell N
+// cancelled" error wrapping ctx.Err(), and the usual lowest-index error
+// policy applies, so errors.Is(err, context.DeadlineExceeded) works on
+// the result.  A nil ctx means no cancellation.
+//
+// MapCtx is MapBatchCtx over batches of one cell with no worker state.
 func MapCtx[T any](ctx context.Context, parallel, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	out := make([]T, n)
-	workers := Workers(parallel)
-	if workers > n {
-		workers = n
+	sizes := make([]int, n)
+	for i := range sizes {
+		sizes[i] = 1
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			v, err := runCell(ctx, i, fn)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstIdx = n // lowest failing cell index seen so far
-		firstErr error
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if i < firstIdx {
-			firstIdx, firstErr = i, err
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				v, err := runCell(ctx, i, fn)
-				if err != nil {
-					fail(i, err)
-					continue
-				}
-				out[i] = v
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// runCell invokes one cell, converting a panic into an error so one bad
-// cell fails its sweep instead of crashing every worker's sibling cells.
-// The recovered error carries the panic value and the panicking
-// goroutine's stack trace: without the stack, a panic deep inside a
-// 10-second sweep surfaces as an unlocatable one-liner.
-func runCell[T any](ctx context.Context, i int, fn func(i int) (T, error)) (v T, err error) {
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return v, fmt.Errorf("runner: cell %d cancelled: %w", i, cerr)
-		}
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("runner: cell %d panicked: %v\n%s", i, r, debug.Stack())
-		}
-	}()
-	return fn(i)
+	return MapBatchCtx(ctx, parallel, sizes,
+		func() (struct{}, error) { return struct{}{}, nil },
+		func(_ struct{}, b, _ int) (T, error) { return fn(b) })
 }
 
 // MapBatchCtx runs cells grouped into contiguous batches on a worker
@@ -171,7 +105,7 @@ func runCell[T any](ctx context.Context, i int, fn func(i int) (T, error)) (v T,
 // lets a batched replica sweep reuse one compiled simulation state for
 // hundreds of seeds instead of rebuilding it per cell.
 //
-// The determinism contract extends Map's: fn must produce a result that
+// The determinism contract extends MapCtx's: fn must produce a result that
 // is a pure function of (batch, i) alone — any state carried between
 // cells must be rewound by fn (e.g. a seeded Reset) so that which worker
 // ran the previous cell on the state cannot leak into this cell's
@@ -275,8 +209,12 @@ func MapBatchCtx[S, T any](ctx context.Context, parallel int, sizes []int,
 	return out, nil
 }
 
-// runBatchCell invokes one batched cell with MapCtx's cancellation check
-// and panic-to-error conversion, reporting under the cell's global index.
+// runBatchCell invokes one cell, checking ctx first and converting a
+// panic into an error so one bad cell fails its sweep instead of
+// crashing every worker's sibling cells.  The recovered error carries
+// the panic value and the panicking goroutine's stack trace: without the
+// stack, a panic deep inside a 10-second sweep surfaces as an
+// unlocatable one-liner.  Errors name the cell's global index.
 func runBatchCell[S, T any](ctx context.Context, state S, b, i, cell int,
 	fn func(state S, batch, i int) (T, error)) (v T, err error) {
 	if ctx != nil {
@@ -292,15 +230,10 @@ func runBatchCell[S, T any](ctx context.Context, state S, b, i, cell int,
 	return fn(state, b, i)
 }
 
-// FlatMap runs fn over n cells like Map and concatenates the per-cell
-// row slices in cell order — the shape every experiment harness needs:
-// one cell may contribute several table rows, and the concatenation
-// must match the serial nesting exactly.
-func FlatMap[T any](parallel, n int, fn func(i int) ([]T, error)) ([]T, error) {
-	return FlatMapCtx(nil, parallel, n, fn)
-}
-
-// FlatMapCtx is FlatMap with the MapCtx cancellation contract.
+// FlatMapCtx runs fn over n cells like MapCtx and concatenates the
+// per-cell row slices in cell order — the shape every experiment harness
+// needs: one cell may contribute several table rows, and the
+// concatenation must match the serial nesting exactly.
 func FlatMapCtx[T any](ctx context.Context, parallel, n int, fn func(i int) ([]T, error)) ([]T, error) {
 	chunks, err := MapCtx(ctx, parallel, n, fn)
 	if err != nil {

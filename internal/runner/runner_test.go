@@ -56,7 +56,7 @@ func TestCellSeedDeterministicAndDistinct(t *testing.T) {
 
 func TestMapOrdersResults(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
-		got, err := Map(par, 100, func(i int) (int, error) { return i * i, nil })
+		got, err := MapCtx(nil, par, 100, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("parallel %d: %v", par, err)
 		}
@@ -69,9 +69,9 @@ func TestMapOrdersResults(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(8, 0, func(i int) (int, error) { return 0, nil })
+	got, err := MapCtx(nil, 8, 0, func(i int) (int, error) { return 0, nil })
 	if err != nil || got != nil {
-		t.Fatalf("Map(0 cells) = %v, %v", got, err)
+		t.Fatalf("MapCtx(0 cells) = %v, %v", got, err)
 	}
 }
 
@@ -79,7 +79,7 @@ func TestMapReturnsLowestIndexedError(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	errCell := errors.New("cell failed")
 	for _, par := range []int{1, 8} {
-		_, err := Map(par, 64, func(i int) (int, error) {
+		_, err := MapCtx(nil, par, 64, func(i int) (int, error) {
 			if i == 7 || i == 40 {
 				return 0, fmt.Errorf("%w: %d", errCell, i)
 			}
@@ -95,7 +95,7 @@ func TestMapReturnsLowestIndexedError(t *testing.T) {
 }
 
 func TestMapRecoversPanics(t *testing.T) {
-	_, err := Map(8, 16, func(i int) (int, error) {
+	_, err := MapCtx(nil, 8, 16, func(i int) (int, error) {
 		if i == 3 {
 			panic("boom")
 		}
@@ -107,11 +107,11 @@ func TestMapRecoversPanics(t *testing.T) {
 }
 
 func TestFlatMapConcatenatesInCellOrder(t *testing.T) {
-	serial, err := FlatMap(1, 30, cellRows)
+	serial, err := FlatMapCtx(nil, 1, 30, cellRows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := FlatMap(8, 30, cellRows)
+	parallel, err := FlatMapCtx(nil, 8, 30, cellRows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +147,13 @@ func TestMapHammer(t *testing.T) {
 		ran.Add(1)
 		return s, nil
 	}
-	want, err := Map(1, cells, sum)
+	want, err := MapCtx(nil, 1, cells, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4, 16} {
 		ran.Store(0)
-		got, err := Map(par, cells, sum)
+		got, err := MapCtx(nil, par, cells, sum)
 		if err != nil {
 			t.Fatalf("parallel %d: %v", par, err)
 		}
@@ -172,7 +172,7 @@ func TestMapHammer(t *testing.T) {
 // locatable from the error alone.
 func TestPanicErrorCarriesStack(t *testing.T) {
 	for _, par := range []int{1, 8} {
-		_, err := Map(par, 4, func(i int) (int, error) {
+		_, err := MapCtx(nil, par, 4, func(i int) (int, error) {
 			if i == 2 {
 				panic("kaboom")
 			}

@@ -7,6 +7,7 @@ import (
 	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/metrics"
 	"github.com/flexray-go/coefficient/internal/node"
+	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/timebase"
 	"github.com/flexray-go/coefficient/internal/topology"
 	"github.com/flexray-go/coefficient/internal/trace"
@@ -22,24 +23,26 @@ import (
 // after Compile returns.
 type Compiled struct {
 	opts Options
-	// proto is the fully compiled prototype environment.  Its dispatch
-	// tables are shared by every state; its ECUs are throwaways that
-	// exist only so compile() ran against a complete Env.
-	proto *Env
+	// tables is an environment without ECUs: the message maps and the
+	// dispatch tables every state shares.
+	tables *Env
 	// staticByNode maps node ID → static frame IDs, for building fresh
 	// per-state ECUs.
 	staticByNode map[int][]int
 }
 
-// Compile validates the options, applies Run's defaults and builds the
-// immutable artifact shared by all replicas.  Per-replica concerns must
-// be left unset: injectors, Recorder and Sink belong to ReplicaOptions
-// (the Seed field is ignored and replaced per replica by Reset).
+// Compile validates the options, applies the defaults (bit rate, a
+// dual-channel bus sized to the workload, MaxCycles) and builds the
+// immutable artifact shared by all replicas: the message maps, the
+// dispatch tables and the resolved pLatestTx.  It builds no ECUs; each
+// NewState owns its own.  Per-replica concerns must be left unset:
+// injectors and Sink belong to ReplicaOptions (the Seed field is ignored
+// and replaced per replica by Reset).
 func Compile(opts Options) (*Compiled, error) {
 	if opts.InjectorA != nil || opts.InjectorB != nil {
 		return nil, fmt.Errorf("%w: Compile: injectors are per-replica; pass them via ReplicaOptions", ErrBadOptions)
 	}
-	if opts.Recorder != nil || opts.Sink != nil {
+	if opts.Sink != nil {
 		return nil, fmt.Errorf("%w: Compile: trace sinks are per-replica; pass them via ReplicaOptions", ErrBadOptions)
 	}
 	if err := opts.validate(); err != nil {
@@ -57,31 +60,58 @@ func Compile(opts Options) (*Compiled, error) {
 	if opts.MaxCycles <= 0 {
 		opts.MaxCycles = 1 << 20
 	}
-	env, staticByNode, err := buildEnv(opts)
-	if err != nil {
-		return nil, err
+
+	cfg := opts.Config
+	env := &Env{
+		Cfg:         cfg,
+		BitRate:     opts.BitRate,
+		Set:         opts.Workload,
+		StaticMsgs:  make(map[int]*signal.Message),
+		DynamicMsgs: make(map[int]*signal.Message),
+		Cluster:     opts.Cluster,
+	}
+	staticByNode := make(map[int][]int)
+	var maxDyn timebase.Macrotick
+	for i := range opts.Workload.Messages {
+		m := &opts.Workload.Messages[i]
+		if _, ok := opts.Cluster.Node(m.Node); !ok {
+			return nil, fmt.Errorf("%w: message %q on unknown node %d",
+				ErrBadOptions, m.Name, m.Node)
+		}
+		switch m.Kind {
+		case signal.Periodic:
+			env.StaticMsgs[m.ID] = m
+			staticByNode[m.Node] = append(staticByNode[m.Node], m.ID)
+			if !env.FitsStaticSlot(m) {
+				return nil, fmt.Errorf("%w: static message %q (%d bits) does not fit a %d-macrotick slot at %d bit/s",
+					ErrBadOptions, m.Name, m.Bits, cfg.StaticSlotLen, opts.BitRate)
+			}
+		case signal.Aperiodic:
+			env.DynamicMsgs[m.ID] = m
+			if d := env.FrameDuration(m); d > maxDyn {
+				maxDyn = d
+			}
+		}
+	}
+	env.LatestTx = cfg.LatestTx
+	if env.LatestTx == 0 {
+		env.LatestTx = cfg.DeriveLatestTx(maxDyn)
 	}
 	env.compile()
-	return &Compiled{opts: opts, proto: env, staticByNode: staticByNode}, nil
+	return &Compiled{opts: opts, tables: env, staticByNode: staticByNode}, nil
 }
-
-// Options returns a copy of the compiled options with defaults applied.
-func (c *Compiled) Options() Options { return c.opts }
 
 // ReplicaOptions is the per-replica half of a batched run: the seed and
 // the optional injectors and trace sink.  The caller owns the injectors
 // and is expected to Reseed and reuse one pair across replicas so their
 // memoized probability caches survive (fault.Reseeder); nil injectors
-// mean a fault-free channel.  At most one of Recorder and Sink may be
-// set; both nil discards events.
+// mean a fault-free channel and a nil Sink discards events.
 type ReplicaOptions struct {
 	// Seed drives every random stream of the replica: arrivals, CRC
 	// outcomes, clock drift and the scenario timeline.
 	Seed uint64
 	// InjectorA and InjectorB inject transient faults per channel.
 	InjectorA, InjectorB fault.Injector
-	// Recorder optionally captures the bus trace.
-	Recorder *trace.Recorder
 	// Sink optionally receives every bus event.
 	Sink trace.Sink
 }
@@ -104,15 +134,18 @@ type ReplicaResettable interface {
 //	    res, err := state.Run()
 //	}
 //
-// Reset rewinds arenas by truncation, zeroes the CHI buffers and
-// counters and re-seeds every RNG in place, so the steady state of a
-// plain replica loop (no scenario, no timing layer) allocates nothing.
-// A RunState is single-goroutine; run different states concurrently.
+// and sim.Run is this cycle with a single seed.  Reset rewinds arenas
+// by truncation, zeroes the CHI buffers and counters and re-seeds every
+// RNG in place, so the steady state of a plain replica loop (no scenario,
+// no timing layer) allocates nothing.  A RunState is single-goroutine;
+// run different states concurrently.
 type RunState struct {
 	eng   *engine
-	comp  *Compiled
 	noneA fault.None
 	noneB fault.None
+	// initialized is set once the scheduler's Init succeeded; until then
+	// Reset calls Init rather than ResetReplica.
+	initialized bool
 	// armed flips on Reset and off on Run, so a stale state cannot be
 	// run twice against one replica's seed.
 	armed bool
@@ -120,38 +153,24 @@ type RunState struct {
 
 // NewState builds a fresh mutable run state against the compiled
 // artifact: a new environment sharing the immutable dispatch tables but
-// owning fresh ECUs, a new collector and releaser, and the given
-// scheduler initialized against it.
+// owning fresh ECUs, a new collector and releaser.  The scheduler is
+// bound here and initialized by the first Reset, once the replica's sink
+// and timing layer are installed in the environment.
 func (c *Compiled) NewState(sched Scheduler) (*RunState, error) {
-	p := c.proto
-	env := &Env{
-		Cfg:         p.Cfg,
-		BitRate:     p.BitRate,
-		Set:         p.Set,
-		ECUs:        make(map[int]*node.ECU, len(p.ECUs)),
-		StaticMsgs:  p.StaticMsgs,
-		DynamicMsgs: p.DynamicMsgs,
-		LatestTx:    p.LatestTx,
-		Cluster:     p.Cluster,
-
-		msgByID:       p.msgByID,
-		staticBySlot:  p.staticBySlot,
-		dynamicByID:   p.dynamicByID,
-		durByID:       p.durByID,
-		minislotsByID: p.minislotsByID,
-		wireBitsByID:  p.wireBitsByID,
-		attachedA:     p.attachedA,
-		attachedB:     p.attachedB,
-	}
+	env := new(Env)
+	*env = *c.tables
+	env.ECUs = make(map[int]*node.ECU, len(c.opts.Cluster.Nodes))
+	env.ecuByID = make([]*node.ECU, len(c.tables.attachedA))
 	for _, n := range c.opts.Cluster.Nodes {
 		ecu := node.NewECU(n.ID, c.staticByNode[n.ID])
 		ecu.SetCapacities(c.opts.CHIStaticCapacity, c.opts.CHIDynamicCapacity)
 		env.ECUs[n.ID] = ecu
+		if n.ID >= 0 {
+			env.ecuByID[n.ID] = ecu
+		}
 	}
-	env.ecuByID = make([]*node.ECU, len(p.ecuByID))
-	for id := range env.ecuByID {
-		env.ecuByID[id] = env.ECUs[id]
-	}
+	// Precompute the ECU iteration order so the first cycle does not pay
+	// the lazy sort.
 	env.OrderedECUs()
 
 	eng := &engine{
@@ -159,30 +178,30 @@ func (c *Compiled) NewState(sched Scheduler) (*RunState, error) {
 		sched:    sched,
 		env:      env,
 		col:      metrics.NewCollector(c.opts.Config),
-		sink:     trace.NullSink{},
-		latestTx: p.LatestTx,
+		latestTx: env.LatestTx,
 		crcRNG:   fault.NewRNG(0), // re-seeded per replica by Reset
 	}
 	if c.opts.Mode == Streaming {
 		eng.warmup = c.opts.Config.FromDuration(c.opts.Warmup)
 	}
-	env.Trace = eng.sink
 	env.Gauges = eng.col.Adaptive()
 	eng.rel = newReleaser(c.opts, env)
 	eng.rel.overflow = func(in *node.Instance, rel timebase.Macrotick) {
 		eng.dropInstance(in, rel)
 	}
-	if err := sched.Init(env); err != nil {
-		return nil, fmt.Errorf("scheduler init: %w", err)
-	}
-	return &RunState{eng: eng, comp: c}, nil
+	return &RunState{eng: eng}, nil
 }
 
-// Reset rewinds the state to what newEngine would build for this seed:
-// it replays the construction order exactly — sink, injectors, scenario
-// overrides, node watch, CRC RNG, timing layer, CHI buffers, metrics,
-// releaser, scheduler — so the subsequent Run is byte-identical in trace
-// and metrics to an unbatched Run with the same options and seed.
+// Reset arms the state for one replica with the given seed: it installs
+// the sink and injectors (scenario channels override the injectors),
+// rebuilds the node watch and timing layer, re-seeds the CRC and arrival
+// RNGs, zeroes the CHI buffers and metrics and rewinds the releaser.  It
+// readies the scheduler last, so the scheduler sees the replica's sink,
+// Sync monitor and gauges: the first Reset calls Init, later ones call
+// ResetReplica when the scheduler implements ReplicaResettable and Init
+// otherwise.  Because every piece is rewound, the following Run depends
+// only on the compiled options and ro, never on the replicas the state
+// ran before.
 // Construct-only branches (scenario compile, timing layer) allocate and
 // are outside the alloc-free replica contract; the flagged constructs
 // live in the unmarked helpers below.
@@ -192,12 +211,11 @@ func (st *RunState) Reset(ro ReplicaOptions) error {
 	eng := st.eng
 	eng.opts.Seed = ro.Seed
 
-	sink, err := resolveSink(ro)
-	if err != nil {
-		return err
+	eng.sink = ro.Sink
+	if eng.sink == nil {
+		eng.sink = trace.NullSink{}
 	}
-	eng.sink = sink
-	eng.env.Trace = sink
+	eng.env.Trace = eng.sink
 
 	injA, injB := ro.InjectorA, ro.InjectorB
 	if injA == nil {
@@ -254,24 +272,10 @@ func (st *RunState) Run() (Result, error) {
 
 var errNotArmed = fmt.Errorf("%w: RunState.Run without a preceding Reset", ErrBadOptions)
 
-// resolveSink picks the replica's event sink, mirroring newEngine's
-// Recorder/Sink precedence.
-func resolveSink(ro ReplicaOptions) (trace.Sink, error) {
-	if ro.Recorder != nil && ro.Sink != nil {
-		return nil, fmt.Errorf("%w: both Recorder and Sink set", ErrBadOptions)
-	}
-	if ro.Sink != nil {
-		return ro.Sink, nil
-	}
-	if ro.Recorder != nil {
-		return ro.Recorder, nil
-	}
-	return trace.NullSink{}, nil
-}
-
 // resetScenario recompiles the scripted fault timeline for the replica
-// seed and applies its channel-injector overrides, exactly as newEngine
-// does.  Scenario replicas allocate here (a fresh Runtime per seed); the
+// seed.  Scenario channels override the replica's injectors so the
+// scripted timeline is the single source of channel fault truth.
+// Scenario replicas allocate here (a fresh Runtime per seed); the
 // alloc-free contract covers scenario-less runs.
 func (st *RunState) resetScenario(seed uint64) error {
 	eng := st.eng
@@ -292,7 +296,8 @@ func (st *RunState) resetScenario(seed uint64) error {
 // resetTiming rebuilds the local-clock layer for the new seed.  The
 // layer's state graph (per-node clocks, POC, guardians) is rebuilt from
 // scratch — timing replicas allocate and are outside the alloc-free
-// contract, like scenario replicas.
+// contract, like scenario replicas.  Scenario-scripted timing faults
+// need the layer even when the options leave it off.
 func (st *RunState) resetTiming() {
 	eng := st.eng
 	eng.timing = nil
@@ -308,11 +313,12 @@ func (st *RunState) resetTiming() {
 	eng.env.Sync = eng.timing.monitor
 }
 
-// resetScheduler rewinds the scheduler for the next replica: in place
-// when it supports it, by re-running Init otherwise.
+// resetScheduler readies the scheduler for the next replica: Init on the
+// first Reset, then an in-place ResetReplica when the scheduler supports
+// it and a fresh Init otherwise.
 func (st *RunState) resetScheduler() error {
 	eng := st.eng
-	if rr, ok := eng.sched.(ReplicaResettable); ok {
+	if rr, ok := eng.sched.(ReplicaResettable); ok && st.initialized {
 		if err := rr.ResetReplica(); err != nil {
 			return fmt.Errorf("scheduler reset: %w", err)
 		}
@@ -321,5 +327,6 @@ func (st *RunState) resetScheduler() error {
 	if err := eng.sched.Init(eng.env); err != nil {
 		return fmt.Errorf("scheduler init: %w", err)
 	}
+	st.initialized = true
 	return nil
 }

@@ -24,8 +24,8 @@ import (
 // run against it.
 type Spec struct {
 	// Options is the replica-independent simulation configuration.  It
-	// must satisfy sim.Compile's contract: injectors, Recorder and Sink
-	// unset (they are per-replica, see Replica).
+	// must satisfy sim.Compile's contract: injectors and Sink unset
+	// (they are per-replica, see Replica).
 	Options sim.Options
 	// CompileKey optionally shares one compiled artifact between specs:
 	// specs with equal non-nil keys compile once.  Keys must be

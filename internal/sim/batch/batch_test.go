@@ -154,7 +154,7 @@ func TestReplicaTraceByteIdentity(t *testing.T) {
 				naiveOpts := testOptions()
 				naiveOpts.Seed = seed
 				naiveOpts.InjectorA, naiveOpts.InjectorB = injA, injB
-				naiveOpts.Recorder = naiveRec
+				naiveOpts.Sink = naiveRec
 				naiveRes, err := sim.Run(naiveOpts, naiveSched)
 				if err != nil {
 					t.Fatalf("seed %d: naive Run: %v", seed, err)
@@ -165,7 +165,7 @@ func TestReplicaTraceByteIdentity(t *testing.T) {
 				injA2, injB2 := replicaInjectors(t, seed)
 				rec := trace.New()
 				if err := state.Reset(sim.ReplicaOptions{
-					Seed: seed, InjectorA: injA2, InjectorB: injB2, Recorder: rec,
+					Seed: seed, InjectorA: injA2, InjectorB: injB2, Sink: rec,
 				}); err != nil {
 					t.Fatalf("seed %d: Reset: %v", seed, err)
 				}

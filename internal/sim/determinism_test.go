@@ -34,7 +34,7 @@ func runFailedNodesTrace(t *testing.T) *trace.Recorder {
 			0: 5_000, // owner of s1 (2ms period)
 			2: 5_000, // owner of s5 (1ms period)
 		},
-		Recorder: rec,
+		Sink: rec,
 	}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)

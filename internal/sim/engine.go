@@ -89,12 +89,9 @@ type Options struct {
 	// MaxCycles caps the simulation length as a safety net (Batch);
 	// 0 means 1<<20 cycles.
 	MaxCycles int64
-	// Recorder optionally captures the bus trace.  Shorthand for
-	// Sink: recorder; at most one of Recorder and Sink may be set.
-	Recorder *trace.Recorder
 	// Sink optionally receives every bus event.  Use trace.New() to
 	// retain events, a *trace.CountingSink for zero-allocation counting,
-	// or leave both Sink and Recorder nil to discard events entirely.
+	// or leave it nil to discard events entirely.
 	Sink trace.Sink
 }
 
@@ -110,9 +107,6 @@ func (o *Options) validate() error {
 	}
 	if o.CHIStaticCapacity < 0 || o.CHIDynamicCapacity < 0 {
 		return fmt.Errorf("%w: negative CHI capacity", ErrBadOptions)
-	}
-	if o.Recorder != nil && o.Sink != nil {
-		return fmt.Errorf("%w: both Recorder and Sink set", ErrBadOptions)
 	}
 	// Iterate the node maps in sorted ID order so which validation error
 	// is reported does not depend on Go's randomized map iteration.
@@ -194,35 +188,24 @@ type Result struct {
 	Scheduler string
 }
 
-// Run executes one simulation.
+// Run executes one simulation: the one-replica case of Compile →
+// NewState → Reset → Run, with the per-replica options (Seed, injectors,
+// Sink) moved into the replica.
 func Run(opts Options, sched Scheduler) (Result, error) {
-	if err := opts.validate(); err != nil {
-		return Result{}, err
-	}
-	if opts.BitRate <= 0 {
-		opts.BitRate = frame.DefaultBitRate
-	}
-	if len(opts.Cluster.Nodes) == 0 {
-		opts.Cluster = topology.DualChannelBus(workloadNodes(opts.Workload))
-	}
-	if err := opts.Cluster.Validate(); err != nil {
-		return Result{}, fmt.Errorf("%w: %v", ErrBadOptions, err)
-	}
-	if opts.InjectorA == nil {
-		opts.InjectorA = &fault.None{}
-	}
-	if opts.InjectorB == nil {
-		opts.InjectorB = &fault.None{}
-	}
-	if opts.MaxCycles <= 0 {
-		opts.MaxCycles = 1 << 20
-	}
-
-	eng, err := newEngine(opts, sched)
+	ro := ReplicaOptions{Seed: opts.Seed, InjectorA: opts.InjectorA, InjectorB: opts.InjectorB, Sink: opts.Sink}
+	opts.Seed, opts.InjectorA, opts.InjectorB, opts.Sink = 0, nil, nil, nil
+	c, err := Compile(opts)
 	if err != nil {
 		return Result{}, err
 	}
-	return eng.run()
+	st, err := c.NewState(sched)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := st.Reset(ro); err != nil {
+		return Result{}, err
+	}
+	return st.Run()
 }
 
 // engine is the per-run state.
@@ -269,132 +252,6 @@ type engine struct {
 	// node-down/node-up trace transitions; nodeDown is their last state.
 	watchedNodes []int
 	nodeDown     map[int]bool
-}
-
-// buildEnv constructs the environment skeleton shared by newEngine and
-// Compile: the message tables, fresh ECUs with their CHI capacities, and
-// the resolved pLatestTx.  staticByNode maps each node to its static
-// frame IDs, which NewState needs to build per-state ECUs.
-func buildEnv(opts Options) (*Env, map[int][]int, error) {
-	cfg := opts.Config
-	env := &Env{
-		Cfg:         cfg,
-		BitRate:     opts.BitRate,
-		Set:         opts.Workload,
-		ECUs:        make(map[int]*node.ECU),
-		StaticMsgs:  make(map[int]*signal.Message),
-		DynamicMsgs: make(map[int]*signal.Message),
-		Cluster:     opts.Cluster,
-	}
-	staticByNode := make(map[int][]int)
-	var maxDyn timebase.Macrotick
-	for i := range opts.Workload.Messages {
-		m := &opts.Workload.Messages[i]
-		if _, ok := opts.Cluster.Node(m.Node); !ok {
-			return nil, nil, fmt.Errorf("%w: message %q on unknown node %d",
-				ErrBadOptions, m.Name, m.Node)
-		}
-		switch m.Kind {
-		case signal.Periodic:
-			env.StaticMsgs[m.ID] = m
-			staticByNode[m.Node] = append(staticByNode[m.Node], m.ID)
-			if !envFits(env, m) {
-				return nil, nil, fmt.Errorf("%w: static message %q (%d bits) does not fit a %d-macrotick slot at %d bit/s",
-					ErrBadOptions, m.Name, m.Bits, cfg.StaticSlotLen, opts.BitRate)
-			}
-		case signal.Aperiodic:
-			env.DynamicMsgs[m.ID] = m
-			if d := env.FrameDuration(m); d > maxDyn {
-				maxDyn = d
-			}
-		}
-	}
-	for _, n := range opts.Cluster.Nodes {
-		ecu := node.NewECU(n.ID, staticByNode[n.ID])
-		ecu.SetCapacities(opts.CHIStaticCapacity, opts.CHIDynamicCapacity)
-		env.ECUs[n.ID] = ecu
-	}
-	lt := cfg.LatestTx
-	if lt == 0 {
-		lt = cfg.DeriveLatestTx(maxDyn)
-	}
-	env.LatestTx = lt
-	return env, staticByNode, nil
-}
-
-func newEngine(opts Options, sched Scheduler) (*engine, error) {
-	cfg := opts.Config
-	env, _, err := buildEnv(opts)
-	if err != nil {
-		return nil, err
-	}
-	lt := env.LatestTx
-
-	sink := opts.Sink
-	if sink == nil {
-		if opts.Recorder != nil {
-			sink = opts.Recorder
-		} else {
-			sink = trace.NullSink{}
-		}
-	}
-	eng := &engine{
-		opts:     opts,
-		sched:    sched,
-		env:      env,
-		col:      metrics.NewCollector(cfg),
-		sink:     sink,
-		latestTx: lt,
-	}
-	if opts.Mode == Streaming {
-		eng.warmup = cfg.FromDuration(opts.Warmup)
-	}
-	if opts.Scenario != nil {
-		rt, err := opts.Scenario.Compile(cfg, opts.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
-		}
-		eng.scn = rt
-		// Scenario channels override the option injectors so the scripted
-		// timeline is the single source of channel fault truth.
-		if inj := rt.Injector(frame.ChannelA); inj != nil {
-			eng.opts.InjectorA = inj
-		}
-		if inj := rt.Injector(frame.ChannelB); inj != nil {
-			eng.opts.InjectorB = inj
-		}
-	}
-	eng.initNodeWatch()
-	eng.injA, eng.injB = eng.opts.InjectorA, eng.opts.InjectorB
-	eng.tvA, _ = eng.injA.(fault.TimeVarying)
-	eng.tvB, _ = eng.injB.(fault.TimeVarying)
-	eng.liveness = len(opts.NodeFailures) > 0 || eng.scn != nil
-	eng.crcRNG = fault.NewRNG(opts.Seed ^ seedCRC)
-	// Scenario-scripted timing faults need the local-clock layer even
-	// when the run options leave it off.
-	if opts.Timing != nil || (eng.scn != nil && eng.scn.HasTimingFaults()) {
-		topts := TimingOptions{}
-		if opts.Timing != nil {
-			topts = *opts.Timing
-		}
-		eng.timing = newTimingState(topts, eng)
-		env.Sync = eng.timing.monitor
-	}
-	env.Trace = sink
-	env.Gauges = eng.col.Adaptive()
-	env.compile()
-	eng.rel = newReleaser(opts, env)
-	eng.rel.overflow = func(in *node.Instance, rel timebase.Macrotick) {
-		eng.dropInstance(in, rel)
-	}
-	if err := sched.Init(env); err != nil {
-		return nil, fmt.Errorf("scheduler init: %w", err)
-	}
-	return eng, nil
-}
-
-func envFits(env *Env, m *signal.Message) bool {
-	return env.FitsStaticSlot(m)
 }
 
 func workloadNodes(set signal.Set) int {

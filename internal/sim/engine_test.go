@@ -68,7 +68,7 @@ func TestStreamingFaultFreeDeliversEverything(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: 100 * time.Millisecond,
 		Seed:     1,
-		Recorder: rec,
+		Sink:     rec,
 	}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -339,7 +339,7 @@ func TestPartialTopologyNoInvalidTransmissions(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
 		Seed:     1,
-		Recorder: rec,
+		Sink:     rec,
 	}, fspec.New(fspec.Options{Copies: 2}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -374,7 +374,7 @@ func TestArrivalJitter(t *testing.T) {
 			Duration:      200 * time.Millisecond,
 			Seed:          4,
 			ArrivalJitter: jitter,
-			Recorder:      rec,
+			Sink:          rec,
 		}, fspec.New(fspec.Options{}))
 		if err != nil {
 			t.Fatalf("Run(jitter=%g): %v", jitter, err)
@@ -466,7 +466,7 @@ func TestSymbolWindowStaysSilent(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
 		Seed:     1,
-		Recorder: rec,
+		Sink:     rec,
 	}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -651,7 +651,7 @@ func TestEngineRejectsProtocolViolations(t *testing.T) {
 			Mode:     sim.Streaming,
 			Duration: 10 * time.Millisecond,
 			Seed:     1,
-			Recorder: rec,
+			Sink:     rec,
 		}, &brokenScheduler{mode: mode})
 		if err != nil {
 			t.Fatalf("mode %d: Run: %v", mode, err)
@@ -716,6 +716,78 @@ func (e *envCapture) InstanceDropped(in *node.Instance, now timebase.Macrotick) 
 	e.inner.InstanceDropped(in, now)
 }
 
+// initCounter is an FSPEC scheduler that counts Init calls and records
+// the sink installed at the last one.  It deliberately does not
+// implement sim.ReplicaResettable, so every replica must re-Init it.
+type initCounter struct {
+	sim.Scheduler
+	inits   int
+	sink    trace.Sink
+	initErr error
+}
+
+func (c *initCounter) Init(env *sim.Env) error {
+	c.inits++
+	c.sink = env.Trace
+	if c.initErr != nil {
+		return c.initErr
+	}
+	return c.Scheduler.Init(env)
+}
+
+// TestRunInitsSchedulerOnce pins where Init runs: once per sim.Run and
+// once per Reset of a reused RunState, after the replica's sink is
+// installed, and a failing Init surfaces as a scheduler init error.
+func TestRunInitsSchedulerOnce(t *testing.T) {
+	opts := sim.Options{
+		Config:   testConfig(),
+		Workload: mixedWorkload(),
+		Mode:     sim.Streaming,
+		Duration: 5 * time.Millisecond,
+		Seed:     1,
+	}
+	sched := &initCounter{Scheduler: fspec.New(fspec.Options{})}
+	rec := trace.New()
+	runOpts := opts
+	runOpts.Sink = rec
+	if _, err := sim.Run(runOpts, sched); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if sched.inits != 1 {
+		t.Errorf("sim.Run called Init %d times, want 1", sched.inits)
+	}
+	if sched.sink != rec {
+		t.Errorf("Init saw sink %T, want the run's recorder", sched.sink)
+	}
+
+	compiled, err := sim.Compile(opts)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	sched = &initCounter{Scheduler: fspec.New(fspec.Options{})}
+	st, err := compiled.NewState(sched)
+	if err != nil {
+		t.Fatalf("NewState: %v", err)
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		if err := st.Reset(sim.ReplicaOptions{Seed: seed}); err != nil {
+			t.Fatalf("Reset %d: %v", seed, err)
+		}
+		if sched.inits != int(seed) {
+			t.Errorf("after Reset %d: Init called %d times, want %d", seed, sched.inits, seed)
+		}
+		if _, err := st.Run(); err != nil {
+			t.Fatalf("Run %d: %v", seed, err)
+		}
+	}
+
+	errInit := errors.New("init refused")
+	_, err = sim.Run(opts, &initCounter{Scheduler: fspec.New(fspec.Options{}), initErr: errInit})
+	if !errors.Is(err, errInit) || !strings.HasPrefix(err.Error(), "scheduler init: ") {
+		t.Errorf("failing Init: err = %v, want %q wrapped as scheduler init", err, errInit)
+	}
+}
+
 func TestExplicitLatestTxHonored(t *testing.T) {
 	// pLatestTx = 1: dynamic transmissions may only start in the first
 	// minislot, so at most one dynamic frame per channel per cycle, and
@@ -731,7 +803,7 @@ func TestExplicitLatestTxHonored(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
 		Seed:     1,
-		Recorder: rec,
+		Sink:     rec,
 	}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)

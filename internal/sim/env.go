@@ -73,13 +73,13 @@ type Env struct {
 	// ecuOrder caches the ECUs in ascending node-ID order (OrderedECUs).
 	ecuOrder []*node.ECU
 
-	// Compiled dispatch tables, built once by the engine (compile) so the
-	// per-slot walk indexes slices instead of hashing map keys.  All are
-	// nil on hand-built Envs, where the accessors fall back to the maps.
-	// msgByID guards the per-message caches: a fast path is taken only
-	// when the *signal.Message pointer matches the one the table was
-	// compiled from, so foreign Message values can never read stale
-	// timing.
+	// Compiled dispatch tables, built once by Compile (ecuByID by
+	// NewState) so the per-slot walk indexes slices instead of hashing
+	// map keys.  All are nil on hand-built Envs, where the accessors fall
+	// back to the maps.  msgByID guards the per-message caches: a fast
+	// path is taken only when the *signal.Message pointer matches the one
+	// the table was compiled from, so foreign Message values can never
+	// read stale timing.
 	msgByID       []*signal.Message
 	staticBySlot  []*signal.Message
 	dynamicByID   []*signal.Message
@@ -99,10 +99,11 @@ func (e *Env) Record(ev trace.Event) {
 	}
 }
 
-// compile precomputes the slot→message, node→ECU and per-message timing
-// tables the cycle loop indexes instead of doing map lookups per slot.
-// Called once by the engine after the maps are fully populated; the
-// public maps stay authoritative for hand-built environments and tests.
+// compile precomputes the slot→message, per-message timing and channel
+// attachment tables the cycle loop indexes instead of doing map lookups
+// per slot.  Called once by Compile after the message maps are fully
+// populated; the public maps stay authoritative for hand-built
+// environments and tests.  The node→ECU table is per state (NewState).
 func (e *Env) compile() {
 	maxID, maxNode := e.Cfg.StaticSlots, 0
 	for i := range e.Set.Messages {
@@ -121,7 +122,7 @@ func (e *Env) compile() {
 	e.durByID = make([]timebase.Macrotick, maxID+1)
 	e.minislotsByID = make([]int, maxID+1)
 	e.wireBitsByID = make([]int, maxID+1)
-	// The engine populated StaticMsgs/DynamicMsgs with pointers into
+	// Compile populated StaticMsgs/DynamicMsgs with pointers into
 	// Set.Messages, so walking the slice visits the same message values
 	// the maps hold — in deterministic order.
 	for i := range e.Set.Messages {
@@ -138,20 +139,15 @@ func (e *Env) compile() {
 		}
 		e.compileMsg(m)
 	}
-	e.ecuByID = make([]*node.ECU, maxNode+1)
 	e.attachedA = make([]bool, maxNode+1)
 	e.attachedB = make([]bool, maxNode+1)
 	for _, n := range e.Cluster.Nodes {
-		if n.ID < 0 || n.ID >= len(e.ecuByID) {
+		if n.ID < 0 || n.ID >= len(e.attachedA) {
 			continue
 		}
-		e.ecuByID[n.ID] = e.ECUs[n.ID]
 		e.attachedA[n.ID] = n.Attached(frame.ChannelA)
 		e.attachedB[n.ID] = n.Attached(frame.ChannelB)
 	}
-	// Precompute the ECU iteration order too, so the first cycle does
-	// not pay the lazy sort.
-	e.OrderedECUs()
 }
 
 func (e *Env) compileMsg(m *signal.Message) {

@@ -73,7 +73,7 @@ func TestWireInvariants(t *testing.T) {
 			Duration:  100 * time.Millisecond,
 			Seed:      5,
 			InjectorA: injA,
-			Recorder:  rec,
+			Sink:      rec,
 		}, sched)
 		if err != nil {
 			t.Fatalf("Run(%s): %v", sched.Name(), err)
@@ -205,7 +205,7 @@ func TestWireInvariantsRandomWorkloads(t *testing.T) {
 				Duration:  30 * time.Millisecond,
 				Seed:      uint64(trial),
 				InjectorA: injA,
-				Recorder:  rec,
+				Sink:      rec,
 			}, sched)
 			if err != nil {
 				t.Fatalf("trial %d (%s): %v", trial, sched.Name(), err)

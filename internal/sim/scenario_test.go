@@ -108,7 +108,7 @@ func TestScenarioDrivenRun(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: 100 * time.Millisecond,
 		Seed:     1,
-		Recorder: rec,
+		Sink:     rec,
 		Scenario: engineScenario(t),
 	}, fspec.New(fspec.Options{}))
 	if err != nil {
@@ -170,7 +170,7 @@ func TestScenarioTraceByteIdentical(t *testing.T) {
 			Mode:     sim.Streaming,
 			Duration: 100 * time.Millisecond,
 			Seed:     42,
-			Recorder: rec,
+			Sink:     rec,
 			Scenario: degradedScenario(t),
 		}, fspec.New(fspec.Options{}))
 		if err != nil {

@@ -175,7 +175,7 @@ func TestSyncSinkSharedAcrossParallelRuns(t *testing.T) {
 	// Parallel runs sharing one synchronized counting sink.
 	counting := &trace.CountingSink{}
 	shared := trace.NewSync(counting)
-	if _, err := runner.Map(8, cells, func(i int) (struct{}, error) {
+	if _, err := runner.MapCtx(nil, 8, cells, func(i int) (struct{}, error) {
 		return struct{}{}, runCell(i, shared)
 	}); err != nil {
 		t.Fatalf("parallel: %v", err)

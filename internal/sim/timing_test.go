@@ -118,7 +118,7 @@ func TestBabbleGuardianContainment(t *testing.T) {
 			Mode:     sim.Streaming,
 			Duration: 100 * time.Millisecond,
 			Seed:     9,
-			Recorder: rec,
+			Sink:     rec,
 			Scenario: babbleScenario(t),
 			Timing: &sim.TimingOptions{
 				SyncEnabled: true,
@@ -194,7 +194,7 @@ func TestTimingTraceByteIdentical(t *testing.T) {
 			Mode:     sim.Streaming,
 			Duration: 100 * time.Millisecond,
 			Seed:     42,
-			Recorder: rec,
+			Sink:     rec,
 			Scenario: timingScenario(t),
 			Timing: &sim.TimingOptions{
 				DriftPPM:         100,
@@ -231,7 +231,7 @@ func TestScenarioAloneEnablesTiming(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: 50 * time.Millisecond,
 		Seed:     5,
-		Recorder: rec,
+		Sink:     rec,
 		Scenario: babbleScenario(t),
 	}, fspec.New(fspec.Options{}))
 	if err != nil {
@@ -258,7 +258,7 @@ func TestCRCVerdictInTrace(t *testing.T) {
 		Mode:      sim.Streaming,
 		Duration:  100 * time.Millisecond,
 		Seed:      11,
-		Recorder:  rec,
+		Sink:      rec,
 		InjectorA: injA,
 	}, fspec.New(fspec.Options{}))
 	if err != nil {
