@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race benchmod fuzz bench benchcheck corpus corpus-update profile lint ci
+.PHONY: all vet build test race benchmod fuzz corpus corpus-update profile lint ci
 
 all: ci
 
@@ -54,27 +54,6 @@ FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/scenario/
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/frame/
-
-# Time every experiment serial vs parallel and write one
-# BENCH_<experiment>.json per experiment into BENCHDIR.  The run aborts
-# if any parallel table differs from its serial counterpart.  BENCHFLAGS
-# defaults to a quick sweep; unset it for full-length horizons.
-BENCHDIR ?= results
-BENCHFLAGS ?= -quick
-bench: build
-	$(GO) run ./cmd/coefficientsim -experiment all $(BENCHFLAGS) -bench $(BENCHDIR)
-
-# Run a fresh quick sweep into CHECKDIR and gate it against the
-# committed BENCHDIR baseline: cmd/benchguard fails on a >25% serial
-# wall-clock regression (or any serial/parallel table divergence) and
-# warns on smaller slowdowns.  Every checked sweep is also appended to
-# the TRENDFILE history so throughput is tracked across PRs, not just
-# thresholded against the last baseline.
-CHECKDIR ?= bench-out
-TRENDFILE ?= results/BENCH_TREND.jsonl
-benchcheck: build
-	$(GO) run ./cmd/coefficientsim -experiment all $(BENCHFLAGS) -bench $(CHECKDIR)
-	$(GO) run ./cmd/benchguard -baseline $(BENCHDIR) -candidate $(CHECKDIR) -trend $(TRENDFILE)
 
 # Quick-mode scenario corpus (DESIGN.md §13): generate CORPUSCOUNT
 # scenarios from CORPUSSEED, run them differentially under CoEfficient,

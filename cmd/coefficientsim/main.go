@@ -5,13 +5,9 @@
 //
 //	coefficientsim -experiment fig1 [-quick] [-seed 1] [-format table|csv]
 //	coefficientsim -experiment all -quick -parallel 8
-//	coefficientsim -experiment all -quick -bench results
 //
 // The -parallel flag sets the sweep worker count (0 = all cores); every
 // experiment produces byte-identical tables at any parallelism degree.
-// The -bench flag times each experiment serially and in parallel and
-// writes one BENCH_<experiment>.json per experiment into the given
-// directory, verifying the two runs' tables match along the way.
 package main
 
 import (
@@ -24,17 +20,13 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
-	"time"
 
 	"github.com/flexray-go/coefficient/internal/experiment"
 	"github.com/flexray-go/coefficient/internal/metrics"
 	"github.com/flexray-go/coefficient/internal/plot"
-	"github.com/flexray-go/coefficient/internal/runner"
 	"github.com/flexray-go/coefficient/internal/scenario"
 )
 
@@ -78,7 +70,6 @@ func run(ctx context.Context, args []string) (retErr error) {
 		format   = fs.String("format", "table", "output format: table, csv or json")
 		output   = fs.String("output", "", "write to this file instead of stdout")
 		svgDir   = fs.String("svg", "", "also write an SVG chart per experiment into this directory")
-		benchDir = fs.String("bench", "", "time each experiment serial vs parallel and write BENCH_<experiment>.json into this directory")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProf  = fs.String("memprofile", "", "write an allocation profile taken at exit to this file")
 	)
@@ -87,6 +78,15 @@ func run(ctx context.Context, args []string) (retErr error) {
 	}
 	if *format != "table" && *format != "csv" && *format != "json" {
 		return fmt.Errorf("unknown format %q", *format)
+	}
+	if *drift <= 0 {
+		return fmt.Errorf("-drift %g: must be positive", *drift)
+	}
+	if *replicas < 0 {
+		return fmt.Errorf("-replicas %d: must be 0 (auto) or positive", *replicas)
+	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: must be 0 (all cores) or positive", *parallel)
 	}
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -107,7 +107,7 @@ func run(ctx context.Context, args []string) (retErr error) {
 		parallel:  *parallel,
 		replicas:  *replicas,
 	}
-	if opts.replicas <= 0 {
+	if opts.replicas == 0 {
 		// Quick smoke runs keep the single-seed point; full runs ship the
 		// paper's miss-ratio curves with real confidence intervals, which
 		// the batched replica engine makes affordable.
@@ -131,15 +131,6 @@ func run(ctx context.Context, args []string) (retErr error) {
 	}
 	for i, name := range names {
 		names[i] = strings.TrimSpace(name)
-	}
-
-	if *benchDir != "" {
-		if *exp == "all" {
-			// The replica-scaling benchmark has no table-experiment
-			// counterpart; it exists only under -bench.
-			names = append(names, "replica")
-		}
-		return runBench(*benchDir, names, opts)
 	}
 
 	emitAll := func(w io.Writer) error {
@@ -231,278 +222,6 @@ func writeSVG(dir, name string, chart *plot.Chart) error {
 		return err
 	}
 	return writeFile(filepath.Join(dir, name+".svg"), chart.WriteSVG)
-}
-
-// benchResult is the JSON schema of one BENCH_<experiment>.json file.
-type benchResult struct {
-	Experiment      string  `json:"experiment"`
-	Quick           bool    `json:"quick"`
-	Seed            uint64  `json:"seed"`
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	ParallelWorkers int     `json:"parallelWorkers"`
-	SerialSeconds   float64 `json:"serialSeconds"`
-	ParallelSeconds float64 `json:"parallelSeconds"`
-	Speedup         float64 `json:"speedup"`
-	Identical       bool    `json:"identical"`
-	Table           any     `json:"table"`
-}
-
-// runBench times every experiment twice — serial (-parallel 1) and at the
-// requested parallelism — checks the rendered tables are byte-identical,
-// and records wall-clock plus the headline rows per experiment.
-func runBench(dir string, names []string, opts options) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	workers := runner.Workers(opts.parallel)
-	for _, name := range names {
-		if name == "replica" {
-			if err := runBenchReplica(dir, opts); err != nil {
-				return err
-			}
-			continue
-		}
-		serialOpts := opts
-		serialOpts.parallel = 1
-		start := time.Now()
-		serialTbl, _, err := runOne(name, serialOpts)
-		if err != nil {
-			return fmt.Errorf("bench %s (serial): %w", name, err)
-		}
-		serialSec := time.Since(start).Seconds()
-
-		start = time.Now()
-		parTbl, _, err := runOne(name, opts)
-		if err != nil {
-			return fmt.Errorf("bench %s (parallel): %w", name, err)
-		}
-		parSec := time.Since(start).Seconds()
-
-		identical := serialTbl.String() == parTbl.String()
-		if !identical {
-			return fmt.Errorf("bench %s: parallel table differs from serial table", name)
-		}
-		speedup := 0.0
-		if parSec > 0 {
-			speedup = serialSec / parSec
-		}
-		res := benchResult{
-			Experiment:      name,
-			Quick:           opts.quick,
-			Seed:            opts.seed,
-			GOMAXPROCS:      runtime.GOMAXPROCS(0),
-			ParallelWorkers: workers,
-			SerialSeconds:   serialSec,
-			ParallelSeconds: parSec,
-			Speedup:         speedup,
-			Identical:       identical,
-			Table:           tableJSON(parTbl),
-		}
-		path := filepath.Join(dir, "BENCH_"+name+".json")
-		err = writeFile(path, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(res)
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("BENCH %-12s serial %.3fs  parallel(%d) %.3fs  speedup %.2fx  -> %s\n",
-			name, serialSec, workers, parSec, speedup, path)
-	}
-	return nil
-}
-
-// replicaScalingRow is one row of the replica-scaling table: the same
-// fig5 sweep at a given replica count, run both ways.
-type replicaScalingRow struct {
-	Replicas              int     `json:"replicas"`
-	IndependentSeconds    float64 `json:"independentSeconds"`
-	BatchedSeconds        float64 `json:"batchedSeconds"`
-	PerReplicaIndependent float64 `json:"perReplicaIndependentSeconds"`
-	PerReplicaBatched     float64 `json:"perReplicaBatchedSeconds"`
-	EndToEndSpeedup       float64 `json:"endToEndSpeedup"`
-}
-
-// replicaBenchResult is the BENCH_replica.json schema.  It keeps the
-// benchguard-consumed fields (experiment/quick/serialSeconds/
-// parallelSeconds/speedup/identical) and documents what they measure in
-// Definition: the per-replica cost attributable to replica machinery —
-// setup (workload assembly, feasibility analysis, scheduler planning,
-// engine compilation) plus dispatch — after subtracting the marginal
-// simulation cost every replica pays regardless of engine.
-type replicaBenchResult struct {
-	Experiment      string  `json:"experiment"`
-	Quick           bool    `json:"quick"`
-	Seed            uint64  `json:"seed"`
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	ParallelWorkers int     `json:"parallelWorkers"`
-	Definition      string  `json:"definition"`
-	SerialSeconds   float64 `json:"serialSeconds"`
-	ParallelSeconds float64 `json:"parallelSeconds"`
-	Speedup         float64 `json:"speedup"`
-	Identical       bool    `json:"identical"`
-	// Raw wall-clock totals of the headline 100-replica sweep, so the
-	// amortized-overhead headline above can always be cross-checked
-	// against end-to-end time.
-	EndToEndIndependentSeconds float64 `json:"endToEndIndependentSeconds"`
-	EndToEndBatchedSeconds     float64 `json:"endToEndBatchedSeconds"`
-	EndToEndSpeedup            float64 `json:"endToEndSpeedup"`
-	// MarginalReplicaSeconds estimates the irreducible per-replica
-	// simulation cost: the slope of batched wall clock between 1 and
-	// 100 replicas.
-	MarginalReplicaSeconds float64             `json:"marginalReplicaSeconds"`
-	Table                  []replicaScalingRow `json:"table"`
-}
-
-const replicaBenchDefinition = "serialSeconds is the total cost attributable to per-replica setup+dispatch " +
-	"over 100 independent one-engine-per-replica fig5 runs (independent total minus 100x the marginal " +
-	"per-replica simulation cost); parallelSeconds is the same overhead for the batched engine (compile " +
-	"once, Reset+Run per replica); speedup is their ratio — how much cheaper the amortized per-replica " +
-	"cost beyond the irreducible simulation is. endToEnd* fields and the table carry raw serial " +
-	"wall-clock at 1/10/100 replicas; identical additionally requires batched rows to equal the " +
-	"independent rows exactly, serially and at parallelism 8."
-
-// runBenchReplica measures the batched replica engine against the
-// one-engine-per-replica path on the fig5 sweep at 1, 10 and 100
-// replicas, all serial so the comparison is amortization, not core
-// count, and writes BENCH_replica.json.  Both sides must produce
-// identical rows — the batched engine is a pure optimization.
-func runBenchReplica(dir string, opts options) error {
-	missNaive := func(replicas, parallel int) ([]experiment.MissRow, float64, error) {
-		start := time.Now()
-		rows, err := experiment.MissRatioNaive(experiment.MissOptions{
-			Seed: opts.seed, Quick: opts.quick, Replicas: replicas, Parallel: parallel, Ctx: opts.ctx,
-		})
-		return rows, time.Since(start).Seconds(), err
-	}
-	missBatched := func(replicas, parallel int) ([]experiment.MissRow, float64, error) {
-		start := time.Now()
-		rows, err := experiment.MissRatio(experiment.MissOptions{
-			Seed: opts.seed, Quick: opts.quick, Replicas: replicas, Parallel: parallel, Ctx: opts.ctx,
-		})
-		return rows, time.Since(start).Seconds(), err
-	}
-
-	counts := []int{1, 10, 100}
-	table := make([]replicaScalingRow, 0, len(counts))
-	identical := true
-	var batched1, batched100, naive100 float64
-	for _, n := range counts {
-		// The single-replica runs are a few milliseconds each; take the
-		// median of five so scheduling noise does not leak into the
-		// marginal-cost estimate.
-		reps := 1
-		if n == 1 {
-			reps = 5
-		}
-		var naiveRows, batchedRows []experiment.MissRow
-		naiveTimes := make([]float64, 0, reps)
-		batchedTimes := make([]float64, 0, reps)
-		for i := 0; i < reps; i++ {
-			rows, sec, err := missNaive(n, 1)
-			if err != nil {
-				return fmt.Errorf("bench replica: independent x%d: %w", n, err)
-			}
-			naiveRows = rows
-			naiveTimes = append(naiveTimes, sec)
-			rows, sec, err = missBatched(n, 1)
-			if err != nil {
-				return fmt.Errorf("bench replica: batched x%d: %w", n, err)
-			}
-			batchedRows = rows
-			batchedTimes = append(batchedTimes, sec)
-		}
-		if !reflect.DeepEqual(naiveRows, batchedRows) {
-			identical = false
-		}
-		nSec, bSec := median(naiveTimes), median(batchedTimes)
-		speedup := 0.0
-		if bSec > 0 {
-			speedup = nSec / bSec
-		}
-		table = append(table, replicaScalingRow{
-			Replicas:              n,
-			IndependentSeconds:    nSec,
-			BatchedSeconds:        bSec,
-			PerReplicaIndependent: nSec / float64(n),
-			PerReplicaBatched:     bSec / float64(n),
-			EndToEndSpeedup:       speedup,
-		})
-		switch n {
-		case 1:
-			batched1 = bSec
-		case 100:
-			naive100, batched100 = nSec, bSec
-		}
-	}
-	// The parallel-identity leg of the contract: the batched rows must
-	// not depend on the worker count either.
-	parRows, _, err := missBatched(10, 8)
-	if err != nil {
-		return fmt.Errorf("bench replica: batched parallel: %w", err)
-	}
-	serRows, _, err := missBatched(10, 1)
-	if err != nil {
-		return fmt.Errorf("bench replica: batched serial: %w", err)
-	}
-	if !reflect.DeepEqual(parRows, serRows) {
-		identical = false
-	}
-	if !identical {
-		return fmt.Errorf("bench replica: batched rows differ from the independent path")
-	}
-
-	// Marginal per-replica simulation cost from the batched slope, then
-	// the setup+dispatch overhead each side pays on top of it for the
-	// 100-replica sweep.
-	marginal := (batched100 - batched1) / 99
-	overheadNaive := naive100 - 100*marginal
-	overheadBatched := batched100 - 100*marginal
-	speedup := 0.0
-	if overheadBatched > 0 {
-		speedup = overheadNaive / overheadBatched
-	}
-	endToEnd := 0.0
-	if batched100 > 0 {
-		endToEnd = naive100 / batched100
-	}
-	res := replicaBenchResult{
-		Experiment:                 "replica",
-		Quick:                      opts.quick,
-		Seed:                       opts.seed,
-		GOMAXPROCS:                 runtime.GOMAXPROCS(0),
-		ParallelWorkers:            runner.Workers(opts.parallel),
-		Definition:                 replicaBenchDefinition,
-		SerialSeconds:              overheadNaive,
-		ParallelSeconds:            overheadBatched,
-		Speedup:                    speedup,
-		Identical:                  identical,
-		EndToEndIndependentSeconds: naive100,
-		EndToEndBatchedSeconds:     batched100,
-		EndToEndSpeedup:            endToEnd,
-		MarginalReplicaSeconds:     marginal,
-		Table:                      table,
-	}
-	path := filepath.Join(dir, "BENCH_replica.json")
-	err = writeFile(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("BENCH %-12s overhead %.3fs vs %.3fs (amortized %.1fx)  end-to-end %.3fs vs %.3fs (%.2fx)  -> %s\n",
-		"replica", overheadNaive, overheadBatched, speedup, naive100, batched100, endToEnd, path)
-	return nil
-}
-
-// median returns the middle value of the (short) sample set.
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[len(s)/2]
 }
 
 func runOne(name string, o options) (experiment.Table, *plot.Chart, error) {

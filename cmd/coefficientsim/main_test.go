@@ -76,6 +76,34 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-bogus"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	for _, args := range [][]string{
+		{"-experiment", "timing", "-quick", "-drift", "0"},
+		{"-experiment", "timing", "-quick", "-drift", "-50"},
+		{"-experiment", "fig5", "-quick", "-replicas", "-5"},
+		{"-experiment", "fig3", "-quick", "-parallel", "-3"},
+	} {
+		if err := run(context.Background(), args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
+// TestRunParallelIdentity pins the CLI's promise that every rendered
+// table, including synthesis and WCRT, is the same bytes at any
+// -parallel degree.
+func TestRunParallelIdentity(t *testing.T) {
+	render := func(parallel string) string {
+		out, err := capture(t, func() error {
+			return run(context.Background(), []string{"-experiment", "all", "-quick", "-parallel", parallel})
+		})
+		if err != nil {
+			t.Fatalf("run -parallel %s: %v", parallel, err)
+		}
+		return out
+	}
+	if serial, par := render("1"), render("8"); serial != par {
+		t.Errorf("-parallel 8 output differs from -parallel 1:\n--- 1 ---\n%s\n--- 8 ---\n%s", serial, par)
+	}
 }
 
 func TestRunJSONToFile(t *testing.T) {

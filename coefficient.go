@@ -36,7 +36,6 @@ import (
 	"github.com/flexray-go/coefficient/internal/fault"
 	"github.com/flexray-go/coefficient/internal/fspec"
 	"github.com/flexray-go/coefficient/internal/metrics"
-	"github.com/flexray-go/coefficient/internal/nm"
 	"github.com/flexray-go/coefficient/internal/reliability"
 	"github.com/flexray-go/coefficient/internal/runner"
 	"github.com/flexray-go/coefficient/internal/scenario"
@@ -232,7 +231,7 @@ func AnalyzeWCRT(set MessageSet, cfg Config, bitRate int64) ([]WCRTResult, error
 	return analysis.All(set, cfg, bitRate)
 }
 
-// Cluster startup (wakeup + coldstart) and network management.
+// Cluster startup (wakeup + coldstart).
 type (
 	// StartupNode configures one member for the coldstart simulation.
 	StartupNode = startup.Node
@@ -246,22 +245,12 @@ type (
 	WakeupConfig = startup.WakeupConfig
 	// WakeupReport is the wake timeline of a wakeup run.
 	WakeupReport = startup.WakeupReport
-	// NMVector is a network management bit vector.
-	NMVector = nm.Vector
-	// NMAggregator ORs the NM vectors observed in one cycle.
-	NMAggregator = nm.Aggregator
 )
 
 // SimulateWakeup runs the FlexRay wakeup pattern propagation.
 func SimulateWakeup(cfg WakeupConfig) (WakeupReport, error) {
 	return startup.SimulateWakeup(cfg)
 }
-
-// NewNMVector returns a zeroed network management vector of n bytes.
-func NewNMVector(n int) (NMVector, error) { return nm.NewVector(n) }
-
-// NewNMAggregator returns a cycle-wise NM vector aggregator.
-func NewNMAggregator(n int) (*NMAggregator, error) { return nm.NewAggregator(n) }
 
 // SimulateStartup runs the FlexRay coldstart protocol and returns the join
 // timeline.

@@ -302,7 +302,7 @@ func TestPublicAPISynthesisExperiment(t *testing.T) {
 	}
 }
 
-func TestPublicAPIWakeupAndNM(t *testing.T) {
+func TestPublicAPIWakeup(t *testing.T) {
 	rep, err := coefficient.SimulateWakeup(coefficient.WakeupConfig{
 		Nodes: []coefficient.WakeupNode{
 			{Name: "w", CanWake: true},
@@ -315,23 +315,5 @@ func TestPublicAPIWakeupAndNM(t *testing.T) {
 	}
 	if rep.Initiator != "w" || len(rep.AwakeCycle) != 2 {
 		t.Errorf("wakeup = %+v", rep)
-	}
-
-	agg, err := coefficient.NewNMAggregator(2)
-	if err != nil {
-		t.Fatalf("NewNMAggregator: %v", err)
-	}
-	v, err := coefficient.NewNMVector(2)
-	if err != nil {
-		t.Fatalf("NewNMVector: %v", err)
-	}
-	if err := v.SetBit(5); err != nil {
-		t.Fatalf("SetBit: %v", err)
-	}
-	if err := agg.Observe(v); err != nil {
-		t.Fatalf("Observe: %v", err)
-	}
-	if agg.ReadyToSleep() {
-		t.Error("awake bit set but ReadyToSleep")
 	}
 }

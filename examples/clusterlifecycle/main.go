@@ -100,22 +100,4 @@ func main() {
 		r.Dropped[coefficient.StaticSegment]+r.Dropped[coefficient.DynamicSegment])
 	fmt.Printf("            miss ratio %.4f, dynamic latency %v\n",
 		r.OverallMissRatio(), r.MeanLatency[coefficient.DynamicSegment])
-
-	// Phase 4: network management — once no ECU demands the bus awake,
-	// the cluster may sleep.
-	agg, err := coefficient.NewNMAggregator(2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		v, err := coefficient.NewNMVector(2)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Every ECU has released its wake request by now.
-		if err := agg.Observe(v); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Printf("shutdown:   NM vectors all clear, ready to sleep: %t\n", agg.ReadyToSleep())
 }

@@ -11,9 +11,10 @@ import (
 // of the Figure 5 sweep: every (minislots, scenario, scheduler, replica)
 // cell builds its own setup, scheduler, injectors and simulation engine
 // from scratch, exactly as the harness did before the batched replica
-// engine existed.  It is kept as the differential baseline — MissRatio
-// must produce byte-identical rows at every parallelism degree — and as
-// the "100 independent runs" side of the replica-scaling benchmark.
+// engine existed.  It is kept as the differential baseline: MissRatio
+// must produce byte-identical rows at every parallelism degree, checked
+// by TestMissRatioMatchesNaive and the repository benchmark's fig5
+// output check.
 func MissRatioNaive(opts MissOptions) ([]MissRow, error) {
 	opts.fill()
 	set, err := latencyWorkload(workload.BBW(), latencyStaticSlots, opts.Seed)

@@ -14,9 +14,9 @@ const hotpathMarker = "//perf:hotpath"
 // comment carries a //perf:hotpath marker.  The engine's steady-state
 // cycle loop is required to run allocation-free (DESIGN.md §10): every
 // malloc on that path is GC pressure multiplied by cycles × slots ×
-// experiment cells, and the perf regression gates
-// (TestHotPathAllocFree, cmd/benchguard) only stay meaningful if new
-// allocations cannot slip in silently.
+// experiment cells, and the allocation gates (TestHotPathAllocFree,
+// TestReplicaResetAllocFree) only stay meaningful if new allocations
+// cannot slip in silently.
 //
 // Inside a marked function the analyzer flags:
 //

@@ -149,7 +149,7 @@ func writeFileAtomic(fsys FS, path string, data []byte) error {
 // propagating every error.  A single write through an O_APPEND handle
 // is atomic with respect to other appenders on POSIX filesystems, so a
 // crash can only lose the whole record, never interleave or truncate it
-// silently.  cmd/benchguard reuses this for its JSONL trend file.
+// silently.
 func AppendFile(fsys FS, path string, data []byte) error {
 	if fsys == nil {
 		fsys = OS()
