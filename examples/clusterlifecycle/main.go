@@ -87,9 +87,9 @@ func main() {
 		Seed:      11,
 		Mode:      coefficient.Streaming,
 		Duration:  2 * time.Second,
-		NodeFailures: map[int]coefficient.Macrotick{
-			4: 1_000_000, // ECU 4 dies at t = 1s
-		},
+		Scenario: &coefficient.FaultScenario{Name: "ecu-4-failure", Nodes: []coefficient.ScenarioNodeEvent{
+			{Node: 4, FailAt: coefficient.ScenarioDuration(time.Second)}, // ECU 4 dies at t = 1s
+		}},
 	}, coefficient.NewCoEfficient(coefficient.SchedulerOptions{BER: 1e-7, Goal: 0.999}))
 	if err != nil {
 		log.Fatal(err)

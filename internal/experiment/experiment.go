@@ -244,7 +244,7 @@ func schedulers(set signal.Set, sc Scenario) []sim.Scheduler {
 // seed*2+2 offsets collided across base seeds (channel A of seed 2s+1
 // replayed the arrival stream of seed s's simulation, since sim.Run
 // consumes the raw seed).
-func injectors(sc Scenario, seed uint64) (fault.Injector, fault.Injector, error) {
+func injectors(sc Scenario, seed uint64) (*fault.BERInjector, *fault.BERInjector, error) {
 	a, err := fault.NewBERInjector(sc.BER, deriveSeed(seed, seedStreamChannelA, 0))
 	if err != nil {
 		return nil, nil, err

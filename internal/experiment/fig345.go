@@ -11,7 +11,6 @@ import (
 	"github.com/flexray-go/coefficient/internal/runner"
 	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/sim"
-	"github.com/flexray-go/coefficient/internal/sim/batch"
 	"github.com/flexray-go/coefficient/internal/workload"
 )
 
@@ -407,14 +406,15 @@ func (o *MissOptions) fill() {
 }
 
 // MissRatio reproduces Figure 5: deadline miss ratios on the BBW + SAE
-// workload across dynamic segment sizes and reliability settings.  Each
-// (minislots, scenario, scheduler) point is one batch.Spec whose seeds
-// are the derived replica seeds: the pool compiles the point's scenario
-// once (shared across schedulers via the minislots CompileKey), runs all
-// replicas of a point back to back on one reused run state, and returns
-// results in canonical spec-major order, keeping mean and stddev
-// independent of the parallelism degree — and byte-identical to the old
-// one-engine-per-replica sweep, which the differential tests pin.
+// workload across dynamic segment sizes and reliability settings.  The
+// scenario is compiled once per minislot coordinate, and each
+// (minislots, scenario, scheduler) point is one runner batch of Replicas
+// cells at the derived replica seeds.  A worker claims a whole point and
+// runs its replicas back to back on one reused run state (missWorker),
+// so replica r+1 pays a Reset instead of an engine construction.
+// Results come back point-major in replica order, which keeps mean and
+// stddev independent of the parallelism degree and equal to
+// MissRatioNaive's one-engine-per-replica sweep.
 func MissRatio(opts MissOptions) ([]MissRow, error) {
 	opts.fill()
 	set, err := latencyWorkload(workload.BBW(), latencyStaticSlots, opts.Seed)
@@ -431,44 +431,47 @@ func MissRatio(opts MissOptions) ([]MissRow, error) {
 	for r := range seeds {
 		seeds[r] = deriveSeed(opts.Seed, seedStreamReplica, uint64(r))
 	}
-	type missPoint struct {
-		ms       int
-		sc       Scenario
-		schedIdx int
-	}
 	var points []missPoint
-	var specs []batch.Spec
 	for j, ms := range opts.Minislots {
-		setup := setups[j]
+		compiled, err := sim.Compile(sim.Options{
+			Config:   setups[j].Config,
+			Workload: set,
+			BitRate:  setups[j].BitRate,
+			Mode:     sim.Streaming,
+			Duration: streamDuration(opts.Quick),
+		})
+		if err != nil {
+			return nil, fmt.Errorf("fig5: %w", err)
+		}
 		for _, sc := range opts.Scenarios {
 			for schedIdx := 0; schedIdx < 2; schedIdx++ {
-				sc, schedIdx := sc, schedIdx
-				points = append(points, missPoint{ms: ms, sc: sc, schedIdx: schedIdx})
-				specs = append(specs, batch.Spec{
-					Options: sim.Options{
-						Config:   setup.Config,
-						Workload: set,
-						BitRate:  setup.BitRate,
-						Mode:     sim.Streaming,
-						Duration: streamDuration(opts.Quick),
-					},
-					CompileKey: ms,
-					NewScheduler: func() (sim.Scheduler, error) {
-						return schedulers(set, sc)[schedIdx], nil
-					},
-					Seeds:   seeds,
-					Replica: scenarioReplica(sc),
-				})
+				points = append(points, missPoint{ms: ms, sc: sc, schedIdx: schedIdx, compiled: compiled})
 			}
 		}
 	}
-	groups, err := batch.Run(opts.Ctx, opts.Parallel, specs)
+	sizes := make([]int, len(points))
+	for p := range sizes {
+		sizes[p] = opts.Replicas
+	}
+	results, err := runner.MapBatchCtx(opts.Ctx, opts.Parallel, sizes,
+		func() (*missWorker, error) { return &missWorker{point: -1}, nil },
+		func(w *missWorker, p, r int) (sim.Result, error) {
+			if p != w.point {
+				pt := points[p]
+				st, err := pt.compiled.NewState(schedulers(set, pt.sc)[pt.schedIdx])
+				if err != nil {
+					return sim.Result{}, err
+				}
+				w.point, w.st = p, st
+			}
+			return w.replica(points[p].sc, seeds[r])
+		})
 	if err != nil {
 		return nil, fmt.Errorf("fig5: %w", err)
 	}
 	rows := make([]MissRow, 0, len(points))
 	for p, point := range points {
-		group := groups[p]
+		group := results[p*opts.Replicas : (p+1)*opts.Replicas]
 		vals := make([]float64, len(group))
 		for r, res := range group {
 			vals[r] = res.Report.OverallMissRatio()
@@ -486,27 +489,48 @@ func MissRatio(opts MissOptions) ([]MissRow, error) {
 	return rows, nil
 }
 
-// scenarioReplica builds a batch.Spec per-replica hook for a scenario:
-// channel injectors seeded from the replica seed's channel streams,
-// reusing the previous replica's BER injectors via Reseed when their
-// rate matches — Reseed(s) is contractually indistinguishable from a
-// fresh NewBERInjector(ber, s), but keeps the memoized per-frame-size
-// failure probabilities warm across replicas.
-func scenarioReplica(sc Scenario) func(i int, seed uint64, prevA, prevB fault.Injector) (sim.ReplicaOptions, error) {
-	return func(_ int, seed uint64, prevA, prevB fault.Injector) (sim.ReplicaOptions, error) {
-		a, okA := prevA.(*fault.BERInjector)
-		b, okB := prevB.(*fault.BERInjector)
-		if okA && okB && a.BER() == sc.BER && b.BER() == sc.BER {
-			a.Reseed(deriveSeed(seed, seedStreamChannelA, 0))
-			b.Reseed(deriveSeed(seed, seedStreamChannelB, 0))
-			return sim.ReplicaOptions{Seed: seed, InjectorA: a, InjectorB: b}, nil
-		}
-		injA, injB, err := injectors(sc, seed)
+// missPoint is one (minislots, scenario, scheduler) point of Figure 5.
+type missPoint struct {
+	ms       int
+	sc       Scenario
+	schedIdx int
+	compiled *sim.Compiled
+}
+
+// missWorker is one pool worker's private state.  The runner hands a
+// worker whole points, so it keeps only the run state of the point it
+// is working through.  Its BER injector pair outlives points: Reseed(s)
+// is contractually indistinguishable from a fresh NewBERInjector(ber, s)
+// but keeps the memoized per-frame-size failure probabilities warm, so
+// the pair is rebuilt only when a point's BER differs.
+type missWorker struct {
+	point      int
+	st         *sim.RunState
+	injA, injB *fault.BERInjector
+}
+
+// replica runs one replica of the worker's current point: seed the
+// channel injectors from the replica seed's channel streams, rewind the
+// state and run it.  Everything the run consumes is rewound by Reset or
+// derived from seed, so the result does not depend on which replicas
+// the worker ran before.
+//
+//lint:deterministic
+func (w *missWorker) replica(sc Scenario, seed uint64) (sim.Result, error) {
+	if w.injA == nil || w.injA.BER() != sc.BER {
+		a, b, err := injectors(sc, seed)
 		if err != nil {
-			return sim.ReplicaOptions{}, err
+			return sim.Result{}, err
 		}
-		return sim.ReplicaOptions{Seed: seed, InjectorA: injA, InjectorB: injB}, nil
+		w.injA, w.injB = a, b
+	} else {
+		w.injA.Reseed(deriveSeed(seed, seedStreamChannelA, 0))
+		w.injB.Reseed(deriveSeed(seed, seedStreamChannelB, 0))
 	}
+	if err := w.st.Reset(sim.ReplicaOptions{Seed: seed, InjectorA: w.injA, InjectorB: w.injB}); err != nil {
+		return sim.Result{}, err
+	}
+	return w.st.Run()
 }
 
 // meanStd returns the mean and population standard deviation.

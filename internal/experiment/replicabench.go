@@ -10,11 +10,11 @@ import (
 // MissRatioNaive is the one-engine-per-replica reference implementation
 // of the Figure 5 sweep: every (minislots, scenario, scheduler, replica)
 // cell builds its own setup, scheduler, injectors and simulation engine
-// from scratch, exactly as the harness did before the batched replica
-// engine existed.  It is kept as the differential baseline: MissRatio
-// must produce byte-identical rows at every parallelism degree, checked
-// by TestMissRatioMatchesNaive and the repository benchmark's fig5
-// output check.
+// from scratch through sim.Run.  It is the differential baseline for
+// MissRatio's replica loop, which reuses one run state per point and one
+// injector pair per worker: both must produce identical rows at every
+// parallelism degree, checked by TestMissRatioMatchesNaive and the
+// repository benchmark's fig5 output check.
 func MissRatioNaive(opts MissOptions) ([]MissRow, error) {
 	opts.fill()
 	set, err := latencyWorkload(workload.BBW(), latencyStaticSlots, opts.Seed)

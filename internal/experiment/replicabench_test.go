@@ -11,13 +11,15 @@ import (
 // the one-engine-per-replica reference at every parallelism degree.  Any
 // state leaking from one replica into the next — a counter not zeroed by
 // Reset, an arena not rewound, a scheduler not rewound by ResetReplica —
-// shows up here as a row diff.
+// shows up here as a row diff.  BER7 and BER9 share one physical BER,
+// so the BER-6 setting is what makes a worker moving between points
+// rebuild its injector pair instead of reseeding it.
 func TestMissRatioMatchesNaive(t *testing.T) {
 	base := MissOptions{
 		Seed:      7,
 		Quick:     true,
 		Minislots: []int{25, 50},
-		Scenarios: []Scenario{BER7()},
+		Scenarios: []Scenario{BER7(), {Label: "BER-6", BER: 1e-6, Goal: 0.999}},
 		Replicas:  3,
 		Parallel:  1,
 	}
@@ -25,8 +27,8 @@ func TestMissRatioMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MissRatioNaive: %v", err)
 	}
-	if len(want) != 4 { // 2 minislots x 1 scenario x 2 schedulers
-		t.Fatalf("naive rows = %d, want 4", len(want))
+	if len(want) != 8 { // 2 minislots x 2 scenarios x 2 schedulers
+		t.Fatalf("naive rows = %d, want 8", len(want))
 	}
 	for _, row := range want {
 		if row.Replicas != base.Replicas {

@@ -138,7 +138,7 @@ func ByName(name string) *Analyzer {
 // to the packages that are allowed to start goroutines at all.
 var criticalScope = map[string][]string{
 	"mapiter": {
-		"internal/sim", "internal/sim/batch", "internal/runner",
+		"internal/sim", "internal/runner",
 		"internal/experiment", "internal/scenario", "internal/fault",
 		"internal/core", "internal/serve", "internal/serve/journal",
 		"internal/corpus",
@@ -148,12 +148,9 @@ var criticalScope = map[string][]string{
 	// replay must be a pure function of the bytes on disk — no wall-clock
 	// reads, no map-order leaks into record sequences.  internal/corpus
 	// is in scope for the same reason: corpus generation and the golden
-	// store must be pure functions of the corpus seed.  internal/sim/batch
-	// is listed explicitly (suffix matching does not descend): the batch
-	// dispatcher owns the replica loop, where a stray map iteration or
-	// wall-clock read would break parallel-identity.
+	// store must be pure functions of the corpus seed.
 	"wallclock": {
-		"internal/sim", "internal/sim/batch", "internal/runner",
+		"internal/sim", "internal/runner",
 		"internal/experiment", "internal/scenario", "internal/fault",
 		"internal/core", "internal/serve", "internal/serve/journal",
 		"internal/corpus",
@@ -164,7 +161,7 @@ var criticalScope = map[string][]string{
 	// //perf:hotpath marker, so it is scoped to the packages the
 	// engine's cycle loop traverses.
 	"hotpath": {
-		"internal/sim", "internal/sim/batch", "internal/core",
+		"internal/sim", "internal/core",
 		"internal/fspec", "internal/node", "internal/trace",
 		"internal/fault",
 	},
@@ -175,12 +172,9 @@ var criticalScope = map[string][]string{
 	// match whole subtrees).  internal/sim is deliberately out of scope:
 	// the engine's frozen XOR-salt convention (opts.Seed ^ seedCRC) is
 	// pinned by byte-identical trace goldens and predates the contract.
-	// internal/sim/batch IS in scope, unlike its parent: replica seeds
-	// enter the dispatcher from Spec.Seeds and must be CellSeed-derived,
-	// never additive offsets.
 	"seedtaint": {
 		"internal/runner", "internal/experiment", "internal/corpus",
-		"internal/serve", "internal/serve/journal", "internal/sim/batch",
+		"internal/serve", "internal/serve/journal",
 		"cmd/...", "examples/...",
 	},
 	// ctxflow covers the cancellation chains: the daemon and its
@@ -190,7 +184,6 @@ var criticalScope = map[string][]string{
 	"ctxflow": {
 		"internal/serve", "internal/serve/journal", "internal/runner",
 		"internal/experiment", "internal/corpus", "internal/sim",
-		"internal/sim/batch",
 	},
 	// detreach fires only on functions annotated //lint:deterministic,
 	// so it runs everywhere.

@@ -106,7 +106,6 @@ func TestApplies(t *testing.T) {
 		want     bool
 	}{
 		{"mapiter", mod + "/internal/sim", true},
-		{"mapiter", mod + "/internal/sim/batch", true}, // replica loop: map order must not reach results
 		{"mapiter", mod + "/internal/runner", true},
 		{"mapiter", mod + "/internal/experiment", true},
 		{"mapiter", mod + "/internal/scenario", true},
@@ -117,7 +116,6 @@ func TestApplies(t *testing.T) {
 		{"mapiter", mod + "/internal/serve", true},
 		{"mapiter", mod + "/internal/serve/journal", true}, // record sequences must not leak map order
 		{"wallclock", mod + "/internal/sim", true},
-		{"wallclock", mod + "/internal/sim/batch", true},
 		{"wallclock", mod + "/internal/serve", true},         // retry jitter must be seeded, not wall-clock
 		{"wallclock", mod + "/internal/serve/journal", true}, // recovery is a pure function of bytes on disk
 		{"wallclock", mod + "/cmd/coefficientsim", false},    // bench timing is legitimate there
@@ -131,7 +129,6 @@ func TestApplies(t *testing.T) {
 		{"goroutineleak", mod + "/internal/serve/journal", true},
 		{"goroutineleak", mod + "/internal/experiment", false},
 		{"hotpath", mod + "/internal/sim", true},
-		{"hotpath", mod + "/internal/sim/batch", true},
 		{"hotpath", mod + "/internal/core", true},
 		{"hotpath", mod + "/internal/fspec", true},
 		{"hotpath", mod + "/internal/node", true},
@@ -145,13 +142,11 @@ func TestApplies(t *testing.T) {
 		{"seedtaint", mod + "/cmd/coefficientsim", true},   // "cmd/..." covers every binary
 		{"seedtaint", mod + "/examples/brakebywire", true}, // the PR 8 shapes lived here too
 		{"seedtaint", mod + "/internal/sim", false},        // frozen XOR-salt convention, goldens pin it
-		{"seedtaint", mod + "/internal/sim/batch", true},   // Spec.Seeds must be CellSeed-derived
 		{"seedtaint", mod + "/internal/scenario", false},
 		{"ctxflow", mod + "/internal/serve", true},
 		{"ctxflow", mod + "/internal/serve/journal", true},
 		{"ctxflow", mod + "/internal/runner", true},
 		{"ctxflow", mod + "/internal/corpus", true},
-		{"ctxflow", mod + "/internal/sim/batch", true},
 		{"ctxflow", mod + "/cmd/coefficientserve", false}, // roots mint contexts by design
 		{"detreach", mod + "/internal/sim", true},
 		{"detreach", mod + "/internal/plot", true}, // annotation-gated, so scoped everywhere

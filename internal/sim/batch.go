@@ -23,8 +23,8 @@ import (
 // after Compile returns.
 type Compiled struct {
 	opts Options
-	// tables is an environment without ECUs: the message maps and the
-	// dispatch tables every state shares.
+	// tables is an environment without ECUs: the dispatch tables every
+	// state shares.
 	tables *Env
 	// staticByNode maps node ID → static frame IDs, for building fresh
 	// per-state ECUs.
@@ -33,11 +33,11 @@ type Compiled struct {
 
 // Compile validates the options, applies the defaults (bit rate, a
 // dual-channel bus sized to the workload, MaxCycles) and builds the
-// immutable artifact shared by all replicas: the message maps, the
-// dispatch tables and the resolved pLatestTx.  It builds no ECUs; each
-// NewState owns its own.  Per-replica concerns must be left unset:
-// injectors and Sink belong to ReplicaOptions (the Seed field is ignored
-// and replaced per replica by Reset).
+// immutable artifact shared by all replicas: the dispatch tables and the
+// resolved pLatestTx.  It builds no ECUs; each NewState owns its own.
+// Per-replica concerns must be left unset: injectors and Sink belong to
+// ReplicaOptions (the Seed field is ignored and replaced per replica by
+// Reset).
 func Compile(opts Options) (*Compiled, error) {
 	if opts.InjectorA != nil || opts.InjectorB != nil {
 		return nil, fmt.Errorf("%w: Compile: injectors are per-replica; pass them via ReplicaOptions", ErrBadOptions)
@@ -63,12 +63,10 @@ func Compile(opts Options) (*Compiled, error) {
 
 	cfg := opts.Config
 	env := &Env{
-		Cfg:         cfg,
-		BitRate:     opts.BitRate,
-		Set:         opts.Workload,
-		StaticMsgs:  make(map[int]*signal.Message),
-		DynamicMsgs: make(map[int]*signal.Message),
-		Cluster:     opts.Cluster,
+		Cfg:     cfg,
+		BitRate: opts.BitRate,
+		Set:     opts.Workload,
+		Cluster: opts.Cluster,
 	}
 	staticByNode := make(map[int][]int)
 	var maxDyn timebase.Macrotick
@@ -80,14 +78,12 @@ func Compile(opts Options) (*Compiled, error) {
 		}
 		switch m.Kind {
 		case signal.Periodic:
-			env.StaticMsgs[m.ID] = m
 			staticByNode[m.Node] = append(staticByNode[m.Node], m.ID)
 			if !env.FitsStaticSlot(m) {
 				return nil, fmt.Errorf("%w: static message %q (%d bits) does not fit a %d-macrotick slot at %d bit/s",
 					ErrBadOptions, m.Name, m.Bits, cfg.StaticSlotLen, opts.BitRate)
 			}
 		case signal.Aperiodic:
-			env.DynamicMsgs[m.ID] = m
 			if d := env.FrameDuration(m); d > maxDyn {
 				maxDyn = d
 			}
@@ -159,19 +155,19 @@ type RunState struct {
 func (c *Compiled) NewState(sched Scheduler) (*RunState, error) {
 	env := new(Env)
 	*env = *c.tables
-	env.ECUs = make(map[int]*node.ECU, len(c.opts.Cluster.Nodes))
 	env.ecuByID = make([]*node.ECU, len(c.tables.attachedA))
 	for _, n := range c.opts.Cluster.Nodes {
 		ecu := node.NewECU(n.ID, c.staticByNode[n.ID])
 		ecu.SetCapacities(c.opts.CHIStaticCapacity, c.opts.CHIDynamicCapacity)
-		env.ECUs[n.ID] = ecu
-		if n.ID >= 0 {
-			env.ecuByID[n.ID] = ecu
+		env.ecuByID[n.ID] = ecu
+	}
+	// Walking the ID-indexed table yields the ECUs in ascending ID order.
+	env.ecuOrder = make([]*node.ECU, 0, len(c.opts.Cluster.Nodes))
+	for _, ecu := range env.ecuByID {
+		if ecu != nil {
+			env.ecuOrder = append(env.ecuOrder, ecu)
 		}
 	}
-	// Precompute the ECU iteration order so the first cycle does not pay
-	// the lazy sort.
-	env.OrderedECUs()
 
 	eng := &engine{
 		opts:     c.opts,
@@ -235,16 +231,14 @@ func (st *RunState) Reset(ro ReplicaOptions) error {
 		}
 	}
 
-	eng.watchedNodes = eng.watchedNodes[:0]
-	eng.nodeDown = nil
-	if len(eng.opts.NodeFailures) > 0 || eng.scn != nil {
+	eng.watchedNodes, eng.nodeDown = nil, nil
+	if eng.scn != nil {
 		eng.initNodeWatch()
 	}
 
 	eng.injA, eng.injB = eng.opts.InjectorA, eng.opts.InjectorB
 	eng.tvA, _ = eng.injA.(fault.TimeVarying)
 	eng.tvB, _ = eng.injB.(fault.TimeVarying)
-	eng.liveness = len(eng.opts.NodeFailures) > 0 || eng.scn != nil
 	eng.crcRNG.Seed(ro.Seed ^ seedCRC)
 	st.resetTiming()
 

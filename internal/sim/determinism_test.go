@@ -6,16 +6,18 @@ import (
 	"time"
 
 	"github.com/flexray-go/coefficient/internal/fspec"
+	"github.com/flexray-go/coefficient/internal/scenario"
 	"github.com/flexray-go/coefficient/internal/sim"
-	"github.com/flexray-go/coefficient/internal/timebase"
 	"github.com/flexray-go/coefficient/internal/trace"
 )
 
 // Regression tests for the map-iteration bugs surfaced by the mapiter
 // analyzer: dropExpired and the per-cycle slot-counter reset used to
-// range over env.ECUs directly, so drop events for deadlines expiring
-// at the same instant landed in the trace in Go's randomized map order
-// and two identical runs could produce different trace files.
+// range over a map of ECUs keyed by node ID, so drop events for
+// deadlines expiring at the same instant landed in the trace in Go's
+// randomized map order and two identical runs could produce different
+// trace files.  The ECUs now live only in ID-indexed tables walked by
+// OrderedECUs.
 
 // runFailedNodesTrace runs a workload in which two nodes die early, so
 // both keep generating instances that expire as drops — often at the
@@ -30,10 +32,10 @@ func runFailedNodesTrace(t *testing.T) *trace.Recorder {
 		Mode:     sim.Streaming,
 		Duration: 60 * time.Millisecond,
 		Seed:     11,
-		NodeFailures: map[int]timebase.Macrotick{
-			0: 5_000, // owner of s1 (2ms period)
-			2: 5_000, // owner of s5 (1ms period)
-		},
+		Scenario: &scenario.Scenario{Nodes: []scenario.NodeEvent{
+			{Node: 0, FailAt: scenario.Duration(5 * time.Millisecond)}, // owner of s1 (2ms period)
+			{Node: 2, FailAt: scenario.Duration(5 * time.Millisecond)}, // owner of s5 (1ms period)
+		}},
 		Sink: rec,
 	}, fspec.New(fspec.Options{}))
 	if err != nil {
@@ -69,7 +71,8 @@ func TestTraceByteDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestOrderedECUs pins the iteration contract the engine and schedulers
-// rely on: ascending node-ID order, stable across calls.
+// rely on: ascending node-ID order, one entry per cluster node, each the
+// ECU the ID lookup returns, stable across calls.
 func TestOrderedECUs(t *testing.T) {
 	var captured *sim.Env
 	_, err := sim.Run(sim.Options{
@@ -83,16 +86,16 @@ func TestOrderedECUs(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	ordered := captured.OrderedECUs()
-	if len(ordered) != len(captured.ECUs) {
-		t.Fatalf("OrderedECUs has %d entries, env has %d", len(ordered), len(captured.ECUs))
+	if len(ordered) != len(captured.Cluster.Nodes) {
+		t.Fatalf("OrderedECUs has %d entries, cluster has %d nodes", len(ordered), len(captured.Cluster.Nodes))
 	}
 	for i, ecu := range ordered {
 		if i > 0 && ordered[i-1].ID >= ecu.ID {
 			t.Fatalf("OrderedECUs not in ascending ID order: %d before %d",
 				ordered[i-1].ID, ecu.ID)
 		}
-		if captured.ECUs[ecu.ID] != ecu {
-			t.Fatalf("OrderedECUs[%d] is not env.ECUs[%d]", i, ecu.ID)
+		if captured.ECU(ecu.ID) != ecu {
+			t.Fatalf("OrderedECUs[%d] is not ECU(%d)", i, ecu.ID)
 		}
 	}
 	again := captured.OrderedECUs()

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/flexray-go/coefficient/internal/fault"
@@ -55,20 +54,14 @@ type Options struct {
 	// Zero means unlimited.  A full buffer loses the newest instance,
 	// which the metrics count as a drop.
 	CHIStaticCapacity, CHIDynamicCapacity int
-	// NodeFailures injects permanent faults (the paper's "physical
-	// damages [that] cause ... long-term malfunctioning"): the node stops
-	// transmitting at the given time.  Instances it would have sent pile
-	// up and expire, which the metrics count as misses.
-	NodeFailures map[int]timebase.Macrotick
-	// NodeRecoveries lets a failed node rejoin: the node resumes
-	// transmitting at the given time.  Every entry must pair with a
-	// NodeFailures entry at a strictly earlier time.
-	NodeRecoveries map[int]timebase.Macrotick
 	// Scenario optionally scripts a time-varying fault timeline: BER
 	// steps/ramps and burst episodes per channel, channel blackouts, and
-	// node crash/recovery events.  Channels the scenario models get a
-	// deterministic injector derived from Seed, overriding
-	// InjectorA/InjectorB.
+	// node crash/recovery events — the only way to take a node down (the
+	// paper's "physical damages [that] cause ... long-term
+	// malfunctioning"): a down node stops transmitting, and the instances
+	// it would have sent pile up and expire, which the metrics count as
+	// misses.  Channels the scenario models get a deterministic injector
+	// derived from Seed, overriding InjectorA/InjectorB.
 	Scenario *scenario.Scenario
 	// Timing optionally gives every node a local drifting clock with FTM
 	// synchronization, POC degradation states and bus guardians.  Nil
@@ -108,24 +101,6 @@ func (o *Options) validate() error {
 	if o.CHIStaticCapacity < 0 || o.CHIDynamicCapacity < 0 {
 		return fmt.Errorf("%w: negative CHI capacity", ErrBadOptions)
 	}
-	// Iterate the node maps in sorted ID order so which validation error
-	// is reported does not depend on Go's randomized map iteration.
-	for _, id := range sortedNodeIDs(o.NodeFailures) {
-		if at := o.NodeFailures[id]; at < 0 {
-			return fmt.Errorf("%w: node %d failure at %d", ErrBadOptions, id, at)
-		}
-	}
-	for _, id := range sortedNodeIDs(o.NodeRecoveries) {
-		at := o.NodeRecoveries[id]
-		failAt, failed := o.NodeFailures[id]
-		if !failed {
-			return fmt.Errorf("%w: node %d recovery without a failure", ErrBadOptions, id)
-		}
-		if at <= failAt {
-			return fmt.Errorf("%w: node %d recovery at %d not after failure at %d",
-				ErrBadOptions, id, at, failAt)
-		}
-	}
 	if o.Scenario != nil {
 		if err := o.Scenario.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadOptions, err)
@@ -164,16 +139,6 @@ func (o *Options) validate() error {
 		}
 	}
 	return nil
-}
-
-// sortedNodeIDs returns the map's node IDs in ascending order.
-func sortedNodeIDs(m map[int]timebase.Macrotick) []int {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // Result is the outcome of a run.
@@ -224,10 +189,6 @@ type engine struct {
 	injA, injB fault.Injector
 	tvA, tvB   fault.TimeVarying
 
-	// liveness is false when no node can ever be down (no scripted
-	// failures, no scenario), letting nodeAlive return early.
-	liveness bool
-
 	// rel generates instance releases.
 	rel *releaser
 
@@ -248,7 +209,7 @@ type engine struct {
 	// crcRNG draws the bit flips of the CRC receive path; consumed only
 	// on corrupted frames, so fault-free runs stay stream-identical.
 	crcRNG *fault.RNG
-	// watchedNodes lists nodes with failure or recovery events, for
+	// watchedNodes lists the nodes the scenario scripts outages for, for
 	// node-down/node-up trace transitions; nodeDown is their last state.
 	watchedNodes []int
 	nodeDown     map[int]bool
@@ -478,47 +439,19 @@ func (e *engine) checkDynamicTx(tx *Transmission, ch frame.Channel, need, remain
 	return nil
 }
 
-// nodeAlive reports whether the node is transmitting at t: it has not
-// failed, or it failed and has already recovered, and no scripted
+// nodeAlive reports whether the node is transmitting at t: no scripted
 // scenario interval holds it down.
 //
 //perf:hotpath
 func (e *engine) nodeAlive(nodeID int, t timebase.Macrotick) bool {
-	if !e.liveness {
-		return true
-	}
-	if at, failed := e.opts.NodeFailures[nodeID]; failed && t >= at {
-		rec, recovers := e.opts.NodeRecoveries[nodeID]
-		if !recovers || t < rec {
-			return false
-		}
-	}
-	if e.scn != nil && e.scn.NodeDown(nodeID, t) {
-		return false
-	}
-	return true
+	return e.scn == nil || !e.scn.NodeDown(nodeID, t)
 }
 
-// initNodeWatch collects the nodes whose liveness can change over the run
-// so cycle starts can emit node-down/node-up transitions into the trace.
+// initNodeWatch arms node-down/node-up trace transitions at cycle starts
+// for the nodes the scenario scripts outages for, in ascending ID order.
 func (e *engine) initNodeWatch() {
-	seen := make(map[int]bool)
-	for id := range e.opts.NodeFailures {
-		seen[id] = true
-	}
-	if e.scn != nil {
-		for _, id := range e.scn.NodeIDs() {
-			seen[id] = true
-		}
-	}
-	if len(seen) == 0 {
-		return
-	}
-	e.nodeDown = make(map[int]bool, len(seen))
-	for id := range seen {
-		e.watchedNodes = append(e.watchedNodes, id)
-	}
-	sort.Ints(e.watchedNodes)
+	e.watchedNodes = e.scn.NodeIDs()
+	e.nodeDown = make(map[int]bool, len(e.watchedNodes))
 }
 
 // watchNodes records liveness transitions of watched nodes at `now`.

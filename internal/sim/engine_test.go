@@ -10,6 +10,7 @@ import (
 	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/metrics"
 	"github.com/flexray-go/coefficient/internal/node"
+	"github.com/flexray-go/coefficient/internal/scenario"
 	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/sim"
 	"github.com/flexray-go/coefficient/internal/timebase"
@@ -224,6 +225,13 @@ func TestOptionValidation(t *testing.T) {
 		{"batch without instances", func(o *sim.Options) { o.Mode = sim.Batch; o.BatchInstances = 0 }},
 		{"static id too big", func(o *sim.Options) { o.Workload.Messages[0].ID = 11 }},
 		{"bad config", func(o *sim.Options) { o.Config.StaticSlots = 0 }},
+		// A negative node ID used to get no ECU, so the first release of
+		// its message dereferenced a nil ECU and the run panicked.
+		{"negative node id", func(o *sim.Options) {
+			o.Cluster = topology.DualChannelBus(3)
+			o.Cluster.Nodes[0].ID = -1
+			o.Workload.Messages[0].Node = -1
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -234,39 +242,6 @@ func TestOptionValidation(t *testing.T) {
 				t.Fatalf("Run = %v, want ErrBadOptions", err)
 			}
 		})
-	}
-}
-
-// TestValidationErrorDeterministic locks the satellite bugfix: with
-// several invalid entries across the node maps, the reported error must
-// be the lowest node ID's every time, not whichever entry Go's
-// randomized map iteration visits first.
-func TestValidationErrorDeterministic(t *testing.T) {
-	want := ""
-	for i := 0; i < 50; i++ {
-		o := sim.Options{
-			Config:   testConfig(),
-			Workload: staticOnlyWorkload(),
-			Mode:     sim.Streaming,
-			Duration: time.Millisecond,
-			// Three recoveries without failures: the error must name
-			// node 2, the smallest offender.
-			NodeRecoveries: map[int]timebase.Macrotick{
-				9: 100, 2: 100, 5: 100,
-			},
-		}
-		_, err := sim.Run(o, fspec.New(fspec.Options{}))
-		if !errors.Is(err, sim.ErrBadOptions) {
-			t.Fatalf("Run = %v, want ErrBadOptions", err)
-		}
-		if want == "" {
-			want = err.Error()
-		} else if err.Error() != want {
-			t.Fatalf("validation error changed between runs:\n%q\n%q", want, err.Error())
-		}
-	}
-	if !strings.Contains(want, "node 2") {
-		t.Fatalf("error %q does not name the lowest node ID", want)
 	}
 }
 
@@ -420,9 +395,9 @@ func TestPermanentNodeFailure(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: 100 * time.Millisecond,
 		Seed:     1,
-		NodeFailures: map[int]timebase.Macrotick{
-			2: 20_000,
-		},
+		Scenario: &scenario.Scenario{Nodes: []scenario.NodeEvent{
+			{Node: 2, FailAt: scenario.Duration(20 * time.Millisecond)},
+		}},
 	}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -440,19 +415,6 @@ func TestPermanentNodeFailure(t *testing.T) {
 	if r.DeadlineMissRatio[metrics.Dynamic] != 0 {
 		t.Errorf("dynamic traffic affected by an unrelated node failure: %g",
 			r.DeadlineMissRatio[metrics.Dynamic])
-	}
-}
-
-func TestNodeFailureValidation(t *testing.T) {
-	_, err := sim.Run(sim.Options{
-		Config:       testConfig(),
-		Workload:     mixedWorkload(),
-		Mode:         sim.Streaming,
-		Duration:     time.Millisecond,
-		NodeFailures: map[int]timebase.Macrotick{1: -5},
-	}, fspec.New(fspec.Options{}))
-	if !errors.Is(err, sim.ErrBadOptions) {
-		t.Fatalf("negative failure time accepted: %v", err)
 	}
 }
 
@@ -604,11 +566,11 @@ func (b *brokenScheduler) Init(env *sim.Env) error              { b.env = env; r
 func (b *brokenScheduler) CycleStart(int64, timebase.Macrotick) {}
 
 func (b *brokenScheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now timebase.Macrotick) *sim.Transmission {
-	m, ok := b.env.StaticMsgs[slot]
-	if !ok {
+	m := b.env.StaticMsg(slot)
+	if m == nil {
 		return nil
 	}
-	in := b.env.ECUs[m.Node].PeekStatic(slot, now)
+	in := b.env.ECU(m.Node).PeekStatic(slot, now)
 	if in == nil {
 		return nil
 	}
@@ -624,11 +586,11 @@ func (b *brokenScheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now ti
 }
 
 func (b *brokenScheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _, remaining int, now timebase.Macrotick) *sim.Transmission {
-	m, ok := b.env.DynamicMsgs[slotCounter]
-	if !ok {
+	m := b.env.DynamicMsg(slotCounter)
+	if m == nil {
 		return nil
 	}
-	in := b.env.ECUs[m.Node].PeekDynamicFor(slotCounter, now)
+	in := b.env.ECU(m.Node).PeekDynamicFor(slotCounter, now)
 	if in == nil {
 		return nil
 	}

@@ -9,7 +9,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/flexray-go/coefficient/internal/adapt"
 	"github.com/flexray-go/coefficient/internal/frame"
@@ -35,8 +34,10 @@ var (
 
 // Env is the read-mostly world handed to a Scheduler at Init: cluster
 // timing, the workload, the ECUs with their CHI buffers, and frame timing
-// helpers.  Schedulers manipulate the ECU queues directly (pop, requeue) —
-// the engine owns time, the wire, fault injection and bookkeeping.
+// helpers.  Schedulers reach messages and ECUs through the accessors
+// (StaticMsg, DynamicMsg, ECU, OrderedECUs) and manipulate the ECU queues
+// directly (pop, requeue) — the engine owns time, the wire, fault
+// injection and bookkeeping.
 type Env struct {
 	// Cfg is the cluster timing configuration.
 	Cfg timebase.Config
@@ -44,12 +45,6 @@ type Env struct {
 	BitRate int64
 	// Set is the workload.
 	Set signal.Set
-	// ECUs maps node ID to its ECU model.
-	ECUs map[int]*node.ECU
-	// StaticMsgs maps static frame IDs to messages.
-	StaticMsgs map[int]*signal.Message
-	// DynamicMsgs maps dynamic frame IDs to messages.
-	DynamicMsgs map[int]*signal.Message
 	// LatestTx is the resolved pLatestTx for the dynamic segment.
 	LatestTx int
 	// Cluster is the validated topology; schedulers consult it before
@@ -70,20 +65,18 @@ type Env struct {
 	// nil-safe.
 	Sync *adapt.SyncMonitor
 
-	// ecuOrder caches the ECUs in ascending node-ID order (OrderedECUs).
-	ecuOrder []*node.ECU
-
-	// Compiled dispatch tables, built once by Compile (ecuByID by
-	// NewState) so the per-slot walk indexes slices instead of hashing
-	// map keys.  All are nil on hand-built Envs, where the accessors fall
-	// back to the maps.  msgByID guards the per-message caches: a fast
-	// path is taken only when the *signal.Message pointer matches the one
-	// the table was compiled from, so foreign Message values can never
-	// read stale timing.
+	// Dispatch tables, built once by Compile (ecuByID and ecuOrder by
+	// NewState) so the per-slot walk indexes slices.  All are nil on
+	// hand-built Envs, which therefore own no messages or ECUs.  msgByID
+	// guards the per-message caches: a fast path is taken only when the
+	// *signal.Message pointer matches the one the table was compiled
+	// from, so foreign Message values never read stale timing and fall
+	// back to computing it.
 	msgByID       []*signal.Message
 	staticBySlot  []*signal.Message
 	dynamicByID   []*signal.Message
 	ecuByID       []*node.ECU
+	ecuOrder      []*node.ECU
 	durByID       []timebase.Macrotick
 	minislotsByID []int
 	wireBitsByID  []int
@@ -100,10 +93,9 @@ func (e *Env) Record(ev trace.Event) {
 }
 
 // compile precomputes the slot→message, per-message timing and channel
-// attachment tables the cycle loop indexes instead of doing map lookups
-// per slot.  Called once by Compile after the message maps are fully
-// populated; the public maps stay authoritative for hand-built
-// environments and tests.  The node→ECU table is per state (NewState).
+// attachment tables the cycle loop indexes.  Called once by Compile on a
+// validated workload and cluster; the node→ECU tables are per state
+// (NewState).
 func (e *Env) compile() {
 	maxID, maxNode := e.Cfg.StaticSlots, 0
 	for i := range e.Set.Messages {
@@ -122,9 +114,6 @@ func (e *Env) compile() {
 	e.durByID = make([]timebase.Macrotick, maxID+1)
 	e.minislotsByID = make([]int, maxID+1)
 	e.wireBitsByID = make([]int, maxID+1)
-	// Compile populated StaticMsgs/DynamicMsgs with pointers into
-	// Set.Messages, so walking the slice visits the same message values
-	// the maps hold — in deterministic order.
 	for i := range e.Set.Messages {
 		m := &e.Set.Messages[i]
 		switch m.Kind {
@@ -142,9 +131,6 @@ func (e *Env) compile() {
 	e.attachedA = make([]bool, maxNode+1)
 	e.attachedB = make([]bool, maxNode+1)
 	for _, n := range e.Cluster.Nodes {
-		if n.ID < 0 || n.ID >= len(e.attachedA) {
-			continue
-		}
 		e.attachedA[n.ID] = n.Attached(frame.ChannelA)
 		e.attachedB[n.ID] = n.Attached(frame.ChannelB)
 	}
@@ -169,35 +155,26 @@ func (e *Env) compiledFor(m *signal.Message) bool {
 
 // StaticMsg returns the message owning static slot `slot`, or nil.
 func (e *Env) StaticMsg(slot int) *signal.Message {
-	if e.staticBySlot != nil {
-		if slot >= 0 && slot < len(e.staticBySlot) {
-			return e.staticBySlot[slot]
-		}
-		return nil
+	if slot >= 0 && slot < len(e.staticBySlot) {
+		return e.staticBySlot[slot]
 	}
-	return e.StaticMsgs[slot]
+	return nil
 }
 
 // DynamicMsg returns the dynamic message with frame ID `id`, or nil.
 func (e *Env) DynamicMsg(id int) *signal.Message {
-	if e.dynamicByID != nil {
-		if id >= 0 && id < len(e.dynamicByID) {
-			return e.dynamicByID[id]
-		}
-		return nil
+	if id >= 0 && id < len(e.dynamicByID) {
+		return e.dynamicByID[id]
 	}
-	return e.DynamicMsgs[id]
+	return nil
 }
 
 // ECU returns the ECU of the node, or nil.
 func (e *Env) ECU(nodeID int) *node.ECU {
-	if e.ecuByID != nil {
-		if nodeID >= 0 && nodeID < len(e.ecuByID) {
-			return e.ecuByID[nodeID]
-		}
-		return nil
+	if nodeID >= 0 && nodeID < len(e.ecuByID) {
+		return e.ecuByID[nodeID]
 	}
-	return e.ECUs[nodeID]
+	return nil
 }
 
 // WireBits returns the wire image size of the message's frame in bits.
@@ -208,40 +185,26 @@ func (e *Env) WireBits(m *signal.Message) int {
 	return frame.WireBits(m.Bytes())
 }
 
-// OrderedECUs returns the ECUs in ascending node-ID order.  Ranging over
-// the ECUs map directly makes behavior depend on Go's randomized map
-// iteration order, which the determinism contract forbids (DESIGN.md
-// §8); every per-ECU sweep in the engine and the schedulers goes through
-// this accessor instead.  The order is computed once — the ECU set is
-// fixed after the environment is built.
+// OrderedECUs returns the ECUs in ascending node-ID order.  Every
+// per-ECU sweep in the engine and the schedulers goes through it, so
+// behavior never depends on the order nodes are declared in (the
+// determinism contract, DESIGN.md §8).
 func (e *Env) OrderedECUs() []*node.ECU {
-	if e.ecuOrder == nil && len(e.ECUs) > 0 {
-		ids := make([]int, 0, len(e.ECUs))
-		for id := range e.ECUs {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		e.ecuOrder = make([]*node.ECU, 0, len(ids))
-		for _, id := range ids {
-			e.ecuOrder = append(e.ecuOrder, e.ECUs[id])
-		}
-	}
 	return e.ecuOrder
 }
 
 // Attached reports whether the node is attached to the channel.
 func (e *Env) Attached(nodeID int, ch frame.Channel) bool {
-	if e.attachedA != nil && nodeID >= 0 && nodeID < len(e.attachedA) {
-		switch ch {
-		case frame.ChannelA:
-			return e.attachedA[nodeID]
-		case frame.ChannelB:
-			return e.attachedB[nodeID]
-		}
+	if nodeID < 0 || nodeID >= len(e.attachedA) {
 		return false
 	}
-	n, ok := e.Cluster.Node(nodeID)
-	return ok && n.Attached(ch)
+	switch ch {
+	case frame.ChannelA:
+		return e.attachedA[nodeID]
+	case frame.ChannelB:
+		return e.attachedB[nodeID]
+	}
+	return false
 }
 
 // FrameDuration returns the wire time of a message's frame in macroticks.

@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"github.com/flexray-go/coefficient/internal/metrics"
 	"github.com/flexray-go/coefficient/internal/scenario"
 	"github.com/flexray-go/coefficient/internal/sim"
-	"github.com/flexray-go/coefficient/internal/timebase"
 	"github.com/flexray-go/coefficient/internal/trace"
 
 	"github.com/flexray-go/coefficient/internal/fspec"
@@ -26,12 +24,11 @@ func TestNodeFailureRecovery(t *testing.T) {
 		Mode:     sim.Streaming,
 		Duration: 100 * time.Millisecond,
 		Seed:     1,
-		NodeFailures: map[int]timebase.Macrotick{
-			2: 20_000,
-		},
-		NodeRecoveries: map[int]timebase.Macrotick{
-			2: 50_000,
-		},
+		Scenario: &scenario.Scenario{Nodes: []scenario.NodeEvent{{
+			Node:      2,
+			FailAt:    scenario.Duration(20 * time.Millisecond),
+			RecoverAt: scenario.Duration(50 * time.Millisecond),
+		}}},
 	}, fspec.New(fspec.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -53,33 +50,9 @@ func TestNodeFailureRecovery(t *testing.T) {
 	}
 }
 
-func TestNodeRecoveryValidation(t *testing.T) {
-	base := func() sim.Options {
-		return sim.Options{
-			Config:   testConfig(),
-			Workload: mixedWorkload(),
-			Mode:     sim.Streaming,
-			Duration: time.Millisecond,
-		}
-	}
-
-	opts := base()
-	opts.NodeRecoveries = map[int]timebase.Macrotick{1: 5_000}
-	if _, err := sim.Run(opts, fspec.New(fspec.Options{})); !errors.Is(err, sim.ErrBadOptions) {
-		t.Errorf("recovery without a failure accepted: %v", err)
-	}
-
-	opts = base()
-	opts.NodeFailures = map[int]timebase.Macrotick{1: 5_000}
-	opts.NodeRecoveries = map[int]timebase.Macrotick{1: 5_000}
-	if _, err := sim.Run(opts, fspec.New(fspec.Options{})); !errors.Is(err, sim.ErrBadOptions) {
-		t.Errorf("recovery not after failure accepted: %v", err)
-	}
-}
-
 // engineScenario scripts a channel-A blackout plus a node-2 outage with
-// recovery, mirroring the NodeFailures/NodeRecoveries test above but driven
-// entirely through the scenario DSL.
+// recovery, the outage of TestNodeFailureRecovery above parsed from the
+// scenario DSL's JSON form.
 func engineScenario(t *testing.T) *scenario.Scenario {
 	t.Helper()
 	scn, err := scenario.Parse([]byte(`{

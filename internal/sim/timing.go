@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/flexray-go/coefficient/internal/adapt"
 	"github.com/flexray-go/coefficient/internal/clocksync"
@@ -148,19 +147,16 @@ func newTimingState(opts TimingOptions, e *engine) *timingState {
 		opts:         opts,
 		cfg:          cfg,
 		seed:         e.opts.Seed,
-		nodes:        make(map[int]*nodeTiming, len(e.env.ECUs)),
+		nodes:        make(map[int]*nodeTiming, len(e.env.OrderedECUs())),
 		monitor:      adapt.NewSyncMonitor(float64(opts.PrecisionBound)),
 		gauges:       e.col.SyncHealth(),
 		babbleTraced: make(map[int]map[frame.Channel]int64),
 	}
-	for id := range e.env.ECUs {
-		ts.order = append(ts.order, id)
-	}
-	sort.Ints(ts.order)
-
 	cycleUT := int64(cfg.MacroPerCycle) * clocksync.MicroPerMacro
 	driftRNG := fault.NewRNG(e.opts.Seed ^ seedClockDrift)
-	for _, id := range ts.order {
+	for _, ecu := range e.env.OrderedECUs() {
+		id := ecu.ID
+		ts.order = append(ts.order, id)
 		ppm := 0.0
 		if opts.DriftPPM > 0 {
 			ppm = (2*driftRNG.Float64() - 1) * opts.DriftPPM
@@ -173,11 +169,11 @@ func newTimingState(opts TimingOptions, e *engine) *timingState {
 			id:            id,
 			clock:         clocksync.NewLocalClock(ppm, cycleUT, opts.JitterMicroticks, jitterRNG),
 			state:         clocksync.POCNormalActive,
-			syncSender:    len(e.env.ECUs[id].StaticFrameIDs()) > 0,
+			syncSender:    len(ecu.StaticFrameIDs()) > 0,
 			reintegrateAt: -1,
 		}
 		if opts.Guardians {
-			nt.guardian = node.NewGuardian(e.env.ECUs[id].StaticFrameIDs(), opts.GuardianTolerance)
+			nt.guardian = node.NewGuardian(ecu.StaticFrameIDs(), opts.GuardianTolerance)
 		}
 		ts.nodes[id] = nt
 	}

@@ -47,6 +47,8 @@ var (
 	ErrNoNodes = errors.New("topology: cluster has no nodes")
 	// ErrDuplicateNode is returned for repeated node IDs.
 	ErrDuplicateNode = errors.New("topology: duplicate node ID")
+	// ErrNegativeNode is returned for a node ID below zero.
+	ErrNegativeNode = errors.New("topology: negative node ID")
 	// ErrUnattached is returned for a node attached to no channel.
 	ErrUnattached = errors.New("topology: node attached to no channel")
 	// ErrNoCoupler is returned for star channels without couplers.
@@ -55,7 +57,7 @@ var (
 
 // Node is one ECU attachment point.
 type Node struct {
-	// ID is the cluster-unique node identifier.
+	// ID is the cluster-unique, non-negative node identifier.
 	ID int
 	// Name labels the node for tracing.
 	Name string
@@ -121,6 +123,9 @@ func (c Cluster) Validate() error {
 	}
 	seen := make(map[int]string, len(c.Nodes))
 	for _, n := range c.Nodes {
+		if n.ID < 0 {
+			return fmt.Errorf("%w: %d (%q)", ErrNegativeNode, n.ID, n.Name)
+		}
 		if prev, dup := seen[n.ID]; dup {
 			return fmt.Errorf("%w: %d (%q and %q)", ErrDuplicateNode, n.ID, prev, n.Name)
 		}

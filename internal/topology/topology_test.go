@@ -43,6 +43,15 @@ func TestValidateErrors(t *testing.T) {
 			wantErr: ErrDuplicateNode,
 		},
 		{
+			name: "negative id",
+			cluster: Cluster{
+				Nodes:    []Node{{ID: 0, ChannelA: true}, {ID: -1, ChannelA: true}},
+				ChannelA: ChannelConfig{Kind: KindBus},
+				ChannelB: ChannelConfig{Kind: KindBus},
+			},
+			wantErr: ErrNegativeNode,
+		},
+		{
 			name: "unattached node",
 			cluster: Cluster{
 				Nodes:    []Node{{ID: 1}},
