@@ -48,12 +48,14 @@ race:
 benchmod:
 	cd bench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test -count=1 ./...
 
-# Short fuzz passes over the scenario-DSL parser and the wire-format
-# decoder; FUZZTIME can be raised for deeper runs.
+# Short fuzz passes over the scenario-DSL parser, the wire-format
+# decoder and the trace JSON encoder; FUZZTIME can be raised for deeper
+# runs.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/scenario/
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/frame/
+	$(GO) test -run=^$$ -fuzz=FuzzJSONWriter -fuzztime=$(FUZZTIME) ./internal/trace/
 
 # Quick-mode scenario corpus (DESIGN.md §13): generate CORPUSCOUNT
 # scenarios from CORPUSSEED, run them differentially under CoEfficient,

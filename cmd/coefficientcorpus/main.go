@@ -67,6 +67,14 @@ func parse(fs *flag.FlagSet, args []string) error {
 	return fs.Parse(args)
 }
 
+// checkParallel rejects a negative -parallel in coefficientsim's words.
+func checkParallel(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-parallel %d: must be 0 (all cores) or positive", n)
+	}
+	return nil
+}
+
 func runGenerate(args []string) (int, error) {
 	fs := flag.NewFlagSet("coefficientcorpus generate", flag.ContinueOnError)
 	seed, count, quick := genFlags(fs)
@@ -104,6 +112,12 @@ func runRun(ctx context.Context, args []string) (int, error) {
 	out := fs.String("out", "", "write the result set to this file")
 	if err := parse(fs, args); err != nil {
 		return 2, nil
+	}
+	if err := checkParallel(*parallel); err != nil {
+		return 2, err
+	}
+	if *verify < 0 {
+		return 2, fmt.Errorf("-verify-parallel %d: must be 0 (off) or positive", *verify)
 	}
 	cases, err := corpus.Generate(corpus.GenOptions{Seed: *seed, Count: *count, Quick: *quick})
 	if err != nil {
@@ -145,6 +159,9 @@ func runDiff(ctx context.Context, args []string) (int, error) {
 	update := fs.Bool("update", false, "rewrite the golden store from this run instead of diffing")
 	if err := parse(fs, args); err != nil {
 		return 2, nil
+	}
+	if err := checkParallel(*parallel); err != nil {
+		return 2, err
 	}
 	opts := corpus.GenOptions{Seed: *seed, Count: *count, Quick: *quick}
 	cases, err := corpus.Generate(opts)
@@ -189,6 +206,9 @@ func runMinimize(ctx context.Context, args []string) (int, error) {
 	out := fs.String("out", "", "write the minimized case to this file instead of stdout")
 	if err := parse(fs, args); err != nil {
 		return 2, nil
+	}
+	if err := checkParallel(*parallel); err != nil {
+		return 2, err
 	}
 	if *caseFile == "" {
 		return 2, fmt.Errorf("minimize: -case is required")

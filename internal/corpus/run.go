@@ -43,8 +43,10 @@ type Outcome struct {
 	GuardianBlocks int64 `json:"guardianBlocks,omitempty"`
 	SyncLossEvents int64 `json:"syncLossEvents,omitempty"`
 	Halts          int64 `json:"halts,omitempty"`
-	// TraceHash is the SHA-256 of the full bus trace JSON: the strongest
-	// determinism witness the harness has.
+	// TraceHash is the SHA-256 of the full bus trace JSON — the bytes
+	// trace.FullRecorder.WriteJSON would write — hashed as the events
+	// stream through a trace.JSONWriter, so no cell retains its trace.
+	// It is the strongest determinism witness the harness has.
 	TraceHash string `json:"traceHash"`
 }
 
@@ -144,16 +146,16 @@ func (st *caseState) runCell(c *Case, schedName string) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, fmt.Errorf("%s/%s: %w", c.Name, schedName, err)
 	}
-	rec := trace.New()
-	if err := state.Reset(sim.ReplicaOptions{Seed: c.SimSeed, Sink: rec}); err != nil {
+	traceHash := sha256.New()
+	tw := trace.NewJSONWriter(traceHash)
+	if err := state.Reset(sim.ReplicaOptions{Seed: c.SimSeed, Sink: tw}); err != nil {
 		return Outcome{}, fmt.Errorf("%s/%s: %w", c.Name, schedName, err)
 	}
 	res, err := state.Run()
 	if err != nil {
 		return Outcome{}, fmt.Errorf("%s/%s: %w", c.Name, schedName, err)
 	}
-	traceHash := sha256.New()
-	if err := rec.WriteJSON(traceHash); err != nil {
+	if err := tw.Close(); err != nil {
 		return Outcome{}, fmt.Errorf("%s/%s: trace hash: %w", c.Name, schedName, err)
 	}
 	r := res.Report

@@ -271,19 +271,32 @@ func crc11(v uint32, bits uint) uint32 {
 	return crc
 }
 
+// crc24Table maps the byte entering the frame CRC register (XORed with
+// the register's top byte) to what eight MSB-first shifts through
+// frameCRCPoly feed back into it.
+var crc24Table = makeCRC24Table()
+
+func makeCRC24Table() (t [256]uint32) {
+	for i := range t {
+		crc := uint32(i) << 16
+		for bit := 0; bit < 8; bit++ {
+			if crc&0x800000 != 0 {
+				crc = crc<<1&0xFFFFFF ^ frameCRCPoly
+			} else {
+				crc = crc << 1 & 0xFFFFFF
+			}
+		}
+		t[i] = crc
+	}
+	return t
+}
+
 // crc24 computes the FlexRay frame CRC over data with the given
-// initialization vector, MSB first.
+// initialization vector, MSB first, one byte per table lookup.
 func crc24(data []byte, init uint32) uint32 {
 	crc := init
 	for _, b := range data {
-		for i := 7; i >= 0; i-- {
-			inBit := uint32(b>>uint(i)) & 1
-			top := crc >> 23 & 1
-			crc = crc << 1 & 0xFFFFFF
-			if inBit^top == 1 {
-				crc ^= frameCRCPoly & 0xFFFFFF
-			}
-		}
+		crc = (crc<<8 ^ crc24Table[byte(crc>>16)^b]) & 0xFFFFFF
 	}
 	return crc
 }

@@ -3,6 +3,7 @@ package frame
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -271,5 +272,38 @@ func TestDecodeRobustnessProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// crc24Bitwise is the bit-serial frame CRC straight from the
+// specification, one shift per bit: the oracle for the table-driven crc24.
+func crc24Bitwise(data []byte, init uint32) uint32 {
+	crc := init
+	for _, b := range data {
+		for i := 7; i >= 0; i-- {
+			inBit := uint32(b>>uint(i)) & 1
+			top := crc >> 23 & 1
+			crc = crc << 1 & 0xFFFFFF
+			if inBit^top == 1 {
+				crc ^= frameCRCPoly & 0xFFFFFF
+			}
+		}
+	}
+	return crc
+}
+
+func TestCRC24MatchesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	data := make([]byte, HeaderBytes+MaxPayloadBytes)
+	for round := 0; round < 4; round++ {
+		rng.Read(data)
+		for n := 0; n <= len(data); n++ {
+			for _, init := range []uint32{FrameCRCInitA, FrameCRCInitB} {
+				if got, want := crc24(data[:n], init), crc24Bitwise(data[:n], init); got != want {
+					t.Fatalf("round %d, %d bytes, init %#x: crc24 = %#x, bit-serial %#x",
+						round, n, init, got, want)
+				}
+			}
+		}
 	}
 }

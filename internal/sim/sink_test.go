@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -93,8 +95,10 @@ func runWithSink(t *testing.T, cfg timebase.Config, set signal.Set,
 // TestSinkEquivalenceRandomWorkloads is the sink-equivalence property
 // test: over seeded random workloads and both schedulers, a run observed
 // through the zero-allocation CountingSink must tally exactly the per-kind
-// event counts a FullRecorder retains, and the sink choice (including
-// NullSink) must not perturb the simulation's metrics at all.
+// event counts a FullRecorder retains, a run streamed through a
+// JSONWriter must write exactly encoding/json's encoding of the events
+// the FullRecorder retains, and the sink choice (including NullSink) must
+// not perturb the simulation's metrics at all.
 func TestSinkEquivalenceRandomWorkloads(t *testing.T) {
 	rng := fault.NewRNG(0x51D3C0DE)
 	for trial := 0; trial < 8; trial++ {
@@ -115,6 +119,22 @@ func TestSinkEquivalenceRandomWorkloads(t *testing.T) {
 			counting := &trace.CountingSink{}
 			resCount := runWithSink(t, cfg, set, seed, mk, counting)
 			resNull := runWithSink(t, cfg, set, seed, mk, trace.NullSink{})
+			var streamed bytes.Buffer
+			jw := trace.NewJSONWriter(&streamed)
+			resJSON := runWithSink(t, cfg, set, seed, mk, jw)
+			if err := jw.Close(); err != nil {
+				t.Fatalf("trial %d: JSONWriter.Close: %v", trial, err)
+			}
+			var encoded bytes.Buffer
+			enc := json.NewEncoder(&encoded)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(full.Events()); err != nil {
+				t.Fatalf("trial %d: Encode: %v", trial, err)
+			}
+			if !bytes.Equal(streamed.Bytes(), encoded.Bytes()) {
+				t.Errorf("trial %d: JSONWriter's %d bytes differ from encoding/json's %d of the recorded events",
+					trial, streamed.Len(), encoded.Len())
+			}
 
 			var total int64
 			for _, k := range allKinds {
@@ -129,7 +149,8 @@ func TestSinkEquivalenceRandomWorkloads(t *testing.T) {
 					trial, counting.Total(), full.Len(), total)
 			}
 			if !reflect.DeepEqual(resFull.Report, resCount.Report) ||
-				!reflect.DeepEqual(resFull.Report, resNull.Report) {
+				!reflect.DeepEqual(resFull.Report, resNull.Report) ||
+				!reflect.DeepEqual(resFull.Report, resJSON.Report) {
 				t.Errorf("trial %d: sink choice changed the metrics report", trial)
 			}
 		}

@@ -3,13 +3,14 @@
 // Events flow by value into a Sink; the FullRecorder sink collects
 // per-frame events (release, transmission start/end, fault,
 // retransmission, drop) that the metrics and experiment layers consume
-// and can export them as JSON for offline inspection, while the
-// CountingSink and NullSink trade the event log away for a
-// zero-allocation hot path.
+// and can export them as JSON for offline inspection.  The JSONWriter
+// sink streams that same JSON to an io.Writer as events arrive, without
+// retaining them — the scenario corpus hashes every cell's trace this
+// way — while the CountingSink and NullSink trade the event log away
+// for a zero-allocation hot path.
 package trace
 
 import (
-	"encoding/json"
 	"io"
 	"sync"
 
@@ -214,12 +215,16 @@ func (r *FullRecorder) Len() int {
 	return len(r.events)
 }
 
-// WriteJSON streams the events as a JSON array.
+// WriteJSON writes the events as an indented JSON array by replaying
+// them through a JSONWriter; a nil or empty recorder writes `null`.
 func (r *FullRecorder) WriteJSON(w io.Writer) error {
-	events := r.Events()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(events)
+	jw := NewJSONWriter(w)
+	if r != nil {
+		for _, e := range r.events {
+			jw.Record(e)
+		}
+	}
+	return jw.Close()
 }
 
 // CountingSink tallies events per kind without retaining them — the

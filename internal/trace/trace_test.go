@@ -49,6 +49,13 @@ func TestNilAndZeroRecorderAreSafe(t *testing.T) {
 	if zero.Len() != 0 {
 		t.Error("zero recorder stored an event")
 	}
+
+	for name, r := range map[string]*Recorder{"nil": nilRec, "zero": &zero} {
+		var buf bytes.Buffer
+		if err := r.WriteJSON(&buf); err != nil || buf.String() != "null\n" {
+			t.Errorf("%s recorder WriteJSON = %q, %v; want \"null\\n\"", name, buf.String(), err)
+		}
+	}
 }
 
 func TestFilter(t *testing.T) {
