@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race benchmod fuzz corpus corpus-update profile lint ci
+.PHONY: all vet build test race benchmod fuzz corpus corpus-update experiments experiments-update profile lint ci
 
 all: ci
 
@@ -72,6 +72,22 @@ corpus: build
 
 corpus-update: build
 	$(GO) run ./cmd/coefficientcorpus diff -seed $(CORPUSSEED) -count $(CORPUSCOUNT) -quick -golden $(CORPUSGOLDEN) -update
+
+# Full-run experiment tables as a golden, like the corpus: regenerate the
+# text and CSV tables and the SVG charts of `-experiment all` into a
+# temporary directory and diff them against results/ (the corpus store
+# excluded).  `make experiments-update` rewrites results/ after an
+# intended behavior change.
+experiments: build
+	@dir=$$(mktemp -d); \
+	$(GO) run ./cmd/coefficientsim -experiment all -output $$dir/all_experiments.txt -svg $$dir && \
+	$(GO) run ./cmd/coefficientsim -experiment all -format csv -output $$dir/all_experiments.csv && \
+	diff -r -x corpus results $$dir; \
+	status=$$?; rm -rf "$$dir"; exit $$status
+
+experiments-update: build
+	$(GO) run ./cmd/coefficientsim -experiment all -output results/all_experiments.txt -svg results
+	$(GO) run ./cmd/coefficientsim -experiment all -format csv -output results/all_experiments.csv
 
 # Profile the hot path two ways into PROFDIR: CPU/alloc profiles of a
 # full experiment sweep via cmd/coefficientsim, plus the engine

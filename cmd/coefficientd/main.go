@@ -66,6 +66,24 @@ func run(ctx context.Context, args []string, logw io.Writer, onReady func(addr s
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// serve.Config maps non-positive values to its defaults, so reject
+	// them here rather than run with settings other than the ones given.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"workers", *workers}, {"queue", *queueCap}, {"retries", *retries}, {"quarantine-after", *quarantine}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s %d: must be positive", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    time.Duration
+	}{{"drain", *drain}, {"retry-after", *retryAfter}} {
+		if f.v <= 0 {
+			return fmt.Errorf("-%s %v: must be positive", f.name, f.v)
+		}
+	}
 	fsync, err := journal.ParseFsyncMode(*fsyncFlag)
 	if err != nil {
 		return err

@@ -127,10 +127,31 @@ func TestDaemonSmokeJobAndCleanDrain(t *testing.T) {
 	}
 }
 
+// TestDaemonRejectsBadFlags runs each bad flag on a context that is
+// already cancelled: a daemon that boots anyway drains at once, so only
+// an error naming the flag passes.
 func TestDaemonRejectsBadFlags(t *testing.T) {
-	err := run(context.Background(), []string{"-no-such-flag"}, io.Discard, nil)
-	if err == nil {
-		t.Fatal("bad flag accepted")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct{ flag, value string }{
+		{"no-such-flag", ""},
+		{"workers", "-3"},
+		{"queue", "0"},
+		{"retries", "-1"},
+		{"quarantine-after", "0"},
+		{"drain", "-5s"},
+		{"retry-after", "0s"},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			args := []string{"-addr", "127.0.0.1:0", "-" + tc.flag}
+			if tc.value != "" {
+				args = append(args, tc.value)
+			}
+			err := run(ctx, args, io.Discard, nil)
+			if err == nil || !strings.Contains(err.Error(), "-"+tc.flag) {
+				t.Fatalf("run(%q) = %v, want an error naming -%s", args, err, tc.flag)
+			}
+		})
 	}
 }
 

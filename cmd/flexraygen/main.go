@@ -54,6 +54,14 @@ func run(args []string) error {
 			Seed:     *seed,
 		})
 	case "sae":
+		// SAEAperiodic maps non-positive values to its defaults; reject
+		// them rather than print a set other than the one asked for.
+		if *count < 1 {
+			return fmt.Errorf("-count %d: must be positive", *count)
+		}
+		if *firstID < 1 {
+			return fmt.Errorf("-first-id %d: must be positive", *firstID)
+		}
 		set, err = coefficient.SAEAperiodic(coefficient.SAEAperiodicOptions{
 			FirstID: *firstID,
 			Count:   *count,

@@ -81,10 +81,19 @@ func TestGenerateSAE(t *testing.T) {
 }
 
 func TestRejectsBadWorkloadAndFormat(t *testing.T) {
-	if err := run([]string{"-workload", "nope"}); err == nil {
-		t.Error("unknown workload accepted")
-	}
-	if err := run([]string{"-format", "yaml"}); err == nil {
-		t.Error("unknown format accepted")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workload", "nope"}, "unknown workload"},
+		{[]string{"-format", "yaml"}, "unknown format"},
+		{[]string{"-workload", "sae", "-count", "0"}, "-count 0"},
+		{[]string{"-workload", "sae", "-count", "-5"}, "-count -5"},
+		{[]string{"-workload", "sae", "-first-id", "-7"}, "-first-id -7"},
+	} {
+		_, err := capture(t, func() error { return run(tc.args) })
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+		}
 	}
 }

@@ -1,7 +1,5 @@
 package node
 
-import "github.com/flexray-go/coefficient/internal/timebase"
-
 // Guardian is a per-node bus guardian: an independent watchdog beside the
 // communication controller that only opens the transmit path during the
 // node's scheduled windows (the paper's node architecture, Section II-B,
@@ -10,48 +8,23 @@ import "github.com/flexray-go/coefficient/internal/timebase"
 // drive the bus outside its slots — the fault is contained at the node
 // boundary instead of corrupting other nodes' traffic.
 //
-// The simulator's static segment is slot-aligned, so the window check
-// reduces to: does the transmission start inside the static slot the node
-// owns, within the guardian's alignment tolerance?  A nil guardian permits
-// everything (guardians disabled).
+// A Guardian holds the node's schedule table: the static slots it owns.
+// The window rules live in the simulator's timing layer: a node with a
+// guardian has its misaligned scheduled frames vetoed (sim's staticGate)
+// and its babble outside owned slots contained (babbleCollision).  A nil
+// guardian owns nothing (guardians disabled).
 type Guardian struct {
 	// owned maps static slot numbers (== frame IDs) this node may use.
 	owned map[int]bool
-	// toleranceMT is how far a transmission start may deviate from the
-	// slot boundary before the guardian closes the path; it models the
-	// guardian's own symbol-window margin.
-	toleranceMT timebase.Macrotick
 }
 
-// NewGuardian returns a guardian for a node owning the given static slots,
-// permitting transmissions within tolerance macroticks of the slot start.
-func NewGuardian(ownedSlots []int, tolerance timebase.Macrotick) *Guardian {
-	if tolerance < 0 {
-		tolerance = 0
-	}
-	g := &Guardian{owned: make(map[int]bool, len(ownedSlots)), toleranceMT: tolerance}
+// NewGuardian returns a guardian for a node owning the given static slots.
+func NewGuardian(ownedSlots []int) *Guardian {
+	g := &Guardian{owned: make(map[int]bool, len(ownedSlots))}
 	for _, s := range ownedSlots {
 		g.owned[s] = true
 	}
 	return g
-}
-
-// PermitStatic reports whether a static-segment transmission in slot,
-// starting at start, is inside one of the node's scheduled windows.  The
-// slot's nominal boundary is slotStart; start deviates from it when the
-// node's clock has drifted.  A nil guardian permits everything.
-func (g *Guardian) PermitStatic(slot int, start, slotStart timebase.Macrotick) bool {
-	if g == nil {
-		return true
-	}
-	if !g.owned[slot] {
-		return false
-	}
-	dev := start - slotStart
-	if dev < 0 {
-		dev = -dev
-	}
-	return dev <= g.toleranceMT
 }
 
 // Owns reports whether the guardian's schedule table contains the slot.

@@ -1,8 +1,8 @@
-// Package node models one FlexRay ECU: the host that produces message
-// instances, the communication controller (CC) with its per-channel slot
-// counters, and the controller–host interface (CHI) buffers between them —
-// static send buffers keyed by frame ID and priority queues for dynamic
-// messages (paper Section II-B).
+// Package node models one FlexRay ECU's controller–host interface (CHI):
+// the buffers between the host that produces message instances and the
+// communication controller (CC) — static send buffers keyed by frame ID
+// and priority queues for dynamic messages (paper Section II-B) — plus
+// the node's bus guardian.
 package node
 
 import (
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/timebase"
 )
@@ -23,9 +22,6 @@ var (
 	// ErrUnknownFrame is returned for operations on frame IDs the node
 	// does not own.
 	ErrUnknownFrame = errors.New("node: unknown frame ID")
-	// ErrBufferFull is returned when a CHI buffer has reached its
-	// configured capacity.
-	ErrBufferFull = errors.New("node: CHI buffer full")
 )
 
 // NoDeadline marks batch-mode instances that are never dropped for
@@ -56,7 +52,7 @@ func (in *Instance) Expired(t timebase.Macrotick) bool {
 	return !in.Done && in.Deadline != NoDeadline && t > in.Deadline
 }
 
-// ECU is one node: CHI buffers plus CC slot counters.
+// ECU is one node's CHI buffers.
 type ECU struct {
 	// ID is the cluster node ID.
 	ID int
@@ -80,21 +76,11 @@ type ECU struct {
 	dynStreams []*dynStream
 	dynByID    []*dynStream
 	dynCount   int
-	// slotCounter is the CC's per-channel dynamic slot counter
-	// (vSlotCounter(A) and vSlotCounter(B)); index 0 is channel A.
-	slotCounter [2]int
-	// staticCap bounds each static buffer; dynCap bounds the dynamic
-	// queue.  Zero means unlimited — real CHIs have finite memory, and a
-	// full buffer loses the newest instance.
-	staticCap, dynCap int
 }
 
 // NewECU returns an ECU owning the static frame IDs assigned to it.
 func NewECU(id int, staticFrameIDs []int) *ECU {
-	e := &ECU{
-		ID:          id,
-		slotCounter: [2]int{1, 1},
-	}
+	e := &ECU{ID: id}
 	maxID := -1
 	for _, fid := range staticFrameIDs {
 		if fid < 0 {
@@ -123,18 +109,9 @@ func (e *ECU) staticBuf(fid int) ([]*Instance, bool) {
 	return e.staticBufs[fid], true
 }
 
-// SetCapacities bounds the CHI buffers: at most staticCap pending
-// instances per static frame ID and dynCap in the dynamic priority queue
-// (zero keeps a bound unlimited).
-func (e *ECU) SetCapacities(staticCap, dynCap int) {
-	e.staticCap = staticCap
-	e.dynCap = dynCap
-}
-
-// Reset empties every CHI buffer and returns the CC to power-on state,
-// keeping all backing memory: buffers are truncated (instance pointers
-// niled for the GC), the per-message dynamic streams survive empty, and
-// the slot counters return to 1.  Retained empty streams are invisible
+// Reset empties every CHI buffer, keeping all backing memory: buffers
+// are truncated (instance pointers niled for the GC) and the per-message
+// dynamic streams survive empty.  Retained empty streams are invisible
 // to the peek paths, so a reset ECU behaves exactly like a fresh
 // NewECU with the same ownership — this is the per-replica rewind of
 // the batched Monte-Carlo engine (DESIGN.md §15).
@@ -156,48 +133,6 @@ func (e *ECU) Reset() {
 	}
 	e.dynCount = 0
 	e.staticCount = 0
-	e.slotCounter[0] = 1
-	e.slotCounter[1] = 1
-}
-
-// ResetSlotCounters sets both channels' slot counters back to 1, as the CC
-// does at the start of each communication cycle.
-//
-//perf:hotpath
-func (e *ECU) ResetSlotCounters() {
-	e.slotCounter[0] = 1
-	e.slotCounter[1] = 1
-}
-
-// chanIdx maps a channel to its slot-counter index, or -1 for channels
-// the CC has no counter for.
-func chanIdx(ch frame.Channel) int {
-	switch ch {
-	case frame.ChannelA:
-		return 0
-	case frame.ChannelB:
-		return 1
-	}
-	return -1
-}
-
-// SlotCounter returns the CC slot counter for ch.
-func (e *ECU) SlotCounter(ch frame.Channel) int {
-	if i := chanIdx(ch); i >= 0 {
-		return e.slotCounter[i]
-	}
-	return 0
-}
-
-// AdvanceSlotCounter increments the slot counter for ch and returns the new
-// value.
-func (e *ECU) AdvanceSlotCounter(ch frame.Channel) int {
-	i := chanIdx(ch)
-	if i < 0 {
-		return 0
-	}
-	e.slotCounter[i]++
-	return e.slotCounter[i]
 }
 
 // EnqueueStatic appends an instance to the static buffer of its frame ID.
@@ -209,9 +144,6 @@ func (e *ECU) EnqueueStatic(in *Instance) error {
 	buf, ok := e.staticBuf(in.Msg.ID)
 	if !ok {
 		return fmt.Errorf("%w: %d on node %d", ErrUnknownFrame, in.Msg.ID, e.ID)
-	}
-	if e.staticCap > 0 && len(buf) >= e.staticCap {
-		return fmt.Errorf("%w: static buffer %d at %d", ErrBufferFull, in.Msg.ID, e.staticCap)
 	}
 	e.staticBufs[in.Msg.ID] = append(buf, in)
 	e.staticCount++
@@ -381,9 +313,6 @@ func (e *ECU) EnqueueDynamic(in *Instance) error {
 	if in.Msg.Node != e.ID {
 		return fmt.Errorf("%w: message %q is node %d, ECU is %d",
 			ErrForeignMessage, in.Msg.Name, in.Msg.Node, e.ID)
-	}
-	if e.dynCap > 0 && e.dynCount >= e.dynCap {
-		return fmt.Errorf("%w: dynamic queue at %d", ErrBufferFull, e.dynCap)
 	}
 	st := e.dynStream(in.Msg.ID, in.Msg.Priority)
 	// Releases arrive in (Release, Seq) order, so the common case is a

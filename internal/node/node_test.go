@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/timebase"
 )
@@ -203,24 +202,6 @@ func TestDynamicForeign(t *testing.T) {
 	}
 }
 
-func TestSlotCounters(t *testing.T) {
-	e := NewECU(0, nil)
-	if e.SlotCounter(frame.ChannelA) != 1 || e.SlotCounter(frame.ChannelB) != 1 {
-		t.Error("initial slot counters not 1")
-	}
-	e.AdvanceSlotCounter(frame.ChannelA)
-	e.AdvanceSlotCounter(frame.ChannelA)
-	e.AdvanceSlotCounter(frame.ChannelB)
-	if e.SlotCounter(frame.ChannelA) != 3 || e.SlotCounter(frame.ChannelB) != 2 {
-		t.Errorf("counters = %d/%d, want 3/2",
-			e.SlotCounter(frame.ChannelA), e.SlotCounter(frame.ChannelB))
-	}
-	e.ResetSlotCounters()
-	if e.SlotCounter(frame.ChannelA) != 1 || e.SlotCounter(frame.ChannelB) != 1 {
-		t.Error("ResetSlotCounters did not reset")
-	}
-}
-
 func TestInstanceExpired(t *testing.T) {
 	in := &Instance{Deadline: 100}
 	if in.Expired(100) {
@@ -301,33 +282,5 @@ func TestPeekDynamicForBlind(t *testing.T) {
 	}
 	if got := e.PeekDynamicForBlind(91, 10, 9); got != nil {
 		t.Fatalf("wrong frame ID offered: %+v", got)
-	}
-}
-
-func TestCHICapacities(t *testing.T) {
-	e := NewECU(1, []int{3})
-	e.SetCapacities(2, 1)
-	m := staticMsg(3, 1)
-	for i := int64(1); i <= 2; i++ {
-		if err := e.EnqueueStatic(inst(m, i, 0, NoDeadline)); err != nil {
-			t.Fatalf("EnqueueStatic %d: %v", i, err)
-		}
-	}
-	if err := e.EnqueueStatic(inst(m, 3, 0, NoDeadline)); !errors.Is(err, ErrBufferFull) {
-		t.Errorf("third static enqueue = %v, want ErrBufferFull", err)
-	}
-	d := dynMsg(90, 1, 1)
-	if err := e.EnqueueDynamic(inst(d, 1, 0, NoDeadline)); err != nil {
-		t.Fatalf("EnqueueDynamic: %v", err)
-	}
-	if err := e.EnqueueDynamic(inst(d, 2, 0, NoDeadline)); !errors.Is(err, ErrBufferFull) {
-		t.Errorf("second dynamic enqueue = %v, want ErrBufferFull", err)
-	}
-	// Draining frees capacity.
-	if got := e.PopStatic(3, 10); got == nil {
-		t.Fatal("PopStatic returned nil")
-	}
-	if err := e.EnqueueStatic(inst(m, 4, 0, NoDeadline)); err != nil {
-		t.Errorf("enqueue after drain: %v", err)
 	}
 }

@@ -31,10 +31,10 @@ type Compiled struct {
 	staticByNode map[int][]int
 }
 
-// Compile validates the options, applies the defaults (bit rate, a
-// dual-channel bus sized to the workload, MaxCycles) and builds the
-// immutable artifact shared by all replicas: the dispatch tables and the
-// resolved pLatestTx.  It builds no ECUs; each NewState owns its own.
+// Compile validates the options, applies the defaults (bit rate and a
+// dual-channel bus sized to the workload) and builds the immutable
+// artifact shared by all replicas: the dispatch tables and the resolved
+// pLatestTx.  It builds no ECUs; each NewState owns its own.
 // Per-replica concerns must be left unset: injectors and Sink belong to
 // ReplicaOptions (the Seed field is ignored and replaced per replica by
 // Reset).
@@ -56,9 +56,6 @@ func Compile(opts Options) (*Compiled, error) {
 	}
 	if err := opts.Cluster.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
-	}
-	if opts.MaxCycles <= 0 {
-		opts.MaxCycles = 1 << 20
 	}
 
 	cfg := opts.Config
@@ -157,9 +154,7 @@ func (c *Compiled) NewState(sched Scheduler) (*RunState, error) {
 	*env = *c.tables
 	env.ecuByID = make([]*node.ECU, len(c.tables.attachedA))
 	for _, n := range c.opts.Cluster.Nodes {
-		ecu := node.NewECU(n.ID, c.staticByNode[n.ID])
-		ecu.SetCapacities(c.opts.CHIStaticCapacity, c.opts.CHIDynamicCapacity)
-		env.ecuByID[n.ID] = ecu
+		env.ecuByID[n.ID] = node.NewECU(n.ID, c.staticByNode[n.ID])
 	}
 	// Walking the ID-indexed table yields the ECUs in ascending ID order.
 	env.ecuOrder = make([]*node.ECU, 0, len(c.opts.Cluster.Nodes))
@@ -177,14 +172,8 @@ func (c *Compiled) NewState(sched Scheduler) (*RunState, error) {
 		latestTx: env.LatestTx,
 		crcRNG:   fault.NewRNG(0), // re-seeded per replica by Reset
 	}
-	if c.opts.Mode == Streaming {
-		eng.warmup = c.opts.Config.FromDuration(c.opts.Warmup)
-	}
 	env.Gauges = eng.col.Adaptive()
 	eng.rel = newReleaser(c.opts, env)
-	eng.rel.overflow = func(in *node.Instance, rel timebase.Macrotick) {
-		eng.dropInstance(in, rel)
-	}
 	return &RunState{eng: eng}, nil
 }
 

@@ -30,7 +30,10 @@ const (
 	Batch
 )
 
-// Options configures one simulation run.
+// Options configures one simulation run.  What the paper's evaluation
+// (Section IV) holds fixed is not an option: CHI buffers are unbounded,
+// metrics count from the first cycle, and each sporadic message arrives
+// strictly once per period after a random phase.
 type Options struct {
 	// Config is the cluster timing configuration.
 	Config timebase.Config
@@ -45,15 +48,6 @@ type Options struct {
 	InjectorA, InjectorB fault.Injector
 	// Seed drives the dynamic arrival processes.
 	Seed uint64
-	// ArrivalJitter perturbs each aperiodic inter-arrival time uniformly
-	// within ±ArrivalJitter·period/2 (0 = strictly periodic arrivals,
-	// must be in [0, 1]).
-	ArrivalJitter float64
-	// CHIStaticCapacity bounds each static CHI buffer (pending instances
-	// per frame ID) and CHIDynamicCapacity the per-node dynamic queue.
-	// Zero means unlimited.  A full buffer loses the newest instance,
-	// which the metrics count as a drop.
-	CHIStaticCapacity, CHIDynamicCapacity int
 	// Scenario optionally scripts a time-varying fault timeline: BER
 	// steps/ramps and burst episodes per channel, channel blackouts, and
 	// node crash/recovery events — the only way to take a node down (the
@@ -72,16 +66,8 @@ type Options struct {
 	Mode Mode
 	// Duration is the simulated horizon (Streaming).
 	Duration time.Duration
-	// Warmup excludes the first part of a streaming run from the metrics
-	// (deliveries, drops, faults, bandwidth): the report then reflects
-	// steady state.  Must be shorter than Duration; ignored in batch
-	// mode.
-	Warmup time.Duration
 	// BatchInstances is the number of instances per message (Batch).
 	BatchInstances int
-	// MaxCycles caps the simulation length as a safety net (Batch);
-	// 0 means 1<<20 cycles.
-	MaxCycles int64
 	// Sink optionally receives every bus event.  Use trace.New() to
 	// retain events, a *trace.CountingSink for zero-allocation counting,
 	// or leave it nil to discard events entirely.
@@ -94,12 +80,6 @@ func (o *Options) validate() error {
 	}
 	if err := o.Workload.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadOptions, err)
-	}
-	if o.ArrivalJitter < 0 || o.ArrivalJitter > 1 {
-		return fmt.Errorf("%w: ArrivalJitter %g outside [0, 1]", ErrBadOptions, o.ArrivalJitter)
-	}
-	if o.CHIStaticCapacity < 0 || o.CHIDynamicCapacity < 0 {
-		return fmt.Errorf("%w: negative CHI capacity", ErrBadOptions)
 	}
 	if o.Scenario != nil {
 		if err := o.Scenario.Validate(); err != nil {
@@ -115,9 +95,6 @@ func (o *Options) validate() error {
 	case Streaming:
 		if o.Duration <= 0 {
 			return fmt.Errorf("%w: streaming needs a positive duration", ErrBadOptions)
-		}
-		if o.Warmup < 0 || o.Warmup >= o.Duration {
-			return fmt.Errorf("%w: warmup %v outside [0, %v)", ErrBadOptions, o.Warmup, o.Duration)
 		}
 	case Batch:
 		if o.BatchInstances <= 0 {
@@ -198,10 +175,6 @@ type engine struct {
 	// latestTx is the resolved pLatestTx.
 	latestTx int
 
-	// warmup is the macrotick time before which metrics are not
-	// collected.
-	warmup timebase.Macrotick
-
 	// scn is the compiled fault-scenario timeline (nil without one).
 	scn *scenario.Runtime
 	// timing is the local-clock / guardian layer (nil without one).
@@ -236,7 +209,7 @@ func (e *engine) run() (Result, error) {
 			endCycle = 1
 		}
 	} else {
-		endCycle = e.opts.MaxCycles
+		endCycle = maxBatchCycles
 		e.total = e.rel.enqueueBatch()
 	}
 
@@ -259,14 +232,18 @@ func (e *engine) run() (Result, error) {
 		}
 	}
 	if e.opts.Mode == Batch && e.done < e.total {
-		return Result{}, fmt.Errorf("%w: %d of %d instances after MaxCycles=%d",
-			ErrStalled, e.done, e.total, e.opts.MaxCycles)
+		return Result{}, fmt.Errorf("%w: %d of %d instances after maxBatchCycles=%d",
+			ErrStalled, e.done, e.total, maxBatchCycles)
 	}
 	return e.result(endCycle), nil
 }
 
-// stallCycles is the no-progress limit for batch runs.
-const stallCycles = 20000
+// Batch-run safety nets: stallCycles is the no-progress limit and
+// maxBatchCycles caps the run length.
+const (
+	stallCycles    = 20000
+	maxBatchCycles = 1 << 20
+)
 
 // runCycle simulates one communication cycle — the steady-state loop
 // body the allocation-regression tests measure.
@@ -284,9 +261,6 @@ func (e *engine) runCycle(cycle int64) {
 		e.timing.cycleStart(e, cycle, now)
 	}
 	e.sched.CycleStart(cycle, now)
-	for _, ecu := range e.env.OrderedECUs() {
-		ecu.ResetSlotCounters()
-	}
 
 	e.runStaticSegment(cycle)
 	e.runDynamicSegment(cycle)
@@ -298,9 +272,7 @@ func (e *engine) runCycle(cycle int64) {
 		e.timing.endOfDoubleCycle(e, cycle, nit)
 	}
 
-	if now >= e.warmup {
-		e.col.ChannelTime(2 * cfg.MacroPerCycle)
-	}
+	e.col.ChannelTime(2 * cfg.MacroPerCycle)
 }
 
 // bothChannels is the fixed channel walk order of every segment, hoisted
@@ -523,17 +495,14 @@ func (e *engine) transmit(tx *Transmission, ch frame.Channel, start timebase.Mac
 		Time: start, Kind: trace.EventTxStart, FrameID: m.ID, Seq: in.Seq,
 		Node: m.Node, Channel: ch, Detail: tx.Detail,
 	})
-	measured := end >= e.warmup
-	if tx.Retx && measured {
+	if tx.Retx {
 		e.col.Retransmission()
 		e.record(trace.Event{
 			Time: start, Kind: trace.EventRetransmit, FrameID: m.ID, Seq: in.Seq,
 			Node: m.Node, Channel: ch,
 		})
 	}
-	if measured {
-		e.col.RawBusy(tx.Duration)
-	}
+	e.col.RawBusy(tx.Duration)
 
 	inj, tv := e.injA, e.tvA
 	if ch == frame.ChannelB {
@@ -569,9 +538,7 @@ func (e *engine) transmit(tx *Transmission, ch frame.Channel, start timebase.Mac
 		}
 	}
 	if !ok {
-		if measured {
-			e.col.Fault()
-		}
+		e.col.Fault()
 		e.record(trace.Event{
 			Time: end, Kind: trace.EventFault, FrameID: m.ID, Seq: in.Seq,
 			Node: m.Node, Channel: ch, Detail: detail,
@@ -579,11 +546,9 @@ func (e *engine) transmit(tx *Transmission, ch frame.Channel, start timebase.Mac
 	} else if !in.Done {
 		in.Done = true
 		in.Completion = end
-		if measured {
-			e.col.BusBusy(tx.Duration)
-			e.col.PayloadDelivered(m.Bits)
-			e.col.DeliveredFrame(kindOf(m), m.ID, in.Release, end, in.Deadline)
-		}
+		e.col.BusBusy(tx.Duration)
+		e.col.PayloadDelivered(m.Bits)
+		e.col.DeliveredFrame(kindOf(m), m.ID, in.Release, end, in.Deadline)
 		e.done++
 		e.record(trace.Event{
 			Time: end, Kind: trace.EventTxEnd, FrameID: m.ID, Seq: in.Seq,
@@ -614,9 +579,7 @@ func (e *engine) dropExpired(now timebase.Macrotick) {
 }
 
 func (e *engine) dropInstance(in *node.Instance, now timebase.Macrotick) {
-	if now >= e.warmup {
-		e.col.Dropped(kindOf(in.Msg))
-	}
+	e.col.Dropped(kindOf(in.Msg))
 	e.done++ // dropped counts as resolved for batch accounting
 	e.record(trace.Event{
 		Time: now, Kind: trace.EventDrop, FrameID: in.Msg.ID, Seq: in.Seq,

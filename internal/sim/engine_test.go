@@ -232,6 +232,8 @@ func TestOptionValidation(t *testing.T) {
 			o.Cluster.Nodes[0].ID = -1
 			o.Workload.Messages[0].Node = -1
 		}},
+		{"negative drift", func(o *sim.Options) { o.Timing = &sim.TimingOptions{DriftPPM: -1} }},
+		{"negative sync jitter", func(o *sim.Options) { o.Timing = &sim.TimingOptions{JitterMicroticks: -1} }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -339,54 +341,6 @@ func TestPartialTopologyNoInvalidTransmissions(t *testing.T) {
 	}
 }
 
-func TestArrivalJitter(t *testing.T) {
-	run := func(jitter float64) int64 {
-		rec := trace.New()
-		_, err := sim.Run(sim.Options{
-			Config:        testConfig(),
-			Workload:      mixedWorkload(),
-			Mode:          sim.Streaming,
-			Duration:      200 * time.Millisecond,
-			Seed:          4,
-			ArrivalJitter: jitter,
-			Sink:          rec,
-		}, fspec.New(fspec.Options{}))
-		if err != nil {
-			t.Fatalf("Run(jitter=%g): %v", jitter, err)
-		}
-		var firstDyn timebase.Macrotick = -1
-		var count int64
-		for _, ev := range rec.Filter(func(e trace.Event) bool {
-			return e.Kind == trace.EventRelease && e.FrameID >= 20
-		}) {
-			if firstDyn == -1 {
-				firstDyn = ev.Time
-			}
-			count++
-		}
-		return count
-	}
-	strict := run(0)
-	jittered := run(0.5)
-	// Arrival counts stay in the same ballpark (same mean rate).
-	if jittered < strict/2 || jittered > strict*2 {
-		t.Errorf("jittered arrivals %d vs strict %d: rate drifted", jittered, strict)
-	}
-}
-
-func TestArrivalJitterValidation(t *testing.T) {
-	_, err := sim.Run(sim.Options{
-		Config:        testConfig(),
-		Workload:      mixedWorkload(),
-		Mode:          sim.Streaming,
-		Duration:      time.Millisecond,
-		ArrivalJitter: 1.5,
-	}, fspec.New(fspec.Options{}))
-	if !errors.Is(err, sim.ErrBadOptions) {
-		t.Fatalf("Run(jitter=1.5) = %v, want ErrBadOptions", err)
-	}
-}
-
 func TestPermanentNodeFailure(t *testing.T) {
 	// Node 2 (owner of s5, the 1ms-period message) dies at 20ms.
 	res, err := sim.Run(sim.Options{
@@ -456,102 +410,6 @@ func TestGoodputReported(t *testing.T) {
 	got := res.Report.GoodputBps
 	if got < 90_000 || got > 130_000 {
 		t.Errorf("GoodputBps = %g, want ≈112k", got)
-	}
-}
-
-func TestWarmupExcludesEarlyMetrics(t *testing.T) {
-	run := func(warmup time.Duration) sim.Result {
-		res, err := sim.Run(sim.Options{
-			Config:   testConfig(),
-			Workload: staticOnlyWorkload(),
-			Mode:     sim.Streaming,
-			Duration: 100 * time.Millisecond,
-			Warmup:   warmup,
-			Seed:     1,
-		}, fspec.New(fspec.Options{}))
-		if err != nil {
-			t.Fatalf("Run(warmup=%v): %v", warmup, err)
-		}
-		return res
-	}
-	full := run(0)
-	warm := run(50 * time.Millisecond)
-	// Roughly half the deliveries fall inside the warmup window.
-	f := full.Report.Delivered[metrics.Static]
-	w := warm.Report.Delivered[metrics.Static]
-	if w >= f || w < f/3 {
-		t.Errorf("warm deliveries = %d vs full %d: warmup not excluding ≈half", w, f)
-	}
-	// Utilization is computed over the measured window only, so it stays
-	// comparable.
-	if warm.Report.BandwidthUtilization < 0.5*full.Report.BandwidthUtilization {
-		t.Errorf("warm utilization %g collapsed vs full %g",
-			warm.Report.BandwidthUtilization, full.Report.BandwidthUtilization)
-	}
-}
-
-func TestWarmupValidation(t *testing.T) {
-	_, err := sim.Run(sim.Options{
-		Config:   testConfig(),
-		Workload: staticOnlyWorkload(),
-		Mode:     sim.Streaming,
-		Duration: time.Millisecond,
-		Warmup:   time.Millisecond,
-	}, fspec.New(fspec.Options{}))
-	if !errors.Is(err, sim.ErrBadOptions) {
-		t.Fatalf("warmup == duration accepted: %v", err)
-	}
-}
-
-func TestCHICapacityOverflow(t *testing.T) {
-	// A 1-deep dynamic queue under 5ms arrivals with a scheduler that
-	// never serves dynamics (static-only FTDMA IDs absent) would pile up;
-	// use a tiny dynamic segment so service is slow.
-	cfg := testConfig()
-	cfg.Minislots = 2 // barely any dynamic capacity
-	set := mixedWorkload()
-	res, err := sim.Run(sim.Options{
-		Config:             cfg,
-		Workload:           set,
-		Mode:               sim.Streaming,
-		Duration:           100 * time.Millisecond,
-		Seed:               1,
-		CHIDynamicCapacity: 1,
-	}, fspec.New(fspec.Options{}))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Report.Dropped[metrics.Dynamic] == 0 {
-		t.Error("no dynamic overflow drops with a 1-deep CHI queue and a starved dynamic segment")
-	}
-	// Unlimited buffers on the same setup lose fewer or equal instances
-	// to overflow (they may still expire).
-	res2, err := sim.Run(sim.Options{
-		Config:   cfg,
-		Workload: set,
-		Mode:     sim.Streaming,
-		Duration: 100 * time.Millisecond,
-		Seed:     1,
-	}, fspec.New(fspec.Options{}))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res2.Report.Delivered[metrics.Dynamic] < res.Report.Delivered[metrics.Dynamic] {
-		t.Errorf("unlimited buffers delivered less (%d) than capped (%d)",
-			res2.Report.Delivered[metrics.Dynamic], res.Report.Delivered[metrics.Dynamic])
-	}
-}
-
-func TestCHICapacityValidation(t *testing.T) {
-	_, err := sim.Run(sim.Options{
-		Config:            testConfig(),
-		Workload:          mixedWorkload(),
-		Mode:              sim.Streaming,
-		Duration:          time.Millisecond,
-		CHIStaticCapacity: -1,
-	}, fspec.New(fspec.Options{}))
-	if !errors.Is(err, sim.ErrBadOptions) {
-		t.Fatalf("negative capacity accepted: %v", err)
 	}
 }
 
@@ -776,27 +634,5 @@ func TestExplicitLatestTxHonored(t *testing.T) {
 	// Static traffic is unaffected.
 	if res.Report.Delivered[metrics.Static] == 0 {
 		t.Error("static traffic vanished under a dynamic-segment gate")
-	}
-}
-
-func TestJitteredRunsAreDeterministic(t *testing.T) {
-	run := func() sim.Result {
-		res, err := sim.Run(sim.Options{
-			Config:        testConfig(),
-			Workload:      mixedWorkload(),
-			Mode:          sim.Streaming,
-			Duration:      100 * time.Millisecond,
-			Seed:          8,
-			ArrivalJitter: 0.4,
-		}, fspec.New(fspec.Options{}))
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.Report.Delivered[metrics.Dynamic] != b.Report.Delivered[metrics.Dynamic] ||
-		a.Report.MeanLatency[metrics.Dynamic] != b.Report.MeanLatency[metrics.Dynamic] {
-		t.Error("same-seed jittered runs differ")
 	}
 }

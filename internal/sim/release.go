@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"errors"
-
 	"github.com/flexray-go/coefficient/internal/fault"
 	"github.com/flexray-go/coefficient/internal/node"
 	"github.com/flexray-go/coefficient/internal/signal"
@@ -16,12 +14,6 @@ import (
 type releaser struct {
 	opts Options
 	env  *Env
-
-	// overflow is called when a CHI buffer rejects an instance.
-	overflow func(in *node.Instance, rel timebase.Macrotick)
-
-	// rng jitters aperiodic inter-arrival times when configured.
-	rng *fault.RNG
 
 	// streams holds one release stream per message.
 	streams []*stream
@@ -81,9 +73,6 @@ type stream struct {
 	// next is the next release time; seq the next sequence number.
 	next timebase.Macrotick
 	seq  int64
-	// jittered marks sporadic streams whose inter-arrival times are
-	// perturbed.
-	jittered bool
 }
 
 // relSeedSalt decorrelates the releaser's RNG stream from the seed's
@@ -94,7 +83,7 @@ const relSeedSalt uint64 = 0xF1E2D3C4B5A69788
 func newReleaser(opts Options, env *Env) *releaser {
 	r := &releaser{opts: opts, env: env}
 	rng := fault.NewRNG(opts.Seed ^ relSeedSalt)
-	r.rng = rng.Fork()
+	rng.Uint64() // the retired jitter seed; see reset
 	cfg := opts.Config
 	for i := range opts.Workload.Messages {
 		m := &opts.Workload.Messages[i]
@@ -114,7 +103,6 @@ func newReleaser(opts Options, env *Env) *releaser {
 				s.period = cfg.FromDuration(m.Deadline)
 			}
 			s.offset = timebase.Macrotick(rng.Intn(int(s.period)))
-			s.jittered = opts.ArrivalJitter > 0
 		}
 		s.next = s.offset
 		r.streams = append(r.streams, s)
@@ -124,20 +112,23 @@ func newReleaser(opts Options, env *Env) *releaser {
 
 // reset rewinds the releaser to the state newReleaser would build for
 // the given seed, without reallocating streams or arena blocks.  The
-// draw protocol replays construction exactly: the parent RNG's first
-// Uint64 seeds the jitter child (Fork), then sporadic phases are drawn
-// from the parent in message order — so the release schedule is
+// draw protocol replays construction exactly: one discarded Uint64, then
+// the sporadic phases in message order — so the release schedule is
 // byte-identical to a fresh releaser's.
 //
 //perf:hotpath
 func (r *releaser) reset(seed uint64) {
 	r.opts.Seed = seed
-	var parent fault.RNG
-	parent.Seed(seed ^ relSeedSalt)
-	r.rng.Seed(parent.Uint64())
+	var rng fault.RNG
+	rng.Seed(seed ^ relSeedSalt)
+	// The first Uint64 once seeded the arrival-jitter stream.  Jitter is
+	// gone but the draw stays: without it every sporadic release phase
+	// moves and the trace goldens break, as they would if relSeedSalt
+	// changed.
+	rng.Uint64()
 	for _, s := range r.streams {
 		if s.msg.Kind == signal.Aperiodic {
-			s.offset = timebase.Macrotick(parent.Intn(int(s.period)))
+			s.offset = timebase.Macrotick(rng.Intn(int(s.period)))
 		}
 		s.next = s.offset
 		s.seq = 1
@@ -154,7 +145,7 @@ func (r *releaser) enqueueCycle(cycle int64) {
 	for _, s := range r.streams {
 		for s.next < end {
 			r.release(s, s.next, s.next+s.deadline)
-			s.next += r.interArrival(s)
+			s.next += s.period
 			s.seq++
 		}
 	}
@@ -177,23 +168,6 @@ func (r *releaser) enqueueBatch() int64 {
 	return total
 }
 
-// interArrival returns the next inter-arrival gap of the stream, jittered
-// for sporadic streams when configured.
-func (r *releaser) interArrival(s *stream) timebase.Macrotick {
-	if !s.jittered || s.period <= 1 {
-		return s.period
-	}
-	span := int(float64(s.period) * r.opts.ArrivalJitter)
-	if span <= 0 {
-		return s.period
-	}
-	gap := s.period + timebase.Macrotick(r.rng.Intn(span+1)-span/2)
-	if gap < 1 {
-		gap = 1
-	}
-	return gap
-}
-
 func (r *releaser) release(s *stream, rel, deadline timebase.Macrotick) {
 	in := r.arena.new()
 	*in = node.Instance{
@@ -208,13 +182,6 @@ func (r *releaser) release(s *stream, rel, deadline timebase.Macrotick) {
 		err = ecu.EnqueueStatic(in)
 	} else {
 		err = ecu.EnqueueDynamic(in)
-	}
-	if errors.Is(err, node.ErrBufferFull) {
-		// The CHI lost the newest instance: account it as a drop.
-		if r.overflow != nil {
-			r.overflow(in, rel)
-		}
-		return
 	}
 	if err != nil {
 		// Workload and cluster were validated; any other enqueue failure

@@ -18,9 +18,10 @@ import (
 // per-node local clocks: each node's oscillator drifts, the
 // internal/clocksync FTM loop measures sync-frame deviations per
 // double-cycle and corrects offset and rate in network idle time, nodes
-// that fall outside the precision bound degrade through POC states
-// (normal-active → normal-passive → halt → reintegration via
-// internal/startup), and optional per-node bus guardians contain
+// that fall outside the precision bound (a quarter static slot, at
+// least one macrotick) degrade through POC states (normal-active →
+// normal-passive → halt after 4 passive double-cycles → reintegration
+// via internal/startup), and optional per-node bus guardians contain
 // transmissions outside a node's scheduled window.
 type TimingOptions struct {
 	// DriftPPM bounds each node's oscillator error: per-node drift is
@@ -33,23 +34,9 @@ type TimingOptions struct {
 	// SyncEnabled runs the FTM offset/rate correction loop; without it
 	// clocks drift uncorrected (the experiment's broken baseline).
 	SyncEnabled bool
-	// PrecisionBound is the largest tolerated clock deviation in
-	// macroticks; beyond it a node demotes to normal-passive.  Default:
-	// StaticSlotLen/4.
-	PrecisionBound timebase.Macrotick
 	// Guardians enables per-node bus guardians gating static-segment
 	// transmissions to the node's scheduled windows.
 	Guardians bool
-	// GuardianTolerance is how far a transmission start may deviate from
-	// its slot boundary before the guardian (or, without guardians, the
-	// receivers) treats it as misaligned.  Default: PrecisionBound.
-	GuardianTolerance timebase.Macrotick
-	// HaltAfter is how many consecutive double-cycles a node may stay
-	// normal-passive before the CC halts.  Default: 4.
-	HaltAfter int
-	// ListenRange is the randomized listen-timeout range (cycles) of
-	// reintegration after a halt.  Default: 8 (startup's default).
-	ListenRange int
 }
 
 func (t *TimingOptions) validate() error {
@@ -59,14 +46,12 @@ func (t *TimingOptions) validate() error {
 	if t.JitterMicroticks < 0 {
 		return fmt.Errorf("%w: negative JitterMicroticks %d", ErrBadOptions, t.JitterMicroticks)
 	}
-	if t.PrecisionBound < 0 || t.GuardianTolerance < 0 {
-		return fmt.Errorf("%w: negative precision bound or guardian tolerance", ErrBadOptions)
-	}
-	if t.HaltAfter < 0 || t.ListenRange < 0 {
-		return fmt.Errorf("%w: negative HaltAfter or ListenRange", ErrBadOptions)
-	}
 	return nil
 }
+
+// haltAfter is how many consecutive double-cycles a node may stay
+// normal-passive before its CC halts.
+const haltAfter = 4
 
 // Seed tweaks for the timing layer's independent random streams.
 const (
@@ -116,6 +101,11 @@ type timingState struct {
 	order   []int
 	monitor *adapt.SyncMonitor
 	gauges  *metrics.SyncGauges
+	// precision is the largest tolerated clock deviation in macroticks,
+	// a quarter static slot (at least 1): beyond it a node demotes to
+	// normal-passive, and a static frame starting further than it from
+	// the slot boundary is misaligned.
+	precision timebase.Macrotick
 	// refUT is the cluster's consensus time offset in microticks (the
 	// midpoint of alive, non-halted clocks), updated per double-cycle;
 	// slot alignment is judged against it, not against absolute global
@@ -131,24 +121,14 @@ type timingState struct {
 // the run seed over nodes sorted by ID.
 func newTimingState(opts TimingOptions, e *engine) *timingState {
 	cfg := e.opts.Config
-	if opts.PrecisionBound == 0 {
-		opts.PrecisionBound = cfg.StaticSlotLen / 4
-		if opts.PrecisionBound < 1 {
-			opts.PrecisionBound = 1
-		}
-	}
-	if opts.GuardianTolerance == 0 {
-		opts.GuardianTolerance = opts.PrecisionBound
-	}
-	if opts.HaltAfter == 0 {
-		opts.HaltAfter = 4
-	}
+	precision := max(cfg.StaticSlotLen/4, 1)
 	ts := &timingState{
 		opts:         opts,
 		cfg:          cfg,
 		seed:         e.opts.Seed,
+		precision:    precision,
 		nodes:        make(map[int]*nodeTiming, len(e.env.OrderedECUs())),
-		monitor:      adapt.NewSyncMonitor(float64(opts.PrecisionBound)),
+		monitor:      adapt.NewSyncMonitor(float64(precision)),
 		gauges:       e.col.SyncHealth(),
 		babbleTraced: make(map[int]map[frame.Channel]int64),
 	}
@@ -173,7 +153,7 @@ func newTimingState(opts TimingOptions, e *engine) *timingState {
 			reintegrateAt: -1,
 		}
 		if opts.Guardians {
-			nt.guardian = node.NewGuardian(ecu.StaticFrameIDs(), opts.GuardianTolerance)
+			nt.guardian = node.NewGuardian(ecu.StaticFrameIDs())
 		}
 		ts.nodes[id] = nt
 	}
@@ -296,7 +276,7 @@ func (ts *timingState) endOfDoubleCycle(e *engine, cycle int64, nit timebase.Mac
 				devMT = -devMT
 			}
 		}
-		lost := (nt.hasMid && devMT > ts.opts.PrecisionBound) || nt.syncLossStreak >= 2
+		lost := (nt.hasMid && devMT > ts.precision) || nt.syncLossStreak >= 2
 		switch nt.state {
 		case clocksync.POCNormalActive:
 			if lost {
@@ -331,13 +311,13 @@ func (ts *timingState) endOfDoubleCycle(e *engine, cycle int64, nit timebase.Mac
 			lossEvents++
 			ts.gauges.SyncLoss()
 			nt.passiveDC++
-			if nt.passiveDC >= ts.opts.HaltAfter {
+			if nt.passiveDC >= haltAfter {
 				nt.state = clocksync.POCHalt
 				nt.halts++
 				ts.gauges.Halt()
 				reSeed := ts.seed ^ seedReintegrate ^
 					uint64(id+1)*0x9E3779B97F4A7C15 ^ uint64(nt.halts)<<32
-				nt.reintegrateAt = cycle + int64(startup.ReintegrationCycles(reSeed, ts.opts.ListenRange))
+				nt.reintegrateAt = cycle + int64(startup.ReintegrationCycles(reSeed))
 				e.record(trace.Event{
 					Time: nit, Kind: trace.EventPOCState, Node: id,
 					Detail: nt.state.String(),
@@ -415,7 +395,7 @@ func (ts *timingState) staticGate(nodeID int, slotStart timebase.Macrotick) (boo
 	if dev < 0 {
 		dev = -dev
 	}
-	if dev <= ts.opts.GuardianTolerance {
+	if dev <= ts.precision {
 		return false, ""
 	}
 	if nt.guardian != nil {

@@ -6,8 +6,8 @@ func TestReintegrationCyclesDeterministicAndBounded(t *testing.T) {
 	const listenRange = 8
 	seen := map[int]bool{}
 	for seed := uint64(0); seed < 64; seed++ {
-		a := ReintegrationCycles(seed, listenRange)
-		b := ReintegrationCycles(seed, listenRange)
+		a := ReintegrationCycles(seed)
+		b := ReintegrationCycles(seed)
 		if a != b {
 			t.Fatalf("seed %d: nondeterministic: %d vs %d", seed, a, b)
 		}
@@ -19,11 +19,5 @@ func TestReintegrationCyclesDeterministicAndBounded(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatal("listen timeout never varied across seeds")
-	}
-}
-
-func TestReintegrationCyclesDefaultRange(t *testing.T) {
-	if got, want := ReintegrationCycles(7, 0), ReintegrationCycles(7, 8); got != want {
-		t.Fatalf("default range: %d, want %d", got, want)
 	}
 }

@@ -108,7 +108,7 @@ func Simulate(cfg Config) (Report, error) {
 		cfg.MaxCycles = 1000
 	}
 	if cfg.ListenRange <= 0 {
-		cfg.ListenRange = 8
+		cfg.ListenRange = defaultListenRange
 	}
 	rng := fault.NewRNG(cfg.Seed ^ 0x57A27)
 
@@ -238,19 +238,20 @@ func allUp(states []*nodeState) bool {
 	return true
 }
 
+// defaultListenRange is the listen-timeout range in cycles when a
+// Config leaves it unset, and the range ReintegrationCycles draws from.
+const defaultListenRange = 8
+
 // ReintegrationCycles returns how many communication cycles a halted node
 // needs before it can rejoin a running cluster: the randomized listen
-// window (mirroring Simulate's listen-timeout draw) plus the two
-// double-cycles of consistent sync-frame observation that integration
-// requires.  The caller mixes the node identity and halt instance into
-// seed so repeated halts of the same node draw fresh timeouts while the
-// whole run stays deterministic.
-func ReintegrationCycles(seed uint64, listenRange int) int {
-	if listenRange <= 0 {
-		listenRange = 8
-	}
+// window (mirroring Simulate's listen-timeout draw at the default range)
+// plus the two double-cycles of consistent sync-frame observation that
+// integration requires.  The caller mixes the node identity and halt
+// instance into seed so repeated halts of the same node draw fresh
+// timeouts while the whole run stays deterministic.
+func ReintegrationCycles(seed uint64) int {
 	rng := fault.NewRNG(seed ^ 0x57A27)
-	return 2 + rng.Intn(listenRange) + 4
+	return 2 + rng.Intn(defaultListenRange) + 4
 }
 
 // WakeupNode configures one member for the wakeup simulation.

@@ -119,13 +119,16 @@ type SyntheticOptions struct {
 	// Periods lists the candidate periods.  Defaults to harmonic-friendly
 	// values within the paper's 5–50 ms range so hyperperiods stay small.
 	Periods []time.Duration
-	// MinDeadline and MaxDeadline bound the drawn deadlines (paper: 1–20
-	// ms); a deadline never exceeds its message's period.
-	MinDeadline, MaxDeadline time.Duration
-	// MinBits and MaxBits bound the message sizes (defaults 256..1600, in
-	// line with the BBW sizes).
-	MinBits, MaxBits int
 }
+
+// Synthetic draw ranges: deadlines within the paper's 1–20 ms (never
+// beyond the message's period) and sizes in line with the BBW sizes.
+const (
+	synMinDeadline = time.Millisecond
+	synMaxDeadline = 20 * time.Millisecond
+	synMinBits     = 256
+	synMaxBits     = 1600
+)
 
 func (o *SyntheticOptions) fill() {
 	if o.FirstID <= 0 {
@@ -136,18 +139,6 @@ func (o *SyntheticOptions) fill() {
 			5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond,
 			25 * time.Millisecond, 40 * time.Millisecond, 50 * time.Millisecond,
 		}
-	}
-	if o.MinDeadline <= 0 {
-		o.MinDeadline = time.Millisecond
-	}
-	if o.MaxDeadline <= 0 {
-		o.MaxDeadline = 20 * time.Millisecond
-	}
-	if o.MinBits <= 0 {
-		o.MinBits = 256
-	}
-	if o.MaxBits <= 0 {
-		o.MaxBits = 1600
 	}
 }
 
@@ -163,19 +154,12 @@ func Synthetic(opts SyntheticOptions) (signal.Set, error) {
 	msgs := make([]signal.Message, opts.Messages)
 	for i := range msgs {
 		period := opts.Periods[rng.Intn(len(opts.Periods))]
-		dlRange := int(opts.MaxDeadline - opts.MinDeadline)
-		deadline := opts.MinDeadline
-		if dlRange > 0 {
-			deadline += time.Duration(rng.Intn(dlRange + 1))
-		}
+		deadline := synMinDeadline + time.Duration(rng.Intn(int(synMaxDeadline-synMinDeadline)+1))
 		if deadline > period {
 			deadline = period
 		}
 		offset := time.Duration(rng.Intn(int(deadline)))
-		bits := opts.MinBits
-		if opts.MaxBits > opts.MinBits {
-			bits += rng.Intn(opts.MaxBits - opts.MinBits + 1)
-		}
+		bits := synMinBits + rng.Intn(synMaxBits-synMinBits+1)
 		msgs[i] = signal.Message{
 			ID:       opts.FirstID + i,
 			Name:     fmt.Sprintf("syn-%03d", opts.FirstID+i),
@@ -204,10 +188,13 @@ type SAEAperiodicOptions struct {
 	Count int
 	// Seed makes the size draw reproducible.
 	Seed uint64
-	// MinBits and MaxBits bound message sizes (defaults 64..512: SAE
-	// class C sporadic messages are short).
-	MinBits, MaxBits int
 }
+
+// SAE message sizes: class C sporadic messages are short.
+const (
+	saeMinBits = 64
+	saeMaxBits = 512
+)
 
 // SAEAperiodic returns the paper's dynamic-segment workload: Count aperiodic
 // messages with consecutive frame IDs from FirstID, a 50 ms period (used as
@@ -220,19 +207,10 @@ func SAEAperiodic(opts SAEAperiodicOptions) (signal.Set, error) {
 	if opts.FirstID <= 0 {
 		opts.FirstID = 81
 	}
-	if opts.MinBits <= 0 {
-		opts.MinBits = 64
-	}
-	if opts.MaxBits <= 0 {
-		opts.MaxBits = 512
-	}
 	rng := fault.NewRNG(opts.Seed)
 	msgs := make([]signal.Message, opts.Count)
 	for i := range msgs {
-		bits := opts.MinBits
-		if opts.MaxBits > opts.MinBits {
-			bits += rng.Intn(opts.MaxBits - opts.MinBits + 1)
-		}
+		bits := saeMinBits + rng.Intn(saeMaxBits-saeMinBits+1)
 		msgs[i] = signal.Message{
 			ID:       opts.FirstID + i,
 			Name:     fmt.Sprintf("sae-%03d", opts.FirstID+i),
