@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	coefficientd -addr :8077 -workers 4 -queue 32 -drain 30s -results results/served
+//	coefficientd -addr :8077 -workers 4 -queue 32 -drain 30s -state-dir state
 //
 // Submit a job and watch it:
 //
@@ -14,9 +14,11 @@
 //	curl -s localhost:8077/jobs/<id>
 //	curl -s localhost:8077/healthz
 //
-// SIGTERM (or SIGINT) stops admission, finishes queued and in-flight
-// jobs under the -drain deadline, flushes the result store, and exits 0
-// on a clean drain, 1 on a forced one.
+// With -state-dir, every job transition is journaled and every result
+// persists under <state-dir>/results/ as its job completes; without it
+// the daemon runs memory-only.  SIGTERM (or SIGINT) stops admission,
+// finishes queued and in-flight jobs under the -drain deadline, closes
+// the journal, and exits 0 on a clean drain, 1 on a forced one.
 package main
 
 import (
@@ -33,7 +35,6 @@ import (
 	"time"
 
 	"github.com/flexray-go/coefficient/internal/serve"
-	"github.com/flexray-go/coefficient/internal/serve/journal"
 )
 
 func main() {
@@ -57,10 +58,8 @@ func run(ctx context.Context, args []string, logw io.Writer, onReady func(addr s
 		retries    = fs.Int("retries", 3, "max attempts per job (transient failures)")
 		quarantine = fs.Int("quarantine-after", 3, "panics per scenario hash before quarantine")
 		drain      = fs.Duration("drain", 30*time.Second, "graceful drain deadline on SIGTERM")
-		resultDir  = fs.String("results", "", "flush the result store into this directory on drain")
 		retryAfter = fs.Duration("retry-after", 2*time.Second, "Retry-After hint on 503 rejections")
 		stateDir   = fs.String("state-dir", "", "durable state directory (write-ahead journal + persistent results); empty runs memory-only")
-		fsyncFlag  = fs.String("fsync", "always", "journal fsync policy: always, batch or never")
 		diskFlag   = fs.String("disk-policy", "degrade", "on durable-state I/O errors: degrade (drop to memory-only) or fail (refuse new work)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -84,10 +83,6 @@ func run(ctx context.Context, args []string, logw io.Writer, onReady func(addr s
 			return fmt.Errorf("-%s %v: must be positive", f.name, f.v)
 		}
 	}
-	fsync, err := journal.ParseFsyncMode(*fsyncFlag)
-	if err != nil {
-		return err
-	}
 	policy, err := serve.ParseDiskPolicy(*diskFlag)
 	if err != nil {
 		return err
@@ -99,9 +94,7 @@ func run(ctx context.Context, args []string, logw io.Writer, onReady func(addr s
 		Retry:           serve.RetryPolicy{MaxAttempts: *retries},
 		QuarantineAfter: *quarantine,
 		RetryAfter:      *retryAfter,
-		ResultDir:       *resultDir,
 		StateDir:        *stateDir,
-		Fsync:           fsync,
 		DiskPolicy:      policy,
 	})
 	if err != nil {

@@ -5,11 +5,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/flexray-go/coefficient/internal/serve/journal"
 )
 
 // bootDaemon runs the daemon on an ephemeral port and returns its base
@@ -58,10 +59,11 @@ func getJSON(t *testing.T, url string, into any) int {
 
 // TestDaemonSmokeJobAndCleanDrain is the end-to-end lifecycle: boot,
 // serve a quick job over HTTP, then cancel the run context (the SIGTERM
-// path) and require a clean drain with the result flushed to disk.
+// path) and require a clean drain with the result persisted under the
+// state directory.
 func TestDaemonSmokeJobAndCleanDrain(t *testing.T) {
-	resultDir := filepath.Join(t.TempDir(), "served")
-	base, cancel, errc, log := bootDaemon(t, "-results", resultDir)
+	stateDir := filepath.Join(t.TempDir(), "state")
+	base, cancel, errc, log := bootDaemon(t, "-state-dir", stateDir)
 	defer cancel()
 
 	if code := getJSON(t, base+"/readyz", nil); code != http.StatusOK {
@@ -108,6 +110,10 @@ func TestDaemonSmokeJobAndCleanDrain(t *testing.T) {
 		health.Done != 1 || health.Draining {
 		t.Fatalf("healthz: code %d doc %+v", code, health)
 	}
+	var served struct{ Table string }
+	if code := getJSON(t, base+"/results/"+accepted.Hash, &served); code != http.StatusOK {
+		t.Fatalf("result fetch: %d", code)
+	}
 
 	// The SIGTERM path: cancel the run context, expect a clean exit.
 	cancel()
@@ -122,8 +128,20 @@ func TestDaemonSmokeJobAndCleanDrain(t *testing.T) {
 	if !strings.Contains(log.String(), "drained cleanly") {
 		t.Errorf("log missing clean-drain line:\n%s", log.String())
 	}
-	if _, err := os.ReadFile(filepath.Join(resultDir, accepted.Hash+".json")); err != nil {
-		t.Errorf("result not flushed on drain: %v", err)
+	disk, err := journal.OpenResultStore(journal.OS(), filepath.Join(stateDir, "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads, corrupt, err := disk.Load()
+	if err != nil || corrupt != 0 {
+		t.Fatalf("load persisted results: %d corrupt, err %v", corrupt, err)
+	}
+	var persisted struct{ Table string }
+	if err := json.Unmarshal(payloads[accepted.Hash], &persisted); err != nil {
+		t.Fatalf("persisted result %s: %v", accepted.Hash, err)
+	}
+	if persisted.Table != served.Table || !strings.Contains(persisted.Table, "Graceful degradation") {
+		t.Errorf("persisted table differs from the served one:\n%s\nvs\n%s", persisted.Table, served.Table)
 	}
 }
 

@@ -42,6 +42,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The planners read a non-positive cap as "use the default", so a
+	// negative value would silently plan with the default instead.
+	if *maxRetx < 0 {
+		return fmt.Errorf("-max-retx %d: must be 0 (default) or positive", *maxRetx)
+	}
 	unit, err := time.ParseDuration(*unitStr)
 	if err != nil {
 		return fmt.Errorf("bad -unit: %w", err)

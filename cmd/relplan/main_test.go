@@ -84,4 +84,7 @@ func TestPlanBadFlags(t *testing.T) {
 	if err := run([]string{"-workload", "bbw", "-sil", "9"}); err == nil {
 		t.Error("bad SIL accepted")
 	}
+	if err := run([]string{"-workload", "bbw", "-max-retx", "-3"}); err == nil || !strings.Contains(err.Error(), "-max-retx") {
+		t.Errorf("negative -max-retx: err = %v, want an error naming -max-retx", err)
+	}
 }

@@ -64,10 +64,7 @@ func (s *Server) openDurability() error {
 		}
 	}
 
-	jrn, replay, err := journal.Open(fsys, s.cfg.StateDir, journal.Options{
-		Fsync:    s.cfg.Fsync,
-		MaxBytes: s.cfg.JournalMaxBytes,
-	})
+	jrn, replay, err := journal.Open(fsys, s.cfg.StateDir)
 	if err != nil {
 		return err
 	}

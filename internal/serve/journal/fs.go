@@ -5,7 +5,7 @@
 //
 // The journal records every job state transition as one length-prefixed,
 // CRC-checksummed JSON record appended to <dir>/journal.wal through a
-// single O_APPEND handle, fsynced per the configured policy, and
+// single O_APPEND handle, fsynced on every append, and
 // compacted to a live-state snapshot once it grows past a size
 // threshold.  The result store writes each completed result to
 // <dir>/results/<hash>.json via temp file + fsync + atomic rename, with
@@ -144,21 +144,12 @@ func writeFileAtomic(fsys FS, path string, data []byte) error {
 	return fsys.SyncDir(filepath.Dir(path))
 }
 
-// AppendFile appends data to path as one O_APPEND write — creating the
-// parent directory if needed — then syncs and closes the handle,
-// propagating every error.  A single write through an O_APPEND handle
-// is atomic with respect to other appenders on POSIX filesystems, so a
-// crash can only lose the whole record, never interleave or truncate it
-// silently.
-func AppendFile(fsys FS, path string, data []byte) error {
-	if fsys == nil {
-		fsys = OS()
-	}
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := fsys.MkdirAll(dir); err != nil {
-			return err
-		}
-	}
+// appendFile appends data to path as one O_APPEND write, then syncs
+// and closes the handle, propagating every error.  A single write
+// through an O_APPEND handle is atomic with respect to other appenders
+// on POSIX filesystems, so a crash can only lose the whole record, never
+// interleave or truncate it silently.
+func appendFile(fsys FS, path string, data []byte) error {
 	f, err := fsys.OpenAppend(path)
 	if err != nil {
 		return err

@@ -6,68 +6,9 @@ import (
 	"path/filepath"
 )
 
-// FsyncMode selects when appended records are forced to stable storage.
-type FsyncMode uint8
-
-const (
-	// FsyncAlways syncs after every append: a record acknowledged to a
-	// client survives any crash.  The default.
-	FsyncAlways FsyncMode = iota
-	// FsyncBatch syncs every Options.SyncEvery records; a crash may lose
-	// the unsynced tail (surfaced as journal lag on /healthz), which
-	// recovery treats exactly like a torn tail.
-	FsyncBatch
-	// FsyncNever leaves syncing to the OS.  For tests and throwaway runs.
-	FsyncNever
-)
-
-// String returns the wire name of the mode.
-func (m FsyncMode) String() string {
-	switch m {
-	case FsyncAlways:
-		return "always"
-	case FsyncBatch:
-		return "batch"
-	case FsyncNever:
-		return "never"
-	}
-	return fmt.Sprintf("fsync(%d)", uint8(m))
-}
-
-// ParseFsyncMode maps a flag value to a mode; the empty string means
-// FsyncAlways.
-func ParseFsyncMode(s string) (FsyncMode, error) {
-	switch s {
-	case "", "always":
-		return FsyncAlways, nil
-	case "batch":
-		return FsyncBatch, nil
-	case "never":
-		return FsyncNever, nil
-	}
-	return FsyncAlways, fmt.Errorf("unknown fsync mode %q (want always, batch or never)", s)
-}
-
-// Options parameterizes a Journal.  The zero value selects every
-// documented default.
-type Options struct {
-	// Fsync is the sync policy (default FsyncAlways).
-	Fsync FsyncMode
-	// SyncEvery is the FsyncBatch threshold in records (default 16).
-	SyncEvery int
-	// MaxBytes is the size past which NeedsCompact reports true
-	// (default 4 MiB).
-	MaxBytes int64
-}
-
-func (o *Options) fill() {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 16
-	}
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = 4 << 20
-	}
-}
+// compactBytes is the journal size past which NeedsCompact reports
+// true, so replayed history stays bounded.
+const compactBytes = 4 << 20
 
 // Replay is what Open recovered from an existing journal file.
 type Replay struct {
@@ -89,25 +30,22 @@ var ErrClosed = errors.New("journal: closed")
 type Journal struct {
 	// Fields set at Open, immutable afterwards.
 	fs   FS
-	dir  string
 	path string
-	opts Options
+	// maxBytes is compactBytes; tests lower it to force compaction.
+	maxBytes int64
 
 	// Mutable state, guarded by the serve.Server's own mutex in
 	// production (appends must interleave in transition order) and
 	// internally consistent regardless.
-	f        File
-	bytes    int64
-	records  int64
-	unsynced int
+	f       File
+	bytes   int64
+	records int64
 }
 
 // Stats is a gauge snapshot for /healthz.
 type Stats struct {
 	// Records and Bytes size the live journal file.
 	Records, Bytes int64
-	// Lag counts appended records not yet fsynced (FsyncBatch only).
-	Lag int
 }
 
 // Open replays dir's journal and returns the journal ready for appends
@@ -115,11 +53,10 @@ type Stats struct {
 // journal.wal.corrupt sidecar and the valid prefix rewritten atomically,
 // so corruption truncates history instead of aborting boot; only real
 // I/O failures return an error.
-func Open(fsys FS, dir string, opts Options) (*Journal, *Replay, error) {
+func Open(fsys FS, dir string) (*Journal, *Replay, error) {
 	if fsys == nil {
 		fsys = OS()
 	}
-	opts.fill()
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, nil, err
 	}
@@ -132,7 +69,7 @@ func Open(fsys FS, dir string, opts Options) (*Journal, *Replay, error) {
 	rep := &Replay{Records: recs}
 	if good < len(data) {
 		rep.TruncatedBytes = len(data) - good
-		if err := AppendFile(fsys, path+".corrupt", data[good:]); err != nil {
+		if err := appendFile(fsys, path+".corrupt", data[good:]); err != nil {
 			return nil, nil, fmt.Errorf("journal: quarantine corrupt tail: %w", err)
 		}
 		if err := writeFileAtomic(fsys, path, data[:good]); err != nil {
@@ -144,15 +81,16 @@ func Open(fsys FS, dir string, opts Options) (*Journal, *Replay, error) {
 		return nil, nil, fmt.Errorf("journal: open %s: %w", path, err)
 	}
 	return &Journal{
-		fs: fsys, dir: dir, path: path, opts: opts,
+		fs: fsys, path: path, maxBytes: compactBytes,
 		f: f, bytes: int64(good), records: int64(len(recs)),
 	}, rep, nil
 }
 
-// Append frames rec and writes it in a single O_APPEND write, syncing
-// per the fsync policy.  Any error leaves the journal in an unknown
-// state on disk (a torn frame is possible); the caller must stop using
-// it — recovery will truncate the torn tail on the next boot.
+// Append frames rec, writes it in a single O_APPEND write and fsyncs
+// it, so an appended record survives any crash.  Any error leaves the
+// journal in an unknown state on disk (a torn frame is possible); the
+// caller must stop using it — recovery will truncate the torn tail on
+// the next boot.
 func (j *Journal) Append(rec Record) error {
 	frame, err := Encode(rec)
 	if err != nil {
@@ -166,26 +104,15 @@ func (j *Journal) Append(rec Record) error {
 	}
 	j.bytes += int64(len(frame))
 	j.records++
-	switch j.opts.Fsync {
-	case FsyncAlways:
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: sync: %w", err)
-		}
-	case FsyncBatch:
-		j.unsynced++
-		if j.unsynced >= j.opts.SyncEvery {
-			if err := j.f.Sync(); err != nil {
-				return fmt.Errorf("journal: sync: %w", err)
-			}
-			j.unsynced = 0
-		}
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("journal: sync: %w", err)
 	}
 	return nil
 }
 
 // NeedsCompact reports whether the journal has outgrown its size
 // threshold and should be rewritten from a live-state snapshot.
-func (j *Journal) NeedsCompact() bool { return j.bytes > j.opts.MaxBytes }
+func (j *Journal) NeedsCompact() bool { return j.bytes > j.maxBytes }
 
 // Compact atomically replaces the journal with the snapshot records:
 // the new file is written beside the old one, fsynced, renamed into
@@ -214,22 +141,9 @@ func (j *Journal) Compact(recs []Record) error {
 	j.f = f
 	j.bytes = int64(len(data))
 	j.records = int64(len(recs))
-	j.unsynced = 0
 	if cerr != nil {
 		return fmt.Errorf("journal: close pre-compact handle: %w", cerr)
 	}
-	return nil
-}
-
-// Sync forces any batched records to stable storage.
-func (j *Journal) Sync() error {
-	if j.f == nil {
-		return ErrClosed
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
-	}
-	j.unsynced = 0
 	return nil
 }
 
@@ -253,5 +167,5 @@ func (j *Journal) Close() error {
 
 // Stats returns the current gauges.
 func (j *Journal) Stats() Stats {
-	return Stats{Records: j.records, Bytes: j.bytes, Lag: j.unsynced}
+	return Stats{Records: j.records, Bytes: j.bytes}
 }

@@ -14,9 +14,9 @@ func rec(seq int, id string) Record {
 	return Record{Kind: KindAdmitted, Seq: seq, JobID: id, Hash: strings.Repeat("a", 8), Crit: "normal"}
 }
 
-func openOrFatal(t *testing.T, fsys FS, dir string, opts Options) (*Journal, *Replay) {
+func openOrFatal(t *testing.T, fsys FS, dir string) (*Journal, *Replay) {
 	t.Helper()
-	j, rep, err := Open(fsys, dir, opts)
+	j, rep, err := Open(fsys, dir)
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
@@ -32,7 +32,7 @@ func closeOrFatal(t *testing.T, j *Journal) {
 
 func TestAppendAndReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, rep := openOrFatal(t, nil, dir, Options{})
+	j, rep := openOrFatal(t, nil, dir)
 	if len(rep.Records) != 0 || rep.TruncatedBytes != 0 {
 		t.Fatalf("fresh journal replayed %+v", rep)
 	}
@@ -49,12 +49,12 @@ func TestAppendAndReplayRoundTrip(t *testing.T) {
 		}
 	}
 	st := j.Stats()
-	if st.Records != int64(len(want)) || st.Bytes == 0 || st.Lag != 0 {
+	if st.Records != int64(len(want)) || st.Bytes == 0 {
 		t.Fatalf("stats %+v", st)
 	}
 	closeOrFatal(t, j)
 
-	j2, rep2 := openOrFatal(t, nil, dir, Options{})
+	j2, rep2 := openOrFatal(t, nil, dir)
 	defer closeOrFatal(t, j2)
 	if len(rep2.Records) != len(want) || rep2.TruncatedBytes != 0 {
 		t.Fatalf("replay %d records (truncated %d), want %d", len(rep2.Records), rep2.TruncatedBytes, len(want))
@@ -76,7 +76,7 @@ func TestAppendAndReplayRoundTrip(t *testing.T) {
 
 func TestTornTailIsQuarantinedAndTruncated(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := openOrFatal(t, nil, dir, Options{})
+	j, _ := openOrFatal(t, nil, dir)
 	for i := 1; i <= 3; i++ {
 		if err := j.Append(rec(i, "j")); err != nil {
 			t.Fatal(err)
@@ -86,7 +86,7 @@ func TestTornTailIsQuarantinedAndTruncated(t *testing.T) {
 
 	// A crash mid-append: garbage trailing bytes after the valid frames.
 	wal := filepath.Join(dir, walName)
-	if err := AppendFile(nil, wal, []byte{0x07, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
+	if err := appendFile(OS(), wal, []byte{0x07, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(wal)
@@ -94,7 +94,7 @@ func TestTornTailIsQuarantinedAndTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, rep := openOrFatal(t, nil, dir, Options{})
+	j2, rep := openOrFatal(t, nil, dir)
 	defer closeOrFatal(t, j2)
 	if len(rep.Records) != 3 {
 		t.Fatalf("replayed %d records, want 3", len(rep.Records))
@@ -124,7 +124,7 @@ func TestTornTailIsQuarantinedAndTruncated(t *testing.T) {
 
 func TestCorruptRecordTruncatesFromDamagePoint(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := openOrFatal(t, nil, dir, Options{})
+	j, _ := openOrFatal(t, nil, dir)
 	for i := 1; i <= 4; i++ {
 		if err := j.Append(rec(i, "j")); err != nil {
 			t.Fatal(err)
@@ -147,7 +147,7 @@ func TestCorruptRecordTruncatesFromDamagePoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, rep := openOrFatal(t, nil, dir, Options{})
+	j2, rep := openOrFatal(t, nil, dir)
 	defer closeOrFatal(t, j2)
 	if len(rep.Records) != 1 {
 		t.Fatalf("replayed %d records past corruption, want 1", len(rep.Records))
@@ -163,7 +163,7 @@ func TestCorruptRecordTruncatesFromDamagePoint(t *testing.T) {
 func TestTornWriteFromInjectedENOSPCRecoversPrefix(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFaultFS(nil)
-	j, _ := openOrFatal(t, ffs, dir, Options{})
+	j, _ := openOrFatal(t, ffs, dir)
 	if err := j.Append(rec(1, "j1")); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestTornWriteFromInjectedENOSPCRecoversPrefix(t *testing.T) {
 	// Crash: abandon the handle without closing cleanly.
 	ffs.SetWriteBudget(-1)
 
-	j2, rep := openOrFatal(t, NewFaultFS(nil), dir, Options{})
+	j2, rep := openOrFatal(t, NewFaultFS(nil), dir)
 	defer closeOrFatal(t, j2)
 	if len(rep.Records) != 1 || rep.Records[0].JobID != "j1" {
 		t.Fatalf("replay after torn write: %+v", rep.Records)
@@ -191,7 +191,7 @@ func TestTornWriteFromInjectedENOSPCRecoversPrefix(t *testing.T) {
 
 func TestShortReadRecoversShorterPrefix(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := openOrFatal(t, nil, dir, Options{})
+	j, _ := openOrFatal(t, nil, dir)
 	for i := 1; i <= 3; i++ {
 		if err := j.Append(rec(i, "j")); err != nil {
 			t.Fatal(err)
@@ -201,52 +201,24 @@ func TestShortReadRecoversShorterPrefix(t *testing.T) {
 
 	ffs := NewFaultFS(nil)
 	ffs.SetShortRead(5) // the tail of the last record is missing
-	j2, rep := openOrFatal(t, ffs, dir, Options{})
+	j2, rep := openOrFatal(t, ffs, dir)
 	defer closeOrFatal(t, j2)
 	if len(rep.Records) != 2 {
 		t.Fatalf("replayed %d records from short read, want 2", len(rep.Records))
 	}
 }
 
-func TestFsyncBatchTracksLagAndSyncClears(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := openOrFatal(t, nil, dir, Options{Fsync: FsyncBatch, SyncEvery: 3})
-	defer closeOrFatal(t, j)
-	for i := 1; i <= 2; i++ {
-		if err := j.Append(rec(i, "j")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if lag := j.Stats().Lag; lag != 2 {
-		t.Fatalf("lag = %d, want 2", lag)
-	}
-	if err := j.Append(rec(3, "j")); err != nil {
-		t.Fatal(err)
-	}
-	if lag := j.Stats().Lag; lag != 0 {
-		t.Fatalf("lag after batch sync = %d, want 0", lag)
-	}
-	if err := j.Append(rec(4, "j")); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if lag := j.Stats().Lag; lag != 0 {
-		t.Fatalf("lag after explicit sync = %d, want 0", lag)
-	}
-}
-
 func TestCompactRewritesToSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := openOrFatal(t, nil, dir, Options{MaxBytes: 256})
+	j, _ := openOrFatal(t, nil, dir)
+	j.maxBytes = 256
 	for i := 1; i <= 20; i++ {
 		if err := j.Append(rec(i, "j")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !j.NeedsCompact() {
-		t.Fatal("journal past MaxBytes does not request compaction")
+		t.Fatal("journal past maxBytes does not request compaction")
 	}
 	snapshot := []Record{rec(19, "j"), rec(20, "j")}
 	if err := j.Compact(snapshot); err != nil {
@@ -261,7 +233,7 @@ func TestCompactRewritesToSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	closeOrFatal(t, j)
-	j2, rep := openOrFatal(t, nil, dir, Options{})
+	j2, rep := openOrFatal(t, nil, dir)
 	defer closeOrFatal(t, j2)
 	if len(rep.Records) != 3 || rep.Records[2].Seq != 21 {
 		t.Fatalf("replay after compact: %+v", rep.Records)
@@ -269,7 +241,7 @@ func TestCompactRewritesToSnapshot(t *testing.T) {
 }
 
 func TestAppendAfterCloseFails(t *testing.T) {
-	j, _ := openOrFatal(t, nil, t.TempDir(), Options{})
+	j, _ := openOrFatal(t, nil, t.TempDir())
 	closeOrFatal(t, j)
 	if err := j.Append(rec(1, "j")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
@@ -279,12 +251,31 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
+// TestAppendSyncsEveryRecord pins the one sync policy: a sync failure
+// on any append, not just some, reaches the caller.
+func TestAppendSyncsEveryRecord(t *testing.T) {
+	ffs := NewFaultFS(nil)
+	j, _ := openOrFatal(t, ffs, t.TempDir())
+	defer closeOrFatal(t, j)
+	for i := 1; i <= 3; i++ {
+		if err := j.Append(rec(i, "j")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	injected := errors.New("injected sync failure")
+	ffs.FailOp("sync", injected)
+	defer ffs.FailOp("sync", nil) // disarmed before the deferred close
+	if err := j.Append(rec(4, "j")); !errors.Is(err, injected) {
+		t.Fatalf("append with failing sync: %v, want the sync error", err)
+	}
+}
+
 func TestAppendFileSingleWriteAndErrorPropagation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sub", "trend.jsonl")
-	if err := AppendFile(nil, path, []byte("line1\n")); err != nil {
+	path := filepath.Join(t.TempDir(), walName+".corrupt")
+	if err := appendFile(OS(), path, []byte("line1\n")); err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendFile(nil, path, []byte("line2\n")); err != nil {
+	if err := appendFile(OS(), path, []byte("line2\n")); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -298,34 +289,12 @@ func TestAppendFileSingleWriteAndErrorPropagation(t *testing.T) {
 	ffs := NewFaultFS(nil)
 	injected := errors.New("injected sync failure")
 	ffs.FailOp("sync", injected)
-	if err := AppendFile(ffs, path, []byte("line3\n")); !errors.Is(err, injected) {
+	if err := appendFile(ffs, path, []byte("line3\n")); !errors.Is(err, injected) {
 		t.Fatalf("sync error not propagated: %v", err)
 	}
 	ffs.FailOp("sync", nil)
 	ffs.SetWriteBudget(2)
-	if err := AppendFile(ffs, path, []byte("line4\n")); !errors.Is(err, ErrNoSpace) {
+	if err := appendFile(ffs, path, []byte("line4\n")); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("ENOSPC not propagated: %v", err)
-	}
-}
-
-func TestParseFsyncMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want FsyncMode
-		ok   bool
-	}{
-		{"", FsyncAlways, true},
-		{"always", FsyncAlways, true},
-		{"batch", FsyncBatch, true},
-		{"never", FsyncNever, true},
-		{"sometimes", FsyncAlways, false},
-	} {
-		got, err := ParseFsyncMode(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseFsyncMode(%q) = %v, %v", tc.in, got, err)
-		}
-		if tc.ok && got.String() != tc.in && tc.in != "" {
-			t.Errorf("String() round trip: %q -> %q", tc.in, got.String())
-		}
 	}
 }

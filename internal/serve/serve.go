@@ -28,7 +28,7 @@
 //     submissions of that scenario are refused.
 //   - Graceful drain.  On SIGTERM the daemon stops admitting, finishes
 //     queued and in-flight jobs under a drain deadline, hard-cancels
-//     whatever outruns it, and flushes the result store.
+//     whatever outruns it, and closes the journal.
 //
 // Results are stored once per canonical scenario hash; because the
 // underlying runner is deterministic, a job's result is byte-identical
@@ -146,11 +146,9 @@ type Config struct {
 	// QuarantineAfter is the number of panics a scenario hash may cause
 	// before it is quarantined (default 3).
 	QuarantineAfter int
-	// RetryAfter is the hint returned with a 503 rejection (default 2s).
+	// RetryAfter is the hint returned with a 503 rejection (default 2s),
+	// sent rounded up to whole seconds.
 	RetryAfter time.Duration
-	// ResultDir, when set, receives one <hash>.json per result when the
-	// store is flushed during drain.
-	ResultDir string
 	// StateDir, when set, enables crash-safe durability (DESIGN.md §12):
 	// a write-ahead job journal at <StateDir>/journal.wal and a
 	// persistent result store under <StateDir>/results/.  On startup the
@@ -159,14 +157,9 @@ type Config struct {
 	// admitted or running at crash time are re-enqueued in their original
 	// criticality+FIFO order.  Empty disables persistence entirely.
 	StateDir string
-	// Fsync is the journal's sync policy (default journal.FsyncAlways).
-	Fsync journal.FsyncMode
 	// DiskPolicy decides what a durable-state I/O error does (default
 	// DiskDegrade: keep serving from memory, surface diskDegraded).
 	DiskPolicy DiskPolicy
-	// JournalMaxBytes is the journal size past which it is compacted to
-	// a live-state snapshot (default 4 MiB).
-	JournalMaxBytes int64
 	// FS overrides the filesystem the durability layer writes through;
 	// nil selects the real one.  The chaos suite injects journal.FaultFS
 	// here.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -21,6 +22,9 @@ type Server struct {
 	q     *queue
 	store *Store
 	quar  *quarantine
+	// retryAfter is the Retry-After header both 503 paths send:
+	// cfg.RetryAfter rounded up, so a positive hint is never below 1s.
+	retryAfter string
 
 	// runCtx is the execution context every job attempt derives from;
 	// runCancel is the drain deadline's hard stop.
@@ -64,6 +68,7 @@ func New(cfg Config) (*Server, error) {
 		q:           newQueue(cfg.QueueCapacity),
 		store:       NewStore(),
 		quar:        newQuarantine(cfg.QuarantineAfter),
+		retryAfter:  strconv.Itoa(int(math.Ceil(cfg.RetryAfter.Seconds()))),
 		runCtx:      ctx,
 		runCancel:   cancel,
 		workersDone: make(chan struct{}),
@@ -112,12 +117,11 @@ func (s *Server) Start() {
 }
 
 // Drain performs the graceful shutdown: stop admitting, let the workers
-// finish every queued and in-flight job, and flush the result store.
-// When ctx expires first, in-flight attempts are hard-cancelled (they
-// stop at the next cell boundary or retry sleep) and the remaining
-// queued jobs fail fast, so the drain still terminates; the store is
-// flushed either way and ctx's error is returned to signal the forced
-// stop.
+// finish every queued and in-flight job, and close the journal.  When
+// ctx expires first, in-flight attempts are hard-cancelled (they stop at
+// the next cell boundary or retry sleep) and the remaining queued jobs
+// fail fast, so the drain still terminates; the journal is closed
+// either way and ctx's error is returned to signal the forced stop.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	alreadyDraining := s.draining
@@ -137,11 +141,6 @@ func (s *Server) Drain(ctx context.Context) error {
 			<-s.workersDone
 		}
 	}
-	if dir := s.cfg.ResultDir; dir != "" {
-		if err := s.store.Flush(dir); err != nil {
-			return err
-		}
-	}
 	// Close the journal last: every terminal transition the drain produced
 	// is already appended, so the final sync makes the shutdown state
 	// durable.  A close failure is only reported when the drain itself
@@ -158,49 +157,52 @@ func (s *Server) Drain(ctx context.Context) error {
 	return forced
 }
 
-// Stats is the /healthz snapshot.
+// Stats is the /healthz snapshot; its JSON form is the /healthz body.
 type Stats struct {
 	// Queued..Quarantined count jobs per state.
-	Queued, Running, Done, Failed, Shed, Quarantined int
+	Queued      int `json:"queued"`
+	Running     int `json:"running"`
+	Done        int `json:"done"`
+	Failed      int `json:"failed"`
+	Shed        int `json:"shed"`
+	Quarantined int `json:"quarantined"`
 	// QueueDepth is the current admission-queue occupancy.
-	QueueDepth int
+	QueueDepth int `json:"queueDepth"`
 	// Admitted counts every job that entered the queue.
-	Admitted int
+	Admitted int `json:"admitted"`
 	// Results counts distinct stored results.
-	Results int
+	Results int `json:"results"`
 	// DoubleReports counts attempted terminal-to-terminal transitions;
 	// always zero unless the state machine is broken.
-	DoubleReports int
+	DoubleReports int `json:"doubleReports"`
 	// StoreConflicts counts conflicting result writes; always zero
 	// unless determinism is broken.
-	StoreConflicts int
+	StoreConflicts int `json:"storeConflicts"`
 	// Draining reports whether admission has stopped.
-	Draining bool
+	Draining bool `json:"draining"`
 	// Workers is the configured worker count.
-	Workers int
+	Workers int `json:"workers"`
 	// QuarantinedHashes lists the poisoned scenario hashes, sorted.
-	QuarantinedHashes []string
+	QuarantinedHashes []string `json:"quarantinedHashes"`
 
 	// JournalRecords and JournalBytes size the live write-ahead journal;
-	// JournalLag counts appended records not yet fsynced (FsyncBatch).
-	// All zero when the server runs without a state directory.
-	JournalRecords int64
-	JournalBytes   int64
-	JournalLag     int
+	// both zero when the server runs without a state directory.
+	JournalRecords int64 `json:"journalRecords"`
+	JournalBytes   int64 `json:"journalBytes"`
 	// StoreEntries counts result files in the persistent result store.
-	StoreEntries int
+	StoreEntries int `json:"storeEntries"`
 	// DiskDegraded reports that durable state was abandoned after an I/O
 	// error; DiskError is that error.
-	DiskDegraded bool
-	DiskError    string
+	DiskDegraded bool   `json:"diskDegraded"`
+	DiskError    string `json:"diskError,omitempty"`
 	// RecoveredJobs counts interrupted jobs re-enqueued by journal replay
 	// at boot.
-	RecoveredJobs int
+	RecoveredJobs int `json:"recoveredJobs"`
 	// CorruptFiles counts result files and journal records quarantined or
 	// skipped at boot; JournalTruncatedBytes counts torn-tail bytes moved
 	// to the .corrupt sidecar.
-	CorruptFiles          int
-	JournalTruncatedBytes int
+	CorruptFiles          int `json:"corruptFiles"`
+	JournalTruncatedBytes int `json:"journalTruncatedBytes"`
 }
 
 // Stats returns a consistent snapshot of the service state.
@@ -220,7 +222,6 @@ func (s *Server) Stats() Stats {
 
 		JournalRecords:        s.jrnStats.Records,
 		JournalBytes:          s.jrnStats.Bytes,
-		JournalLag:            s.jrnStats.Lag,
 		DiskDegraded:          s.diskDegraded,
 		DiskError:             s.diskErr,
 		RecoveredJobs:         s.recovered,
@@ -436,7 +437,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrQuarantined):
 		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
+		w.Header().Set("Retry-After", s.retryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrDisk):
 		writeJSON(w, http.StatusInsufficientStorage, map[string]string{"error": err.Error()})
@@ -512,50 +513,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// healthDoc is the /healthz document.
-type healthDoc struct {
-	Queued            int      `json:"queued"`
-	Running           int      `json:"running"`
-	Done              int      `json:"done"`
-	Failed            int      `json:"failed"`
-	Shed              int      `json:"shed"`
-	Quarantined       int      `json:"quarantined"`
-	QueueDepth        int      `json:"queueDepth"`
-	Admitted          int      `json:"admitted"`
-	Results           int      `json:"results"`
-	DoubleReports     int      `json:"doubleReports"`
-	StoreConflicts    int      `json:"storeConflicts"`
-	Draining          bool     `json:"draining"`
-	Workers           int      `json:"workers"`
-	QuarantinedHashes []string `json:"quarantinedHashes"`
-
-	JournalRecords        int64  `json:"journalRecords"`
-	JournalBytes          int64  `json:"journalBytes"`
-	JournalLag            int    `json:"journalLag"`
-	StoreEntries          int    `json:"storeEntries"`
-	DiskDegraded          bool   `json:"diskDegraded"`
-	DiskError             string `json:"diskError,omitempty"`
-	RecoveredJobs         int    `json:"recoveredJobs"`
-	CorruptFiles          int    `json:"corruptFiles"`
-	JournalTruncatedBytes int    `json:"journalTruncatedBytes"`
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.Stats()
-	writeJSON(w, http.StatusOK, healthDoc{
-		Queued: st.Queued, Running: st.Running, Done: st.Done,
-		Failed: st.Failed, Shed: st.Shed, Quarantined: st.Quarantined,
-		QueueDepth: st.QueueDepth, Admitted: st.Admitted,
-		Results: st.Results, DoubleReports: st.DoubleReports,
-		StoreConflicts: st.StoreConflicts, Draining: st.Draining,
-		Workers: st.Workers, QuarantinedHashes: st.QuarantinedHashes,
-
-		JournalRecords: st.JournalRecords, JournalBytes: st.JournalBytes,
-		JournalLag: st.JournalLag, StoreEntries: st.StoreEntries,
-		DiskDegraded: st.DiskDegraded, DiskError: st.DiskError,
-		RecoveredJobs: st.RecoveredJobs, CorruptFiles: st.CorruptFiles,
-		JournalTruncatedBytes: st.JournalTruncatedBytes,
-	})
+	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
@@ -564,7 +523,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	diskDown := s.diskDegraded && s.cfg.DiskPolicy == DiskFail
 	s.mu.Unlock()
 	if draining || diskDown {
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
+		w.Header().Set("Retry-After", s.retryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"ready": false, "draining": draining, "diskDegraded": diskDown,
 		})

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"github.com/flexray-go/coefficient/internal/experiment"
+	"github.com/flexray-go/coefficient/internal/serve/journal"
 )
 
 // instantSleep makes retry backoffs free in tests while preserving the
@@ -406,8 +406,8 @@ func TestRetryTimelineDeterministic(t *testing.T) {
 }
 
 func TestHTTPAPIEndToEnd(t *testing.T) {
-	cfg := testConfig()
-	cfg.ResultDir = filepath.Join(t.TempDir(), "served")
+	cfg := durableConfig(t)
+	cfg.RetryAfter = 400 * time.Millisecond
 	s := mustNew(t, cfg)
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -504,25 +504,39 @@ func TestHTTPAPIEndToEnd(t *testing.T) {
 		t.Errorf("readyz: status %d body %s", resp.StatusCode, rb)
 	}
 
-	// Drain: readiness flips, submissions bounce with Retry-After, the
-	// result store is flushed to disk.
+	// Drain: readiness flips and submissions bounce with a Retry-After
+	// rounded up to whole seconds, never down to "retry now".
 	drainAll(t, s)
 	if resp, _ := get("/readyz"); resp.StatusCode != http.StatusServiceUnavailable ||
-		resp.Header.Get("Retry-After") == "" {
-		t.Errorf("readyz during drain: status %d retry-after %q",
+		resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("readyz during drain: status %d retry-after %q, want 503 and 1",
 			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	if resp, _ := post(`{"seed": 6, "quick": true}`); resp.StatusCode != http.StatusServiceUnavailable ||
-		resp.Header.Get("Retry-After") == "" {
-		t.Errorf("submit during drain: status %d", resp.StatusCode)
+		resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("submit during drain: status %d retry-after %q, want 503 and 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	flushed := filepath.Join(cfg.ResultDir, accepted.Hash+".json")
-	data, err := os.ReadFile(flushed)
+
+	// The result persisted, checksummed, under the state directory.
+	disk, err := journal.OpenResultStore(journal.OS(), filepath.Join(cfg.StateDir, "results"))
 	if err != nil {
-		t.Fatalf("flushed result: %v", err)
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "Graceful degradation") {
-		t.Errorf("flushed result incomplete: %s", data)
+	payloads, corrupt, err := disk.Load()
+	if err != nil || corrupt != 0 {
+		t.Fatalf("load persisted results: %d corrupt, err %v", corrupt, err)
+	}
+	var persisted Result
+	if err := json.Unmarshal(payloads[accepted.Hash], &persisted); err != nil {
+		t.Fatalf("persisted result %s: %v", accepted.Hash, err)
+	}
+	served, ok := s.Store().Get(accepted.Hash)
+	if !ok {
+		t.Fatal("result missing from the in-memory store")
+	}
+	if persisted.Table != served.Table || !strings.Contains(persisted.Table, "Graceful degradation") {
+		t.Errorf("persisted table differs from the served one:\n%s\nvs\n%s", persisted.Table, served.Table)
 	}
 }
 
@@ -576,6 +590,22 @@ func TestHealthzReportsDurabilityGauges(t *testing.T) {
 	}
 
 	doc := gauges()
+	// The exact key set: bench/ and CI parse these names.
+	keys := make([]string, 0, len(doc))
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	wantKeys := []string{
+		"admitted", "corruptFiles", "diskDegraded", "done", "doubleReports",
+		"draining", "failed", "journalBytes", "journalRecords",
+		"journalTruncatedBytes", "quarantined", "quarantinedHashes",
+		"queueDepth", "queued", "recoveredJobs", "results", "running",
+		"shed", "storeConflicts", "storeEntries", "workers",
+	}
+	if strings.Join(keys, ",") != strings.Join(wantKeys, ",") {
+		t.Errorf("healthz keys\n got %v\nwant %v", keys, wantKeys)
+	}
 	if got := doc["recoveredJobs"]; got != float64(2) {
 		t.Errorf("recoveredJobs = %v, want 2", got)
 	}

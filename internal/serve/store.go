@@ -1,12 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 
 	"github.com/flexray-go/coefficient/internal/experiment"
@@ -79,54 +74,4 @@ func (s *Store) Conflicts() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.conflicts
-}
-
-// Flush writes every result to dir as <hash>.json, in sorted hash order
-// so the write sequence (and any partial flush after a mid-way error)
-// is deterministic.  Close errors propagate: the final buffered write
-// happens in Close, and a silently truncated result file would defeat
-// the no-result-lost guarantee the flush exists to provide.
-func (s *Store) Flush(dir string) error {
-	s.mu.Lock()
-	hashes := make([]string, 0, len(s.byHash))
-	for h := range s.byHash {
-		hashes = append(hashes, h)
-	}
-	sort.Strings(hashes)
-	results := make([]*Result, len(hashes))
-	for i, h := range hashes {
-		results[i] = s.byHash[h]
-	}
-	s.mu.Unlock()
-
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, r := range results {
-		path := filepath.Join(dir, r.Hash+".json")
-		err := writeFile(path, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(r)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeFile creates path, hands it to write, and propagates the Close
-// error if write itself succeeded.
-func writeFile(path string, write func(io.Writer) error) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("close %s: %w", path, cerr)
-		}
-	}()
-	return write(f)
 }
