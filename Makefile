@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race benchmod fuzz corpus corpus-update experiments experiments-update profile lint ci
+.PHONY: all vet build test race benchmod examples fuzz corpus corpus-update experiments experiments-update profile lint ci
 
 all: ci
 
@@ -47,6 +47,14 @@ race:
 # it compiles against the sim API, so vet and test it offline here.
 benchmod:
 	cd bench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test -count=1 ./...
+
+# Run every example program end to end: compiling them is not enough,
+# since an example that builds can still fail (or log.Fatal) at run time.
+examples:
+	@for dir in examples/*/; do \
+		echo "== go run ./$$dir"; \
+		$(GO) run "./$$dir" || exit 1; \
+	done
 
 # Short fuzz passes over the scenario-DSL parser, the wire-format
 # decoder and the trace JSON encoder; FUZZTIME can be raised for deeper
@@ -104,4 +112,4 @@ profile: build
 		-cpuprofile $(PROFDIR)/bench_cpu.pprof -memprofile $(PROFDIR)/bench_mem.pprof -o $(PROFDIR)/bench.test .
 	@echo "profiles written to $(PROFDIR)/ (inspect: go tool pprof -top $(PROFDIR)/cpu.pprof)"
 
-ci: lint build test race benchmod
+ci: lint build test race benchmod examples

@@ -511,21 +511,6 @@ func BenchmarkScheduleSynthesis(b *testing.B) {
 	}
 }
 
-// BenchmarkClockSync measures one 200-cycle synchronization run.
-func BenchmarkClockSync(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := coefficient.SimulateClockSync(coefficient.ClockSyncConfig{
-			Cycles: 200, SyncNodes: 10, MaxInitialOffset: 400,
-			MaxDrift: 3, MeasurementNoise: 2, Seed: uint64(i),
-		}, 40)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = rep
-	}
-}
-
 // BenchmarkStartup measures one coldstart run of a 10-node cluster.
 func BenchmarkStartup(b *testing.B) {
 	b.ReportAllocs()

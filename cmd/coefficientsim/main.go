@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"github.com/flexray-go/coefficient/internal/experiment"
@@ -42,6 +43,10 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// allExperiments lists every experiment runOne knows, in the order
+// `-experiment all` runs them.
+var allExperiments = []string{"fig1", "fig2", "fig3", "fig4", "fig4a", "fig5", "ablation", "synthesis", "wcrt", "degradation", "timing"}
 
 // options carries the parsed CLI configuration shared by the experiment
 // dispatch.
@@ -88,6 +93,21 @@ func run(ctx context.Context, args []string) (retErr error) {
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel %d: must be 0 (all cores) or positive", *parallel)
 	}
+	if *guards != "both" && *guards != "on" && *guards != "off" {
+		return fmt.Errorf("unknown guardians %q (want both, on or off)", *guards)
+	}
+	// Every name is checked before anything runs, so a bad name late in
+	// the list cannot leave a partial -output file behind.
+	names := allExperiments
+	if *exp != "all" {
+		names = strings.Split(*exp, ",")
+		for i, name := range names {
+			names[i] = strings.TrimSpace(name)
+			if !slices.Contains(allExperiments, names[i]) {
+				return fmt.Errorf("unknown experiment %q", names[i])
+			}
+		}
+	}
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
 		return err
@@ -123,14 +143,6 @@ func run(ctx context.Context, args []string) (retErr error) {
 			return err
 		}
 		opts.scn = s
-	}
-
-	names := strings.Split(*exp, ",")
-	if *exp == "all" {
-		names = []string{"fig1", "fig2", "fig3", "fig4", "fig4a", "fig5", "ablation", "synthesis", "wcrt", "degradation", "timing"}
-	}
-	for i, name := range names {
-		names[i] = strings.TrimSpace(name)
 	}
 
 	emitAll := func(w io.Writer) error {

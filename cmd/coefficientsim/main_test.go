@@ -3,7 +3,9 @@ package main
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -81,9 +83,21 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-experiment", "timing", "-quick", "-drift", "-50"},
 		{"-experiment", "fig5", "-quick", "-replicas", "-5"},
 		{"-experiment", "fig3", "-quick", "-parallel", "-3"},
+		{"-experiment", "fig3", "-quick", "-guardians", "bogus"},
 	} {
 		if err := run(context.Background(), args); err == nil {
 			t.Errorf("%v accepted", args)
+		}
+	}
+	// A bad name anywhere in the list fails before the first experiment
+	// runs, so no partial output file is written.
+	path := filepath.Join(t.TempDir(), "out.txt")
+	for _, exp := range []string{"fig3,bogus", "fig3,all"} {
+		if err := run(context.Background(), []string{"-experiment", exp, "-quick", "-output", path}); err == nil {
+			t.Errorf("-experiment %s accepted", exp)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("-experiment %s left an output file behind (stat: %v)", exp, err)
 		}
 	}
 }

@@ -30,7 +30,6 @@ import (
 
 	"github.com/flexray-go/coefficient/internal/adapt"
 	"github.com/flexray-go/coefficient/internal/analysis"
-	"github.com/flexray-go/coefficient/internal/clocksync"
 	"github.com/flexray-go/coefficient/internal/core"
 	"github.com/flexray-go/coefficient/internal/experiment"
 	"github.com/flexray-go/coefficient/internal/fault"
@@ -89,6 +88,11 @@ const (
 type (
 	// SimOptions configures one simulation run.
 	SimOptions = sim.Options
+	// TimingOptions gives every node a drifting local clock kept in step
+	// by the FTM offset/rate correction loop (SimOptions.Timing).  A
+	// scenario that scripts timing faults turns the layer on by itself,
+	// with SyncEnabled false.
+	TimingOptions = sim.TimingOptions
 	// SimResult is the outcome of a run.
 	SimResult = sim.Result
 	// Scheduler is the policy interface both schedulers implement.
@@ -199,8 +203,6 @@ type (
 	ScheduleTable = schedule.Table
 	// ScheduleEntry is one schedule-table row.
 	ScheduleEntry = schedule.Entry
-	// GilbertElliottConfig parameterizes the burst fault model.
-	GilbertElliottConfig = fault.GilbertElliottConfig
 	// ScheduleSynthesis is a slot-multiplexed static schedule.
 	ScheduleSynthesis = schedule.Synthesis
 	// ScheduleAssignment binds one message to a synthesized slot cadence.
@@ -258,26 +260,6 @@ func SimulateStartup(cfg StartupConfig) (StartupReport, error) {
 	return startup.Simulate(cfg)
 }
 
-// Clock synchronization.
-type (
-	// ClockSyncConfig parameterizes a clock synchronization simulation.
-	ClockSyncConfig = clocksync.Config
-	// ClockSyncReport summarizes achieved precision.
-	ClockSyncReport = clocksync.Report
-)
-
-// FTM computes the FlexRay fault-tolerant midpoint of deviation
-// measurements.
-func FTM(measurements []Macrotick) (Macrotick, error) {
-	return clocksync.FTM(measurements)
-}
-
-// SimulateClockSync runs the FlexRay offset/rate correction loop and
-// reports the achieved precision against the bound.
-func SimulateClockSync(cfg ClockSyncConfig, bound Macrotick) (ClockSyncReport, error) {
-	return clocksync.Simulate(cfg, bound)
-}
-
 // BuildSchedule derives the static schedule table (base cycle and
 // repetition per message) for the workload under the configuration, with
 // per-message feasibility checks.
@@ -295,11 +277,6 @@ func SynthesizeSchedule(set MessageSet, cfg Config) (*ScheduleSynthesis, error) 
 // the workload under the configuration.
 func MinScheduleSlots(set MessageSet, cfg Config) (int, error) {
 	return schedule.MinCycleLoad(set, cfg)
-}
-
-// NewGilbertElliott returns a two-state burst fault injector.
-func NewGilbertElliott(cfg GilbertElliottConfig, seed uint64) (FaultInjector, error) {
-	return fault.NewGilbertElliott(cfg, seed)
 }
 
 // NewCoEfficient returns the paper's scheduler.

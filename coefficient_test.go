@@ -189,22 +189,22 @@ func TestPublicAPISurface(t *testing.T) {
 		t.Errorf("JoinCycle = %v", boot.JoinCycle)
 	}
 
-	syncRep, err := coefficient.SimulateClockSync(coefficient.ClockSyncConfig{
-		Cycles: 50, SyncNodes: 4, MaxInitialOffset: 100, MaxDrift: 2,
-		MeasurementNoise: 1, Seed: 1,
-	}, 50)
+	synced, err := coefficient.Simulate(coefficient.SimOptions{
+		Config:   lat.Config,
+		Workload: set,
+		BitRate:  lat.BitRate,
+		Mode:     coefficient.Streaming,
+		Duration: 20 * time.Millisecond,
+		Seed:     1,
+		Timing:   &coefficient.TimingOptions{DriftPPM: 100, JitterMicroticks: 4, SyncEnabled: true},
+	}, coefficient.NewCoEfficient(coefficient.SchedulerOptions{BER: 1e-7}))
 	if err != nil {
-		t.Fatalf("SimulateClockSync: %v", err)
+		t.Fatalf("Simulate with Timing: %v", err)
 	}
-	if !syncRep.Converged {
-		t.Errorf("clock sync did not converge: %+v", syncRep)
+	if synced.Report.Sync.Corrections == 0 {
+		t.Errorf("FTM loop applied no corrections: %+v", synced.Report.Sync)
 	}
 
-	if _, err := coefficient.NewGilbertElliott(coefficient.GilbertElliottConfig{
-		BERGood: 1e-7, BERBad: 1e-3, PGoodToBad: 0.01, PBadToGood: 0.1,
-	}, 1); err != nil {
-		t.Errorf("NewGilbertElliott: %v", err)
-	}
 	if got := coefficient.NewFSPEC(coefficient.FSPECOptions{}).Name(); got != "FSPEC" {
 		t.Errorf("NewFSPEC Name = %q", got)
 	}

@@ -85,14 +85,3 @@ func ExampleFrameFailureProb() {
 	// Output:
 	// p_z = 0.0002
 }
-
-// ExampleFTM shows the fault-tolerant midpoint discarding outliers.
-func ExampleFTM() {
-	mid, err := coefficient.FTM([]coefficient.Macrotick{-900, 2, 4, 10, 900})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(mid)
-	// Output:
-	// 6
-}

@@ -9,28 +9,19 @@
 // deviation of the sync frames it observes against their expected slot
 // boundaries.  The FTM discards the k largest and k smallest measurements
 // (k graded by how many measurements there are, so up to k faulty clocks
-// cannot steer the correction) and averages the remaining extremes; the
-// result feeds an offset correction applied in the network idle time of
-// every odd cycle, and a rate correction derived from the change between
-// paired measurements a double-cycle apart.
+// cannot steer the correction) and takes the midpoint of the remaining
+// extremes; the result feeds an offset correction applied in the network
+// idle time of every odd cycle, and a rate correction derived from the
+// change between paired measurements a double-cycle apart.
 package clocksync
 
 import (
 	"errors"
-	"fmt"
-	"sort"
-
-	"github.com/flexray-go/coefficient/internal/fault"
-	"github.com/flexray-go/coefficient/internal/timebase"
+	"slices"
 )
 
-// Errors returned by the package.
-var (
-	// ErrNoMeasurements is returned when FTM receives an empty list.
-	ErrNoMeasurements = errors.New("clocksync: no deviation measurements")
-	// ErrBadConfig is returned for invalid simulation parameters.
-	ErrBadConfig = errors.New("clocksync: invalid configuration")
-)
+// ErrNoMeasurements is returned when FTM receives an empty list.
+var ErrNoMeasurements = errors.New("clocksync: no deviation measurements")
 
 // FTMDiscard returns k, the number of extreme values the fault-tolerant
 // midpoint discards from each end, per the FlexRay specification's grading:
@@ -49,176 +40,15 @@ func FTMDiscard(n int) int {
 // FTM computes the fault-tolerant midpoint of the deviation measurements:
 // after discarding the k largest and k smallest values, it returns the
 // midpoint of the remaining extremes (rounded toward zero, as the
-// specification's integer arithmetic does).
-func FTM(measurements []timebase.Macrotick) (timebase.Macrotick, error) {
+// specification's integer arithmetic does).  The input is not modified.
+func FTM(measurements []int64) (int64, error) {
 	n := len(measurements)
 	if n == 0 {
 		return 0, ErrNoMeasurements
 	}
-	sorted := append([]timebase.Macrotick(nil), measurements...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(measurements)
+	slices.Sort(sorted)
 	k := FTMDiscard(n)
 	lo, hi := sorted[k], sorted[n-1-k]
 	return (lo + hi) / 2, nil
-}
-
-// NodeClock models one node's local clock: a fixed rate drift plus an
-// accumulated offset from the global time base.
-type NodeClock struct {
-	// Name labels the node.
-	Name string
-	// Offset is the current deviation from global time in microticks.
-	Offset timebase.Macrotick
-	// DriftPerCycle is how many microticks the clock gains (positive) or
-	// loses per communication cycle due to oscillator rate error.
-	DriftPerCycle timebase.Macrotick
-	// rateCorrection is the learned per-cycle correction.
-	rateCorrection timebase.Macrotick
-	// Faulty marks a node whose measurements are adversarial (it reports
-	// garbage); FTM must tolerate up to k of these.
-	Faulty bool
-}
-
-// Config parameterizes a synchronization simulation.
-type Config struct {
-	// Cycles is the number of communication cycles to simulate.
-	Cycles int
-	// SyncNodes is the number of clocks participating (≥ 2).
-	SyncNodes int
-	// MaxInitialOffset bounds the random initial offsets (± range).
-	MaxInitialOffset timebase.Macrotick
-	// MaxDrift bounds the random per-cycle drift (± range).
-	MaxDrift timebase.Macrotick
-	// MeasurementNoise bounds the random per-measurement error (± range).
-	MeasurementNoise timebase.Macrotick
-	// FaultyNodes is the number of adversarial clocks (their measurements
-	// are extreme outliers).
-	FaultyNodes int
-	// Seed drives all randomness.
-	Seed uint64
-}
-
-// Report summarizes a synchronization run.
-type Report struct {
-	// InitialPrecision is the largest pairwise offset before correction.
-	InitialPrecision timebase.Macrotick
-	// FinalPrecision is the largest pairwise offset among non-faulty
-	// nodes after the last cycle.
-	FinalPrecision timebase.Macrotick
-	// WorstPrecision is the largest pairwise offset among non-faulty
-	// nodes observed in the second half of the run (steady state).
-	WorstPrecision timebase.Macrotick
-	// Converged reports whether steady-state precision stayed within the
-	// convergence bound handed to Simulate.
-	Converged bool
-}
-
-// Simulate runs the offset- and rate-correction loop over the configured
-// cycles and reports the achieved precision.  bound is the steady-state
-// precision the caller requires (e.g. a fraction of gdStaticSlot).
-func Simulate(cfg Config, bound timebase.Macrotick) (Report, error) {
-	if cfg.Cycles < 4 || cfg.SyncNodes < 2 {
-		return Report{}, fmt.Errorf("%w: cycles %d, nodes %d",
-			ErrBadConfig, cfg.Cycles, cfg.SyncNodes)
-	}
-	if cfg.FaultyNodes < 0 || cfg.FaultyNodes >= cfg.SyncNodes {
-		return Report{}, fmt.Errorf("%w: %d faulty of %d",
-			ErrBadConfig, cfg.FaultyNodes, cfg.SyncNodes)
-	}
-	rng := fault.NewRNG(cfg.Seed ^ 0xC10C)
-
-	nodes := make([]*NodeClock, cfg.SyncNodes)
-	symRange := func(r timebase.Macrotick) timebase.Macrotick {
-		if r <= 0 {
-			return 0
-		}
-		return timebase.Macrotick(rng.Intn(int(2*r+1))) - r
-	}
-	for i := range nodes {
-		nodes[i] = &NodeClock{
-			Name:          fmt.Sprintf("sync-%02d", i),
-			Offset:        symRange(cfg.MaxInitialOffset),
-			DriftPerCycle: symRange(cfg.MaxDrift),
-			Faulty:        i < cfg.FaultyNodes,
-		}
-	}
-
-	rep := Report{InitialPrecision: precision(nodes)}
-	prevDeviation := make(map[*NodeClock][]timebase.Macrotick, len(nodes))
-
-	for cycle := 0; cycle < cfg.Cycles; cycle++ {
-		// Clocks drift every cycle, corrected by the learned rate.
-		for _, n := range nodes {
-			n.Offset += n.DriftPerCycle - n.rateCorrection
-		}
-		// Every node measures each sync node's frame arrival deviation:
-		// the difference between the sender's clock and its own, plus
-		// measurement noise.  Faulty senders report wild values.
-		for _, observer := range nodes {
-			devs := make([]timebase.Macrotick, 0, len(nodes)-1)
-			for _, sender := range nodes {
-				if sender == observer {
-					continue
-				}
-				var d timebase.Macrotick
-				if sender.Faulty {
-					d = 10*cfg.MaxInitialOffset + timebase.Macrotick(rng.Intn(1000))
-				} else {
-					d = sender.Offset - observer.Offset + symRange(cfg.MeasurementNoise)
-				}
-				devs = append(devs, d)
-			}
-			// Offset correction in odd cycles (FlexRay applies it in
-			// the NIT of every odd cycle).
-			if cycle%2 == 1 {
-				mid, err := FTM(devs)
-				if err == nil && !observer.Faulty {
-					observer.Offset += mid / 2
-				}
-			}
-			// Rate correction from paired measurements a double-cycle
-			// apart: the change in midpoint estimates the relative
-			// rate error.
-			if prev, ok := prevDeviation[observer]; ok && cycle%2 == 1 && !observer.Faulty {
-				cur, err1 := FTM(devs)
-				old, err2 := FTM(prev)
-				if err1 == nil && err2 == nil {
-					observer.rateCorrection -= (cur - old) / 4
-				}
-			}
-			prevDeviation[observer] = devs
-		}
-
-		if cycle >= cfg.Cycles/2 {
-			if p := precision(nodes); p > rep.WorstPrecision {
-				rep.WorstPrecision = p
-			}
-		}
-	}
-	rep.FinalPrecision = precision(nodes)
-	rep.Converged = rep.WorstPrecision <= bound
-	return rep, nil
-}
-
-// precision returns the largest pairwise offset among non-faulty clocks.
-func precision(nodes []*NodeClock) timebase.Macrotick {
-	var lo, hi timebase.Macrotick
-	first := true
-	for _, n := range nodes {
-		if n.Faulty {
-			continue
-		}
-		if first {
-			lo, hi = n.Offset, n.Offset
-			first = false
-			continue
-		}
-		if n.Offset < lo {
-			lo = n.Offset
-		}
-		if n.Offset > hi {
-			hi = n.Offset
-		}
-	}
-	return hi - lo
 }

@@ -1,9 +1,8 @@
-// Local clock model for the cluster simulator: where Simulate (clocksync.go)
-// studies the FTM algorithm in isolation, LocalClock gives every node of the
-// discrete-event simulator (internal/sim) its own oscillator — a parts-per-
-// million rate error plus bounded measurement jitter — so the engine can run
-// the offset/rate correction loop against *protocol traffic* and surface the
-// timing faults a perfect shared macrotick hides.
+// Local clock model for the cluster simulator: LocalClock gives every node
+// of the discrete-event simulator (internal/sim) its own oscillator — a
+// parts-per-million rate error plus bounded measurement jitter — so the
+// engine can run the offset/rate correction loop against *protocol traffic*
+// and surface the timing faults a perfect shared macrotick hides.
 //
 // Offsets are tracked in microticks, the sub-macrotick unit node clocks
 // actually count in (FlexRay: µT = 25ns against a 1µs macrotick), so that a
@@ -138,14 +137,4 @@ func (c *LocalClock) AdjustRate(deltaUT int64) {
 func (c *LocalClock) Resync() {
 	c.offsetUT = 0
 	c.rateCorrUT = 0
-}
-
-// FTM64 is FTM over raw microtick measurements.
-func FTM64(measurements []int64) (int64, error) {
-	mt := make([]timebase.Macrotick, len(measurements))
-	for i, v := range measurements {
-		mt[i] = timebase.Macrotick(v)
-	}
-	mid, err := FTM(mt)
-	return int64(mid), err
 }

@@ -86,17 +86,6 @@ func TestLocalClockMeasurementJitterBoundedAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestFTM64(t *testing.T) {
-	mid, err := FTM64([]int64{-30, -5, 0, 5, 900})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// n=5 → k=1: discard -30 and 900, midpoint of (-5, 5) = 0.
-	if mid != 0 {
-		t.Fatalf("FTM64 = %d, want 0", mid)
-	}
-}
-
 func TestPOCStateString(t *testing.T) {
 	cases := map[POCState]string{
 		POCNormalActive:  "normal-active",

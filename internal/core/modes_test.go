@@ -9,6 +9,7 @@ import (
 	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/metrics"
 	"github.com/flexray-go/coefficient/internal/reliability"
+	"github.com/flexray-go/coefficient/internal/scenario"
 	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/sim"
 )
@@ -91,25 +92,25 @@ func TestReactiveRecoversFaults(t *testing.T) {
 
 // Burst faults (Gilbert–Elliott) must not break recovery: CoEfficient still
 // delivers, and the injector reports a fault rate above the good-state
-// baseline.
+// baseline.  The burst window covers the whole run on channel A.
 func TestCoEfficientUnderBurstFaults(t *testing.T) {
-	ge, err := fault.NewGilbertElliott(fault.GilbertElliottConfig{
-		BERGood:    1e-6,
-		BERBad:     5e-3,
-		PGoodToBad: 0.002,
-		PBadToGood: 0.05,
-	}, 77)
-	if err != nil {
-		t.Fatalf("NewGilbertElliott: %v", err)
-	}
+	const horizon = 500 * time.Millisecond
 	sched := core.New(core.Options{BER: 1e-4, Goal: 0.999})
 	res, err := sim.Run(sim.Options{
-		Config:    testConfig(),
-		Workload:  mixedWorkload(),
-		Mode:      sim.Streaming,
-		Duration:  500 * time.Millisecond,
-		Seed:      7,
-		InjectorA: ge,
+		Config:   testConfig(),
+		Workload: mixedWorkload(),
+		Mode:     sim.Streaming,
+		Duration: horizon,
+		Seed:     7,
+		Scenario: &scenario.Scenario{Name: "burst-a", Channels: map[string]*scenario.Channel{
+			"A": {Bursts: []scenario.Burst{{
+				End:        scenario.Duration(horizon),
+				BERGood:    1e-6,
+				BERBad:     5e-3,
+				PGoodToBad: 0.002,
+				PBadToGood: 0.05,
+			}}},
+		}},
 	}, sched)
 	if err != nil {
 		t.Fatalf("Run: %v", err)

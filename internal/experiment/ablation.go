@@ -25,16 +25,13 @@ type AblationRow struct {
 	StolenStatic int64
 }
 
-// AblationOptions configures the ablation sweep.
+// AblationOptions configures the ablation sweep (BER-7 setting, 50
+// minislots).
 type AblationOptions struct {
-	// Scenario defaults to BER7.
-	Scenario Scenario
 	// Seed drives arrivals and faults.
 	Seed uint64
 	// Quick shrinks the horizon.
 	Quick bool
-	// Minislots defaults to 50.
-	Minislots int
 	// Parallel is the sweep worker count: 0 uses every core, 1 runs
 	// serially.  The rows are identical for every value.
 	Parallel int
@@ -48,22 +45,17 @@ type AblationOptions struct {
 // BBW + SAE workload: the full CoEfficient configuration against variants
 // with one mechanism disabled each.
 func Ablations(opts AblationOptions) ([]AblationRow, error) {
-	if opts.Scenario.Label == "" {
-		opts.Scenario = BER7()
-	}
-	if opts.Minislots <= 0 {
-		opts.Minislots = 50
-	}
 	set, err := latencyWorkload(workload.BBW(), latencyStaticSlots, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	setup, err := LatencySetup(set, latencyStaticSlots, opts.Minislots)
+	setup, err := LatencySetup(set, latencyStaticSlots, latencyMinislots)
 	if err != nil {
 		return nil, err
 	}
 
-	base := core.Options{BER: opts.Scenario.BER, Goal: opts.Scenario.Goal, Unit: PlanUnit}
+	sc := BER7()
+	base := core.Options{BER: sc.BER, Goal: sc.Goal, Unit: PlanUnit}
 	variants := []struct {
 		name   string
 		mutate func(*core.Options)
@@ -82,7 +74,7 @@ func Ablations(opts AblationOptions) ([]AblationRow, error) {
 		o := base
 		v.mutate(&o)
 		sched := core.New(o)
-		res, err := runStreaming(set, setup, opts.Scenario, sched, opts.Seed, opts.Quick)
+		res, err := runStreaming(set, setup, sc, sched, opts.Seed, opts.Quick)
 		if err != nil {
 			return AblationRow{}, fmt.Errorf("ablation %s: %w", v.name, err)
 		}

@@ -23,6 +23,11 @@ const latencyStaticSlots = 30
 // paper plots static frame IDs 1..80.
 const syntheticStaticSlots = 80
 
+// latencyMinislots is the dynamic segment size of the single-setup
+// harnesses on the 1 ms cycle: Figure 4(a), the ablations, the WCRT
+// analysis and the timing-fault comparison.
+const latencyMinislots = 50
+
 // latencyWorkload assembles a streaming workload: the given static set plus
 // the SAE aperiodic set with frame IDs starting just above the static slot
 // range, so the FTDMA slot counter can actually reach them (the paper's IDs
@@ -88,10 +93,8 @@ type UtilizationRow struct {
 	Useful, Raw float64
 }
 
-// UtilizationOptions configures the Figure 3 harness.
+// UtilizationOptions configures the Figure 3 harness (BER-7 setting).
 type UtilizationOptions struct {
-	// Scenario defaults to BER7.
-	Scenario Scenario
 	// Seed drives arrivals and faults.
 	Seed uint64
 	// Quick shrinks the horizon.
@@ -109,9 +112,6 @@ type UtilizationOptions struct {
 }
 
 func (o *UtilizationOptions) fill() {
-	if o.Scenario.Label == "" {
-		o.Scenario = BER7()
-	}
 	if len(o.Minislots) == 0 {
 		o.Minislots = []int{25, 50, 75, 100}
 	}
@@ -138,11 +138,12 @@ func Utilization(opts UtilizationOptions) ([]UtilizationRow, error) {
 	// read-only, every cell derives its own scheduler and injectors.
 	const nSched = 2
 	cells := len(opts.Minislots) * nSched
+	sc := BER7()
 	return runner.MapCtx(opts.Ctx, opts.Parallel, cells, func(i int) (UtilizationRow, error) {
 		ms := opts.Minislots[i/nSched]
 		setup := setups[i/nSched]
-		sched := schedulers(set, opts.Scenario)[i%nSched]
-		res, err := runStreaming(set, setup, opts.Scenario, sched, opts.Seed, opts.Quick)
+		sched := schedulers(set, sc)[i%nSched]
+		res, err := runStreaming(set, setup, sc, sched, opts.Seed, opts.Quick)
 		if err != nil {
 			return UtilizationRow{}, fmt.Errorf("fig3 %d minislots: %w", ms, err)
 		}
@@ -206,11 +207,9 @@ type LatencyOptions struct {
 	Quick bool
 	// Minislots defaults to {50, 100}.
 	Minislots []int
-	// Workloads defaults to {"synthetic", "BBW", "ACC"}.
+	// Workloads defaults to {"synthetic", "BBW", "ACC"}; the synthetic
+	// static set has 80 messages, the paper's frame IDs 1..80.
 	Workloads []string
-	// SyntheticMessages is the synthetic static set size (default 80, the
-	// paper's frame IDs 1..80).
-	SyntheticMessages int
 	// Parallel is the sweep worker count: 0 uses every core, 1 runs
 	// serially.  The rows are identical for every value.
 	Parallel int
@@ -229,9 +228,6 @@ func (o *LatencyOptions) fill() {
 	}
 	if len(o.Workloads) == 0 {
 		o.Workloads = []string{"synthetic", "BBW", "ACC"}
-	}
-	if o.SyntheticMessages <= 0 {
-		o.SyntheticMessages = syntheticStaticSlots
 	}
 }
 
@@ -262,7 +258,7 @@ func Latency(opts LatencyOptions) ([]LatencyRow, error) {
 		msIdx[ms] = j
 	}
 	for _, wl := range opts.Workloads {
-		staticSet, staticSlots, err := latencyStaticSet(wl, opts)
+		staticSet, staticSlots, err := latencyStaticSet(wl, opts.Seed, syntheticStaticSlots)
 		if err != nil {
 			return nil, err
 		}
@@ -312,7 +308,9 @@ func Latency(opts LatencyOptions) ([]LatencyRow, error) {
 	})
 }
 
-func latencyStaticSet(wl string, opts LatencyOptions) (signal.Set, int, error) {
+// latencyStaticSet returns the static set of one Figure 4 workload and
+// its static slot count; the synthetic workload draws n messages.
+func latencyStaticSet(wl string, seed uint64, n int) (signal.Set, int, error) {
 	switch wl {
 	case "BBW":
 		return workload.BBW(), latencyStaticSlots, nil
@@ -320,8 +318,8 @@ func latencyStaticSet(wl string, opts LatencyOptions) (signal.Set, int, error) {
 		return workload.ACC(), latencyStaticSlots, nil
 	case "synthetic":
 		syn, err := workload.Synthetic(workload.SyntheticOptions{
-			Messages: opts.SyntheticMessages,
-			Seed:     deriveSeed(opts.Seed, seedStreamSynthetic, uint64(opts.SyntheticMessages)),
+			Messages: n,
+			Seed:     deriveSeed(seed, seedStreamSynthetic, uint64(n)),
 		})
 		if err != nil {
 			return signal.Set{}, 0, err

@@ -20,16 +20,13 @@ type FrameLatencyRow struct {
 	Mean time.Duration
 }
 
-// FrameLatencyOptions configures the per-frame-ID harness.
+// FrameLatencyOptions configures the per-frame-ID harness (BER-7
+// setting, 50 minislots).
 type FrameLatencyOptions struct {
-	// Scenario defaults to BER7.
-	Scenario Scenario
 	// Seed drives arrivals and faults.
 	Seed uint64
 	// Quick shrinks the horizon.
 	Quick bool
-	// Minislots defaults to 50.
-	Minislots int
 	// Messages is the synthetic static set size (default 80, the paper's
 	// frame IDs 1..80).
 	Messages int
@@ -43,12 +40,6 @@ type FrameLatencyOptions struct {
 }
 
 func (o *FrameLatencyOptions) fill() {
-	if o.Scenario.Label == "" {
-		o.Scenario = BER7()
-	}
-	if o.Minislots <= 0 {
-		o.Minislots = 50
-	}
 	if o.Messages <= 0 {
 		o.Messages = syntheticStaticSlots
 	}
@@ -58,10 +49,7 @@ func (o *FrameLatencyOptions) fill() {
 // per frame ID (1..Messages) on the synthetic workload, for both schedulers.
 func FrameLatency(opts FrameLatencyOptions) ([]FrameLatencyRow, error) {
 	opts.fill()
-	staticSet, staticSlots, err := latencyStaticSet("synthetic", LatencyOptions{
-		Seed:              opts.Seed,
-		SyntheticMessages: opts.Messages,
-	})
+	staticSet, staticSlots, err := latencyStaticSet("synthetic", opts.Seed, opts.Messages)
 	if err != nil {
 		return nil, err
 	}
@@ -69,13 +57,14 @@ func FrameLatency(opts FrameLatencyOptions) ([]FrameLatencyRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	setup, err := LatencySetup(set, staticSlots, opts.Minislots)
+	setup, err := LatencySetup(set, staticSlots, latencyMinislots)
 	if err != nil {
 		return nil, err
 	}
+	sc := BER7()
 	rows, err := runner.FlatMapCtx(opts.Ctx, opts.Parallel, 2, func(schedIdx int) ([]FrameLatencyRow, error) {
-		sched := schedulers(set, opts.Scenario)[schedIdx]
-		res, err := runStreaming(set, setup, opts.Scenario, sched, opts.Seed, opts.Quick)
+		sched := schedulers(set, sc)[schedIdx]
+		res, err := runStreaming(set, setup, sc, sched, opts.Seed, opts.Quick)
 		if err != nil {
 			return nil, fmt.Errorf("fig4a: %w", err)
 		}

@@ -387,7 +387,7 @@ func TestOptionDefaultsFill(t *testing.T) {
 	}
 	var lo LatencyOptions
 	lo.fill()
-	if len(lo.Scenarios) != 2 || len(lo.Workloads) != 3 || lo.SyntheticMessages != 80 {
+	if len(lo.Scenarios) != 2 || len(lo.Workloads) != 3 {
 		t.Errorf("LatencyOptions defaults: %+v", lo)
 	}
 	var mo MissOptions
@@ -401,7 +401,7 @@ func TestOptionDefaultsFill(t *testing.T) {
 	if batchInstances(false) <= batchInstances(true) {
 		t.Error("full batch not above quick")
 	}
-	if _, _, err := latencyStaticSet("nope", LatencyOptions{}); err == nil {
+	if _, _, err := latencyStaticSet("nope", 1, syntheticStaticSlots); err == nil {
 		t.Error("unknown workload accepted by latencyStaticSet")
 	}
 }

@@ -31,19 +31,15 @@ type SynthesisRow struct {
 type SynthesisOptions struct {
 	// Seed drives the synthetic workload.
 	Seed uint64
-	// SyntheticMessages is the synthetic set size (default 40).
-	SyntheticMessages int
 }
 
-// Synthesis compares schedule widths for BBW, ACC and a synthetic set on
-// the 1 ms cycle.
+// Synthesis compares schedule widths for BBW, ACC and a 40-message
+// synthetic set on the 1 ms cycle.
 func Synthesis(opts SynthesisOptions) ([]SynthesisRow, error) {
-	if opts.SyntheticMessages <= 0 {
-		opts.SyntheticMessages = 40
-	}
+	const syntheticMessages = 40
 	syn, err := workload.Synthetic(workload.SyntheticOptions{
-		Messages: opts.SyntheticMessages,
-		Seed:     deriveSeed(opts.Seed, seedStreamSynthetic, uint64(opts.SyntheticMessages)),
+		Messages: syntheticMessages,
+		Seed:     deriveSeed(opts.Seed, seedStreamSynthetic, syntheticMessages),
 	})
 	if err != nil {
 		return nil, err

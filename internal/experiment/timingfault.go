@@ -43,21 +43,18 @@ type TimingFaultRow struct {
 	Sync metrics.SyncGauges
 }
 
-// TimingFaultOptions configures the timing-fault harness.
+// TimingFaultOptions configures the timing-fault harness (BER-7 goal
+// setting, 50 minislots).
 type TimingFaultOptions struct {
 	// Seed drives arrivals, per-node drift draws and measurement jitter.
 	Seed uint64
 	// Quick shrinks the horizon.
 	Quick bool
-	// Minislots is the dynamic segment size (default 50).
-	Minislots int
 	// DriftPPM bounds the per-node oscillator error (default 100).
 	DriftPPM float64
 	// Guardians selects the babbling-idiot variants: "both" (default),
 	// "on" or "off".
 	Guardians string
-	// Setting is the goal setting; defaults to BER7.
-	Setting Scenario
 	// Parallel is the sweep worker count: 0 uses every core, 1 runs
 	// serially.  The rows are identical for every value.
 	Parallel int
@@ -68,12 +65,6 @@ type TimingFaultOptions struct {
 }
 
 func (o *TimingFaultOptions) fill() error {
-	if o.Setting.Label == "" {
-		o.Setting = BER7()
-	}
-	if o.Minislots <= 0 {
-		o.Minislots = 50
-	}
 	if o.DriftPPM <= 0 {
 		o.DriftPPM = 100
 	}
@@ -101,7 +92,7 @@ func TimingFault(opts TimingFaultOptions) ([]TimingFaultRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	setup, err := LatencySetup(set, latencyStaticSlots, opts.Minislots)
+	setup, err := LatencySetup(set, latencyStaticSlots, latencyMinislots)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +102,7 @@ func TimingFault(opts TimingFaultOptions) ([]TimingFaultRow, error) {
 		return nil, fmt.Errorf("%w: no static messages to babble over", ErrSetup)
 	}
 	babble := DefaultTimingFaultScenario(horizon, statics[0].Node)
-	sc := opts.Setting
+	sc := BER7()
 
 	timing := func(syncEnabled, guardians bool) *sim.TimingOptions {
 		return &sim.TimingOptions{

@@ -24,16 +24,11 @@ type WCRTRow struct {
 type WCRTOptions struct {
 	// Seed drives the SAE workload draw.
 	Seed uint64
-	// Minislots sizes the dynamic segment (default 50).
-	Minislots int
 }
 
 // WCRT computes analytical response-time bounds for the BBW and ACC
-// workloads (plus the SAE aperiodics) on the 1 ms cycle.
+// workloads (plus the SAE aperiodics) on the 1 ms cycle with 50 minislots.
 func WCRT(opts WCRTOptions) ([]WCRTRow, error) {
-	if opts.Minislots <= 0 {
-		opts.Minislots = 50
-	}
 	var rows []WCRTRow
 	for _, name := range []string{"BBW", "ACC"} {
 		base := workload.BBW()
@@ -44,7 +39,7 @@ func WCRT(opts WCRTOptions) ([]WCRTRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		setup, err := LatencySetup(set, latencyStaticSlots, opts.Minislots)
+		setup, err := LatencySetup(set, latencyStaticSlots, latencyMinislots)
 		if err != nil {
 			return nil, err
 		}

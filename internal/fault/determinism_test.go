@@ -23,13 +23,10 @@ func TestBernoulliDeterministic(t *testing.T) {
 
 func TestGilbertElliottDeterministic(t *testing.T) {
 	cfg := GilbertElliottConfig{BERGood: 1e-6, BERBad: 1e-2, PGoodToBad: 0.05, PBadToGood: 0.2}
-	a, err := NewGilbertElliott(cfg, 77)
-	if err != nil {
-		t.Fatalf("NewGilbertElliott: %v", err)
-	}
-	b, _ := NewGilbertElliott(cfg, 77)
+	a, b := wholeRunBurst(t, cfg, 77), wholeRunBurst(t, cfg, 77)
 	for i := 0; i < 20000; i++ {
-		if a.Corrupts(700) != b.Corrupts(700) {
+		at := timebase.Macrotick(i)
+		if a.CorruptsAt(700, at) != b.CorruptsAt(700, at) {
 			t.Fatalf("same-seed Gilbert–Elliott streams diverged at draw %d", i)
 		}
 	}

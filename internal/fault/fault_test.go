@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"github.com/flexray-go/coefficient/internal/timebase"
 )
 
 func TestRNGDeterministic(t *testing.T) {
@@ -215,36 +217,41 @@ func TestBERInjectorNonPositiveBits(t *testing.T) {
 	}
 }
 
+// wholeRunBurst returns a Profile whose single burst window spans the
+// whole run, so every transmission steps the Gilbert–Elliott chain.
+func wholeRunBurst(t *testing.T, cfg GilbertElliottConfig, seed uint64) *Profile {
+	t.Helper()
+	p, err := NewProfile(0, nil, []BurstWindow{{Start: 0, End: OpenEnd, GE: cfg}}, seed)
+	if err != nil {
+		t.Fatalf("NewProfile: %v", err)
+	}
+	return p
+}
+
 func TestGilbertElliottDegeneratesToBER(t *testing.T) {
-	ge, err := NewGilbertElliott(GilbertElliottConfig{
+	ge := wholeRunBurst(t, GilbertElliottConfig{
 		BERGood: 1e-4, BERBad: 0.5, PGoodToBad: 0, PBadToGood: 1,
 	}, 99)
-	if err != nil {
-		t.Fatalf("NewGilbertElliott: %v", err)
-	}
 	const n = 100000
 	for i := 0; i < n; i++ {
-		ge.Corrupts(1000)
+		ge.CorruptsAt(1000, timebase.Macrotick(i))
 	}
 	want, _ := FrameFailureProb(1e-4, 1000)
 	if got := ge.Stats().Rate(); math.Abs(got-want) > 0.01 {
 		t.Errorf("degenerate GE rate = %g, want ~%g", got, want)
 	}
-	if ge.InBadState() {
+	if ge.bursts[0].bad {
 		t.Error("GE with PGoodToBad=0 entered bad state")
 	}
 }
 
 func TestGilbertElliottBurstsRaiseRate(t *testing.T) {
 	cfg := GilbertElliottConfig{BERGood: 1e-6, BERBad: 1e-2, PGoodToBad: 0.05, PBadToGood: 0.2}
-	ge, err := NewGilbertElliott(cfg, 5)
-	if err != nil {
-		t.Fatalf("NewGilbertElliott: %v", err)
-	}
+	ge := wholeRunBurst(t, cfg, 5)
 	base, _ := NewBERInjector(1e-6, 5)
 	const n = 100000
 	for i := 0; i < n; i++ {
-		ge.Corrupts(1000)
+		ge.CorruptsAt(1000, timebase.Macrotick(i))
 		base.Corrupts(1000)
 	}
 	if ge.Stats().Rate() <= base.Stats().Rate() {
@@ -254,10 +261,14 @@ func TestGilbertElliottBurstsRaiseRate(t *testing.T) {
 }
 
 func TestGilbertElliottValidation(t *testing.T) {
-	if _, err := NewGilbertElliott(GilbertElliottConfig{BERGood: -1}, 1); err == nil {
-		t.Error("negative BERGood accepted")
+	burst := func(cfg GilbertElliottConfig) error {
+		_, err := NewProfile(0, nil, []BurstWindow{{Start: 0, End: OpenEnd, GE: cfg}}, 1)
+		return err
 	}
-	if _, err := NewGilbertElliott(GilbertElliottConfig{PGoodToBad: 2}, 1); err == nil {
+	if err := burst(GilbertElliottConfig{BERGood: -1}); !errors.Is(err, ErrBadBER) {
+		t.Errorf("negative BERGood: err = %v, want ErrBadBER", err)
+	}
+	if err := burst(GilbertElliottConfig{PGoodToBad: 2}); err == nil {
 		t.Error("transition probability 2 accepted")
 	}
 }

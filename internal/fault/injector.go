@@ -170,100 +170,6 @@ func (b *BERInjector) Reseed(seed uint64) {
 
 var _ Reseeder = (*BERInjector)(nil)
 
-// GilbertElliott is a two-state burst-fault injector: in the Good state bits
-// fail at BERGood, in the Bad state at BERBad; the channel flips between
-// states with the given transition probabilities evaluated once per
-// transmission.  With PGoodToBad=0 it degenerates to a BERInjector at
-// BERGood.
-type GilbertElliott struct {
-	mu    sync.Mutex
-	cfg   GilbertElliottConfig
-	bad   bool
-	rng   *RNG
-	stats Stats
-	// cacheGood and cacheBad memoize the per-state failure probabilities.
-	cacheGood probCache
-	cacheBad  probCache
-}
-
-var _ Injector = (*GilbertElliott)(nil)
-
-// GilbertElliottConfig parameterizes the two-state model.
-type GilbertElliottConfig struct {
-	// BERGood and BERBad are the per-bit error rates in each state.
-	BERGood, BERBad float64
-	// PGoodToBad and PBadToGood are the per-transmission state transition
-	// probabilities.
-	PGoodToBad, PBadToGood float64
-}
-
-// NewGilbertElliott returns a burst injector with the given configuration and
-// seed.
-func NewGilbertElliott(cfg GilbertElliottConfig, seed uint64) (*GilbertElliott, error) {
-	if err := checkGEConfig(cfg); err != nil {
-		return nil, err
-	}
-	return &GilbertElliott{cfg: cfg, rng: NewRNG(seed)}, nil
-}
-
-// Corrupts implements Injector.
-func (g *GilbertElliott) Corrupts(bits int) bool {
-	if bits <= 0 {
-		return false
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	// State transition first, then draw with the new state's BER.
-	if g.bad {
-		if g.rng.Bernoulli(g.cfg.PBadToGood) {
-			g.bad = false
-		}
-	} else if g.rng.Bernoulli(g.cfg.PGoodToBad) {
-		g.bad = true
-	}
-	ber, cache := g.cfg.BERGood, &g.cacheGood
-	if g.bad {
-		ber, cache = g.cfg.BERBad, &g.cacheBad
-	}
-	p, err := cache.prob(ber, bits)
-	if err != nil {
-		return false
-	}
-	g.stats.Transmissions++
-	hit := g.rng.Bernoulli(p)
-	if hit {
-		g.stats.Faults++
-	}
-	return hit
-}
-
-// Stats implements Injector.
-func (g *GilbertElliott) Stats() Stats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.stats
-}
-
-// InBadState reports whether the channel is currently in the Bad state.
-func (g *GilbertElliott) InBadState() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.bad
-}
-
-// Reseed implements Reseeder: back to the Good state with fresh
-// statistics and an in-place re-seeded RNG; both per-state probability
-// caches are retained.
-func (g *GilbertElliott) Reseed(seed uint64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.rng.Seed(seed)
-	g.bad = false
-	g.stats = Stats{}
-}
-
-var _ Reseeder = (*GilbertElliott)(nil)
-
 // None is an injector that never corrupts anything (a fault-free bus).
 type None struct {
 	mu    sync.Mutex

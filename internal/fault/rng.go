@@ -10,8 +10,9 @@
 //
 // This package substitutes the Vector/Elektrobit fault-injection tooling of
 // the paper's testbed with a deterministic, seeded injector so experiments
-// are exactly reproducible.  An optional Gilbert–Elliott two-state model
-// captures bursty interference.
+// are exactly reproducible.  Time-varying profiles overlay BER steps and
+// ramps, and their burst windows run a Gilbert–Elliott two-state model
+// that captures bursty interference.
 package fault
 
 // RNG is a small, fast, deterministic pseudo-random generator

@@ -36,12 +36,26 @@ type BERPhase struct {
 
 // BurstWindow is one Gilbert–Elliott burst episode.  Within [Start, End)
 // the two-state model replaces the BER profile; each window keeps its own
-// channel state, starting in the Good state.
+// channel state, starting in the Good state.  A window over [0, OpenEnd)
+// runs the chain for the whole run.
 type BurstWindow struct {
 	// Start and End bound the episode in macroticks, half-open [Start, End).
 	Start, End timebase.Macrotick
 	// GE parameterizes the two-state model inside the window.
 	GE GilbertElliottConfig
+}
+
+// GilbertElliottConfig parameterizes the two-state burst model: in the
+// Good state bits fail at BERGood, in the Bad state at BERBad, and the
+// channel flips between states with the given transition probabilities,
+// evaluated once per transmission before the draw.  With PGoodToBad=0 it
+// degenerates to independent faults at BERGood.
+type GilbertElliottConfig struct {
+	// BERGood and BERBad are the per-bit error rates in each state.
+	BERGood, BERBad float64
+	// PGoodToBad and PBadToGood are the per-transmission state transition
+	// probabilities.
+	PGoodToBad, PBadToGood float64
 }
 
 // Profile is a deterministic time-varying injector: a base BER overlaid

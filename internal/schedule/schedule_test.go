@@ -15,6 +15,22 @@ func cfg1ms() timebase.Config {
 	return timebase.LatencyConfig(50)
 }
 
+// cfg5ms is the Figures 1-2 geometry experiment.RunningTimeSetup builds
+// for 80 static slots: a 5 ms cycle, 37-macrotick slots filling 2960 MT of
+// the 3 ms static budget, then 250 eight-macrotick minislots.
+func cfg5ms() timebase.Config {
+	return timebase.Config{
+		MacrotickDuration:         time.Microsecond,
+		MacroPerCycle:             5000,
+		StaticSlots:               80,
+		StaticSlotLen:             37,
+		Minislots:                 250,
+		MinislotLen:               8,
+		DynamicSlotIdlePhase:      1,
+		MinislotActionPointOffset: 2,
+	}
+}
+
 func periodic(id int, period, deadline, offset time.Duration) signal.Message {
 	return signal.Message{
 		ID:       id,
@@ -95,7 +111,7 @@ func TestBuildDetectsSubCyclePeriods(t *testing.T) {
 	set := signal.Set{Name: "w", Messages: []signal.Message{
 		periodic(1, time.Millisecond, time.Millisecond, 0),
 	}}
-	tbl, err := Build(set, timebase.RunningTimeConfig(80))
+	tbl, err := Build(set, cfg5ms())
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -199,7 +215,7 @@ func TestBBWTableFeasibleInLatencyConfig(t *testing.T) {
 func TestBBWTableInfeasibleInRunningTimeConfig(t *testing.T) {
 	// The 5ms cycle cannot honor BBW's 1ms deadlines — exactly why the
 	// running-time experiments use batch mode.
-	tbl, err := Build(workload.BBW(), timebase.RunningTimeConfig(80))
+	tbl, err := Build(workload.BBW(), cfg5ms())
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}

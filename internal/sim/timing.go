@@ -233,7 +233,7 @@ func (ts *timingState) endOfDoubleCycle(e *engine, cycle int64, nit timebase.Mac
 			continue
 		}
 		nt.syncLossStreak = 0
-		mid, err := clocksync.FTM64(devs)
+		mid, err := clocksync.FTM(devs)
 		if err != nil {
 			nt.hasMid = false
 			continue
@@ -243,7 +243,7 @@ func (ts *timingState) endOfDoubleCycle(e *engine, cycle int64, nit timebase.Mac
 		if ts.opts.SyncEnabled {
 			// Offset correction in the NIT of the odd cycle; rate
 			// correction from the change between paired double-cycle
-			// midpoints (the same scheme as clocksync.Simulate).
+			// midpoints.
 			corr := mid / 2
 			nt.clock.ApplyOffsetCorrection(corr)
 			ts.gauges.Correction(float64(corr) / float64(clocksync.MicroPerMacro))

@@ -84,37 +84,6 @@ type Config struct {
 	LatestTx int
 }
 
-// RunningTimeConfig returns the configuration the paper uses for the running
-// time experiments (Figures 1 and 2): a 5ms communication cycle with a 3ms
-// static segment, gdMacrotick=1µs, gdStaticSlot=40, gdMinislot=8.
-//
-// staticSlots is 80 or 120 in the paper.  With 40-macrotick slots the static
-// window is staticSlots*40 macroticks; the remainder of the 5000-macrotick
-// cycle (minus the symbol window) is filled with 8-macrotick minislots.
-func RunningTimeConfig(staticSlots int) Config {
-	const (
-		macroPerCycle = 5000
-		staticSlotLen = 40
-		minislotLen   = 8
-	)
-	staticLen := Macrotick(staticSlots) * staticSlotLen
-	// Reserve a small network idle time at the end of the cycle.
-	const idleTail = 40
-	dynLen := macroPerCycle - staticLen - idleTail
-	minislots := int(dynLen / minislotLen)
-	return Config{
-		MacrotickDuration:         time.Microsecond,
-		MacroPerCycle:             macroPerCycle,
-		StaticSlots:               staticSlots,
-		StaticSlotLen:             staticSlotLen,
-		Minislots:                 minislots,
-		MinislotLen:               minislotLen,
-		SymbolWindowLen:           0,
-		DynamicSlotIdlePhase:      1,
-		MinislotActionPointOffset: 2,
-	}
-}
-
 // LatencyConfig returns the configuration the paper uses for the bandwidth
 // utilization, latency and deadline-miss experiments (Figures 3-5): a 1ms
 // communication cycle with a 0.75ms static segment and a configurable number

@@ -65,31 +65,6 @@ func TestValidateActionPointOffsetTooLarge(t *testing.T) {
 	}
 }
 
-func TestRunningTimeConfig(t *testing.T) {
-	for _, slots := range []int{80, 120} {
-		c := RunningTimeConfig(slots)
-		if err := c.Validate(); err != nil {
-			t.Fatalf("RunningTimeConfig(%d).Validate() = %v", slots, err)
-		}
-		if c.MacroPerCycle != 5000 {
-			t.Errorf("MacroPerCycle = %d, want 5000", c.MacroPerCycle)
-		}
-		if got := c.CycleDuration(); got != 5*time.Millisecond {
-			t.Errorf("CycleDuration() = %v, want 5ms", got)
-		}
-		if c.StaticSlots != slots {
-			t.Errorf("StaticSlots = %d, want %d", c.StaticSlots, slots)
-		}
-		if c.Minislots <= 0 {
-			t.Errorf("Minislots = %d, want > 0", c.Minislots)
-		}
-	}
-	// 120 slots leave less room for the dynamic segment than 80.
-	if RunningTimeConfig(120).Minislots >= RunningTimeConfig(80).Minislots {
-		t.Error("120-slot config should have fewer minislots than 80-slot config")
-	}
-}
-
 func TestLatencyConfig(t *testing.T) {
 	for _, ms := range []int{25, 50, 75, 100} {
 		c := LatencyConfig(ms)
