@@ -400,8 +400,9 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkSlackAnalysisBuild measures the offline level-i table build for
-// the BBW-derived task set.
+// BenchmarkSlackAnalysisBuild measures the offline slack-table build (one
+// fixed-priority simulation filling A_i at every deadline) for the
+// BBW-derived task set.
 func BenchmarkSlackAnalysisBuild(b *testing.B) {
 	b.ReportAllocs()
 	set := bbwTaskSet(b)

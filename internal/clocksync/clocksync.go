@@ -40,15 +40,16 @@ func FTMDiscard(n int) int {
 // FTM computes the fault-tolerant midpoint of the deviation measurements:
 // after discarding the k largest and k smallest values, it returns the
 // midpoint of the remaining extremes (rounded toward zero, as the
-// specification's integer arithmetic does).  The input is not modified.
+// specification's integer arithmetic does).  It sorts measurements in
+// place, as sort.Ints does; callers that need the original order pass a
+// copy.
 func FTM(measurements []int64) (int64, error) {
 	n := len(measurements)
 	if n == 0 {
 		return 0, ErrNoMeasurements
 	}
-	sorted := slices.Clone(measurements)
-	slices.Sort(sorted)
+	slices.Sort(measurements)
 	k := FTMDiscard(n)
-	lo, hi := sorted[k], sorted[n-1-k]
+	lo, hi := measurements[k], measurements[n-1-k]
 	return (lo + hi) / 2, nil
 }

@@ -140,7 +140,7 @@ type Scheduler struct {
 	// retx is the EDF-ordered retransmission queue, kept sorted by
 	// (deadline, seq) via binary insertion; jobs indexes it by instance
 	// (reactive mode, where at most one job per instance exists).
-	retx     []*retxJob
+	retx     jobQueue
 	jobs     map[*node.Instance]*retxJob
 	nextSeq  int64
 	jobArena retxArena
@@ -294,10 +294,7 @@ func (s *Scheduler) Init(env *sim.Env) error {
 func (s *Scheduler) ResetReplica() error {
 	copy(s.plan, s.plan0)
 	s.stats = Stats{PlannedRetx: s.plannedRetx0}
-	for i := range s.retx {
-		s.retx[i] = nil
-	}
-	s.retx = s.retx[:0]
+	s.retx.reset()
 	clear(s.jobs)
 	clear(s.spawned)
 	s.nextSeq = 0
@@ -439,19 +436,15 @@ func (s *Scheduler) CycleStart(_ int64, now timebase.Macrotick) {
 // unaccounted.  In proactive mode the instance never left its home queue,
 // so the job is simply discarded.
 func (s *Scheduler) purgeExpired(now timebase.Macrotick) {
-	keep := s.retx[:0]
-	for _, j := range s.retx {
-		if j.deadline != node.NoDeadline && now > j.deadline {
-			s.releaseAdmission(j)
-			if s.opts.Reactive {
-				delete(s.jobs, j.in)
-				s.requeueHome(j.in)
-			}
-			continue
+	s.retx.removeIf(func(j *retxJob) bool {
+		return j.deadline != node.NoDeadline && now > j.deadline
+	}, func(j *retxJob) {
+		s.releaseAdmission(j)
+		if s.opts.Reactive {
+			delete(s.jobs, j.in)
+			s.requeueHome(j.in)
 		}
-		keep = append(keep, j)
-	}
-	s.retx = keep
+	})
 }
 
 // StaticSlot implements sim.Scheduler.
@@ -547,7 +540,7 @@ func (s *Scheduler) stealRetx(ch frame.Channel, now, capacity timebase.Macrotick
 	if s.avoidRetx(ch) {
 		return nil
 	}
-	for _, j := range s.retx {
+	for _, j := range s.retx.items() {
 		if !s.env.Attached(j.in.Msg.Node, ch) {
 			continue
 		}
@@ -684,7 +677,7 @@ func (s *Scheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _, remai
 		})
 	}
 	// Retransmission job for this frame ID, if any fits the window.
-	for _, j := range s.retx {
+	for _, j := range s.retx.items() {
 		if j.in.Msg.ID != slotCounter {
 			continue
 		}
@@ -849,19 +842,18 @@ func (s *Scheduler) enqueueJob(in *node.Instance, kind string, copyIdx int) *ret
 	// increasing, so the order is total and the queue position matches
 	// what append + sort.SliceStable produced: among equal deadlines the
 	// new job (largest seq) lands last.
-	lo, hi := 0, len(s.retx)
+	queued := s.retx.items()
+	lo, hi := 0, len(queued)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		q := s.retx[mid]
+		q := queued[mid]
 		if q.deadline < j.deadline || (q.deadline == j.deadline && q.seq < j.seq) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	s.retx = append(s.retx, nil)
-	copy(s.retx[lo+1:], s.retx[lo:])
-	s.retx[lo] = j
+	s.retx.insert(lo, j)
 	s.stats.JobsCreated++
 	return j
 }
@@ -869,9 +861,9 @@ func (s *Scheduler) enqueueJob(in *node.Instance, kind string, copyIdx int) *ret
 // removeJob deletes a job from the queue and the stealer.
 func (s *Scheduler) removeJob(j *retxJob) {
 	delete(s.jobs, j.in)
-	for i, q := range s.retx {
+	for i, q := range s.retx.items() {
 		if q == j {
-			s.retx = append(s.retx[:i], s.retx[i+1:]...)
+			s.retx.remove(i)
 			break
 		}
 	}
@@ -922,21 +914,96 @@ func (s *Scheduler) InstanceDropped(in *node.Instance, _ timebase.Macrotick) {
 	if len(s.spawned) != 0 {
 		delete(s.spawned, in)
 	}
-	if len(s.retx) == 0 {
-		return
-	}
 	// Proactive copies of a dropped instance are pointless: discard them.
-	keep := s.retx[:0]
-	for _, j := range s.retx {
-		if j.in == in {
-			s.releaseAdmission(j)
-			continue
-		}
-		keep = append(keep, j)
-	}
-	s.retx = keep
+	s.retx.removeIf(func(j *retxJob) bool { return j.in == in }, s.releaseAdmission)
 }
 
 // RetxQueueLen returns the number of pending retransmission jobs (for
 // tests).
-func (s *Scheduler) RetxQueueLen() int { return len(s.retx) }
+func (s *Scheduler) RetxQueueLen() int { return len(s.retx.items()) }
+
+// jobQueue is the retransmission queue, held as buf[head:] so that taking
+// the head is O(1).  Removing or inserting a job shifts whichever side of
+// it is shorter: in batch mode the queue holds hundreds of jobs, and every
+// shifted pointer costs a write barrier while the collector marks.  An
+// insertion at the tail compacts only when the backing array is full, and
+// vacated slots are nil.
+type jobQueue struct {
+	buf  []*retxJob
+	head int
+}
+
+// items returns the queued jobs in order; the slice aliases the queue and
+// is valid until its next change.
+func (q *jobQueue) items() []*retxJob { return q.buf[q.head:] }
+
+// insert puts j at position i of items().
+func (q *jobQueue) insert(i int, j *retxJob) {
+	n := len(q.buf) - q.head
+	if q.head > 0 && i < n-i {
+		q.head--
+		copy(q.buf[q.head:q.head+i], q.buf[q.head+1:])
+		q.buf[q.head+i] = j
+		return
+	}
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, nil)
+	items := q.items()
+	copy(items[i+1:], items[i:])
+	items[i] = j
+}
+
+// remove deletes position i of items().
+func (q *jobQueue) remove(i int) {
+	items := q.items()
+	if n := len(items); i < n-1-i {
+		copy(items[1:i+1], items[:i])
+		items[0] = nil
+		q.head++
+	} else {
+		copy(items[i:], items[i+1:])
+		items[n-1] = nil
+		q.buf = q.buf[:len(q.buf)-1]
+	}
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
+// removeIf removes, in queue order, every job drop selects and hands each
+// to retire.  It scans to the first such job before rewriting anything:
+// most calls remove nothing, and the untouched prefix needs no pointer
+// writes.
+func (q *jobQueue) removeIf(drop func(*retxJob) bool, retire func(*retxJob)) {
+	items := q.items()
+	i := 0
+	for i < len(items) && !drop(items[i]) {
+		i++
+	}
+	if i == len(items) {
+		return
+	}
+	keep := items[:i]
+	for _, j := range items[i:] {
+		if drop(j) {
+			retire(j)
+		} else {
+			keep = append(keep, j)
+		}
+	}
+	clear(items[len(keep):])
+	q.buf = q.buf[:q.head+len(keep)]
+	if len(keep) == 0 {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
+// reset empties the queue, keeping its backing array.
+func (q *jobQueue) reset() {
+	clear(q.buf)
+	q.buf, q.head = q.buf[:0], 0
+}

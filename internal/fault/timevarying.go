@@ -64,16 +64,64 @@ type GilbertElliottConfig struct {
 type Profile struct {
 	mu     sync.Mutex
 	base   float64
-	phases []BERPhase
+	phases []phaseState
 	bursts []burstState
 	rng    *RNG
 	stats  Stats
 	lastAt timebase.Macrotick
+	// baseProbs memoizes the failure probabilities at the base BER.
+	baseProbs sizeTable
+}
+
+// phaseState is one phase with the failure probabilities of its constant
+// BER (unused for a ramp, whose BER changes with every macrotick).
+type phaseState struct {
+	BERPhase
+	probs sizeTable
+}
+
+// constant reports whether the phase's BER is the same at every instant.
+func (ph *phaseState) constant() bool {
+	return ph.From == ph.To || ph.End == OpenEnd
 }
 
 type burstState struct {
 	BurstWindow
 	bad bool
+	// goodProbs and badProbs memoize the failure probabilities at
+	// BERGood and BERBad.
+	goodProbs, badProbs sizeTable
+}
+
+// sizeTableSlots is the number of frame sizes a sizeTable holds; a
+// workload uses a few dozen distinct wire sizes.
+const sizeTableSlots = 32
+
+// sizeTable memoizes FrameFailureProb for one constant BER in a fixed,
+// direct-mapped table keyed by frame size.  Colliding sizes evict each
+// other, and every hit is the exact float FrameFailureProb returns, so the
+// Bernoulli draw stream is bit-identical with and without it.  Unlike
+// BERInjector's dense probCache it does not grow to the largest frame
+// size, which matters because a Profile keeps one table per constant-BER
+// source (the base BER, each step phase, each burst state).
+type sizeTable struct {
+	bits  [sizeTableSlots]int
+	probs [sizeTableSlots]float64
+}
+
+// prob returns FrameFailureProb(ber, bits) for positive bits; ber must be
+// the table's BER.
+func (t *sizeTable) prob(ber float64, bits int) (float64, error) {
+	i := bits % sizeTableSlots
+	if t.bits[i] == bits {
+		return t.probs[i], nil
+	}
+	p, err := FrameFailureProb(ber, bits)
+	if err != nil {
+		return 0, err
+	}
+	t.bits[i], t.probs[i] = bits, p
+	return p, nil
 }
 
 var _ TimeVarying = (*Profile)(nil)
@@ -100,7 +148,10 @@ func NewProfile(base float64, phases []BERPhase, bursts []BurstWindow, seed uint
 	if base < 0 || base >= 1 {
 		return nil, fmt.Errorf("%w: base %g", ErrBadBER, base)
 	}
-	ph := append([]BERPhase(nil), phases...)
+	ph := make([]phaseState, 0, len(phases))
+	for _, p := range phases {
+		ph = append(ph, phaseState{BERPhase: p})
+	}
 	sort.Slice(ph, func(i, j int) bool { return ph[i].Start < ph[j].Start })
 	for i, p := range ph {
 		if p.Start < 0 {
@@ -145,20 +196,28 @@ func NewProfile(base float64, phases []BERPhase, bursts []BurstWindow, seed uint
 // BERAt returns the effective bit error rate at macrotick `at`, ignoring
 // burst episodes.
 func (p *Profile) BERAt(at timebase.Macrotick) float64 {
-	for _, ph := range p.phases {
+	ber, _ := p.berAt(at)
+	return ber
+}
+
+// berAt is BERAt plus the size table of the BER's source, or nil inside a
+// ramp.
+func (p *Profile) berAt(at timebase.Macrotick) (float64, *sizeTable) {
+	for i := range p.phases {
+		ph := &p.phases[i]
 		if at < ph.Start {
 			break
 		}
 		if at >= ph.End {
 			continue
 		}
-		if ph.From == ph.To || ph.End == OpenEnd {
-			return ph.From
+		if ph.constant() {
+			return ph.From, &ph.probs
 		}
 		frac := float64(at-ph.Start) / float64(ph.End-ph.Start)
-		return ph.From + (ph.To-ph.From)*frac
+		return ph.From + (ph.To-ph.From)*frac, nil
 	}
-	return p.base
+	return p.base, &p.baseProbs
 }
 
 // CorruptsAt implements TimeVarying.
@@ -169,7 +228,7 @@ func (p *Profile) CorruptsAt(bits int, at timebase.Macrotick) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.lastAt = at
-	ber := p.BERAt(at)
+	ber, probs := p.berAt(at)
 	for i := range p.bursts {
 		b := &p.bursts[i]
 		if at < b.Start {
@@ -186,13 +245,19 @@ func (p *Profile) CorruptsAt(bits int, at timebase.Macrotick) bool {
 		} else if p.rng.Bernoulli(b.GE.PGoodToBad) {
 			b.bad = true
 		}
-		ber = b.GE.BERGood
+		ber, probs = b.GE.BERGood, &b.goodProbs
 		if b.bad {
-			ber = b.GE.BERBad
+			ber, probs = b.GE.BERBad, &b.badProbs
 		}
 		break
 	}
-	prob, err := FrameFailureProb(ber, bits)
+	var prob float64
+	var err error
+	if probs != nil {
+		prob, err = probs.prob(ber, bits)
+	} else {
+		prob, err = FrameFailureProb(ber, bits)
+	}
 	if err != nil {
 		return false
 	}

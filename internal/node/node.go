@@ -60,7 +60,7 @@ type ECU struct {
 	// frame ID, indexed densely by frame ID (owned marks valid entries)
 	// so the per-slot peek/pop path indexes a slice instead of hashing a
 	// map key.
-	staticBufs [][]*Instance
+	staticBufs []instQueue
 	owned      []bool
 	// staticIDs lists owned static frame IDs in ascending order;
 	// staticCount tracks the total instances buffered across them so the
@@ -92,7 +92,7 @@ func NewECU(id int, staticFrameIDs []int) *ECU {
 		e.staticIDs = append(e.staticIDs, fid)
 	}
 	sort.Ints(e.staticIDs)
-	e.staticBufs = make([][]*Instance, maxID+1)
+	e.staticBufs = make([]instQueue, maxID+1)
 	e.owned = make([]bool, maxID+1)
 	for _, fid := range e.staticIDs {
 		e.owned[fid] = true
@@ -100,13 +100,13 @@ func NewECU(id int, staticFrameIDs []int) *ECU {
 	return e
 }
 
-// staticBuf returns the buffer for the frame ID and whether the ECU owns
-// that ID.
-func (e *ECU) staticBuf(fid int) ([]*Instance, bool) {
+// staticBuf returns the buffer for the frame ID, or nil when the ECU does
+// not own that ID.
+func (e *ECU) staticBuf(fid int) *instQueue {
 	if fid < 0 || fid >= len(e.owned) || !e.owned[fid] {
-		return nil, false
+		return nil
 	}
-	return e.staticBufs[fid], true
+	return &e.staticBufs[fid]
 }
 
 // Reset empties every CHI buffer, keeping all backing memory: buffers
@@ -119,17 +119,10 @@ func (e *ECU) staticBuf(fid int) ([]*Instance, bool) {
 //perf:hotpath
 func (e *ECU) Reset() {
 	for _, fid := range e.staticIDs {
-		buf := e.staticBufs[fid]
-		for i := range buf {
-			buf[i] = nil
-		}
-		e.staticBufs[fid] = buf[:0]
+		e.staticBufs[fid].reset()
 	}
 	for _, st := range e.dynStreams {
-		for i := range st.buf {
-			st.buf[i] = nil
-		}
-		st.buf = st.buf[:0]
+		st.buf.reset()
 	}
 	e.dynCount = 0
 	e.staticCount = 0
@@ -141,11 +134,11 @@ func (e *ECU) EnqueueStatic(in *Instance) error {
 		return fmt.Errorf("%w: message %q is node %d, ECU is %d",
 			ErrForeignMessage, in.Msg.Name, in.Msg.Node, e.ID)
 	}
-	buf, ok := e.staticBuf(in.Msg.ID)
-	if !ok {
+	q := e.staticBuf(in.Msg.ID)
+	if q == nil {
 		return fmt.Errorf("%w: %d on node %d", ErrUnknownFrame, in.Msg.ID, e.ID)
 	}
-	e.staticBufs[in.Msg.ID] = append(buf, in)
+	q.push(in)
 	e.staticCount++
 	return nil
 }
@@ -156,8 +149,11 @@ func (e *ECU) EnqueueStatic(in *Instance) error {
 //
 //perf:hotpath
 func (e *ECU) PeekStatic(frameID int, t timebase.Macrotick) *Instance {
-	buf, _ := e.staticBuf(frameID)
-	for _, in := range buf {
+	q := e.staticBuf(frameID)
+	if q == nil {
+		return nil
+	}
+	for _, in := range q.items() {
 		if in.Done {
 			continue
 		}
@@ -176,8 +172,11 @@ func (e *ECU) PeekStatic(frameID int, t timebase.Macrotick) *Instance {
 //
 //perf:hotpath
 func (e *ECU) PeekStaticBlind(frameID int, t timebase.Macrotick, maxAttempts int) *Instance {
-	buf, _ := e.staticBuf(frameID)
-	for _, in := range buf {
+	q := e.staticBuf(frameID)
+	if q == nil {
+		return nil
+	}
+	for _, in := range q.items() {
 		if in.Release > t {
 			return nil
 		}
@@ -197,7 +196,7 @@ func (e *ECU) PeekDynamicForBlind(frameID int, t timebase.Macrotick, maxAttempts
 	if st == nil {
 		return nil
 	}
-	for _, in := range st.buf {
+	for _, in := range st.buf.items() {
 		if in.Release > t {
 			return nil
 		}
@@ -211,43 +210,34 @@ func (e *ECU) PeekDynamicForBlind(frameID int, t timebase.Macrotick, maxAttempts
 // PopStatic removes and returns the oldest pending instance for the frame
 // ID released by time t.
 func (e *ECU) PopStatic(frameID int, t timebase.Macrotick) *Instance {
-	buf, _ := e.staticBuf(frameID)
-	for i, in := range buf {
+	q := e.staticBuf(frameID)
+	if q == nil {
+		return nil
+	}
+	for i, in := range q.items() {
 		if in.Done {
 			continue
 		}
 		if in.Release > t {
 			return nil
 		}
-		e.staticBufs[frameID] = removeAt(buf, i)
+		q.remove(i)
 		e.staticCount--
 		return in
 	}
 	return nil
 }
 
-// removeAt deletes index i from a buffer in place, reusing the backing
-// array (the buffers are owned exclusively by the ECU, so shifting never
-// aliases a caller's view of the slice).
-func removeAt(buf []*Instance, i int) []*Instance {
-	copy(buf[i:], buf[i+1:])
-	buf[len(buf)-1] = nil
-	return buf[:len(buf)-1]
-}
-
 // RemoveStatic deletes the exact instance from its static buffer and
 // reports whether it was present.
 func (e *ECU) RemoveStatic(target *Instance) bool {
-	buf, ok := e.staticBuf(target.Msg.ID)
-	if !ok {
+	q := e.staticBuf(target.Msg.ID)
+	if q == nil {
 		return false
 	}
-	for i, in := range buf {
-		if in == target {
-			e.staticBufs[target.Msg.ID] = removeAt(buf, i)
-			e.staticCount--
-			return true
-		}
+	if q.removeInstance(target) {
+		e.staticCount--
+		return true
 	}
 	return false
 }
@@ -255,14 +245,11 @@ func (e *ECU) RemoveStatic(target *Instance) bool {
 // RequeueStatic puts an instance back at the head of its buffer (after a
 // failed transmission that still has retransmission budget).
 func (e *ECU) RequeueStatic(in *Instance) error {
-	buf, ok := e.staticBuf(in.Msg.ID)
-	if !ok {
+	q := e.staticBuf(in.Msg.ID)
+	if q == nil {
 		return fmt.Errorf("%w: %d on node %d", ErrUnknownFrame, in.Msg.ID, e.ID)
 	}
-	buf = append(buf, nil)
-	copy(buf[1:], buf)
-	buf[0] = in
-	e.staticBufs[in.Msg.ID] = buf
+	q.insert(0, in)
 	e.staticCount++
 	return nil
 }
@@ -275,7 +262,7 @@ func (e *ECU) StaticBacklog(t timebase.Macrotick) int {
 	}
 	n := 0
 	for _, fid := range e.staticIDs {
-		for _, in := range e.staticBufs[fid] {
+		for _, in := range e.staticBufs[fid].items() {
 			if !in.Done && in.Release <= t {
 				n++
 			}
@@ -293,18 +280,9 @@ func (e *ECU) DropExpiredStatic(t timebase.Macrotick) []*Instance {
 	}
 	var dropped []*Instance
 	for _, fid := range e.staticIDs {
-		buf := e.staticBufs[fid]
-		keep := buf[:0]
-		for _, in := range buf {
-			if in.Expired(t) {
-				dropped = append(dropped, in)
-				e.staticCount--
-			} else {
-				keep = append(keep, in)
-			}
-		}
-		e.staticBufs[fid] = keep
+		dropped = e.staticBufs[fid].dropExpired(t, dropped)
 	}
+	e.staticCount -= len(dropped)
 	return dropped
 }
 
@@ -318,21 +296,19 @@ func (e *ECU) EnqueueDynamic(in *Instance) error {
 	// Releases arrive in (Release, Seq) order, so the common case is a
 	// plain append; a requeued instance (failed attempt re-entering the
 	// buffer) binary-inserts back into its sorted position.
-	if n := len(st.buf); n == 0 || !releaseBefore(in, st.buf[n-1]) {
-		st.buf = append(st.buf, in)
+	if buf := st.buf.items(); len(buf) == 0 || !releaseBefore(in, buf[len(buf)-1]) {
+		st.buf.push(in)
 	} else {
-		lo, hi := 0, len(st.buf)
+		lo, hi := 0, len(buf)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if releaseBefore(st.buf[mid], in) {
+			if releaseBefore(buf[mid], in) {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
-		st.buf = append(st.buf, nil)
-		copy(st.buf[lo+1:], st.buf[lo:])
-		st.buf[lo] = in
+		st.buf.insert(lo, in)
 	}
 	e.dynCount++
 	return nil
@@ -458,12 +434,9 @@ func (e *ECU) RemoveDynamic(target *Instance) bool {
 	if st == nil {
 		return false
 	}
-	for i, in := range st.buf {
-		if in == target {
-			st.buf = removeAt(st.buf, i)
-			e.dynCount--
-			return true
-		}
+	if st.buf.removeInstance(target) {
+		e.dynCount--
+		return true
 	}
 	return false
 }
@@ -472,7 +445,7 @@ func (e *ECU) RemoveDynamic(target *Instance) bool {
 func (e *ECU) DynamicBacklog(t timebase.Macrotick) int {
 	n := 0
 	for _, st := range e.dynStreams {
-		for _, in := range st.buf {
+		for _, in := range st.buf.items() {
 			if in.Release > t {
 				break // release-sorted: the rest are later
 			}
@@ -493,30 +466,9 @@ func (e *ECU) DropExpiredDynamic(t timebase.Macrotick) []*Instance {
 	}
 	var dropped []*Instance
 	for _, st := range e.dynStreams {
-		// Scan up to the first expired instance before rewriting anything:
-		// most cycles drop nothing, and the untouched prefix needs no
-		// pointer writes.
-		i := 0
-		for i < len(st.buf) && !st.buf[i].Expired(t) {
-			i++
-		}
-		if i == len(st.buf) {
-			continue
-		}
-		keep := st.buf[:i]
-		for _, in := range st.buf[i:] {
-			if in.Expired(t) {
-				dropped = append(dropped, in)
-				e.dynCount--
-			} else {
-				keep = append(keep, in)
-			}
-		}
-		for j := len(keep); j < len(st.buf); j++ {
-			st.buf[j] = nil
-		}
-		st.buf = keep
+		dropped = st.buf.dropExpired(t, dropped)
 	}
+	e.dynCount -= len(dropped)
 	return dropped
 }
 
@@ -529,7 +481,7 @@ func (e *ECU) StaticFrameIDs() []int {
 // by (Release, Seq).
 type dynStream struct {
 	id, prio int
-	buf      []*Instance
+	buf      instQueue
 }
 
 // head returns the first undelivered instance released by t, or nil.  The
@@ -538,7 +490,7 @@ type dynStream struct {
 //
 //perf:hotpath
 func (st *dynStream) head(t timebase.Macrotick) *Instance {
-	for _, in := range st.buf {
+	for _, in := range st.buf.items() {
 		if in.Done {
 			continue
 		}
@@ -548,4 +500,106 @@ func (st *dynStream) head(t timebase.Macrotick) *Instance {
 		return in
 	}
 	return nil
+}
+
+// instQueue is one CHI buffer, held as buf[head:] so that taking the head
+// is O(1).  Removing or inserting an entry shifts whichever side of it is
+// shorter: in batch mode a buffer holds hundreds of instances, and every
+// shifted pointer costs a write barrier while the collector marks.  A push
+// at the tail compacts only when the backing array is full, and vacated
+// slots are nil so the collector can free delivered instances.
+type instQueue struct {
+	buf  []*Instance
+	head int
+}
+
+// items returns the buffered instances in order; the slice aliases the
+// queue and is valid until its next change.
+func (q *instQueue) items() []*Instance { return q.buf[q.head:] }
+
+// push appends in at the tail.
+func (q *instQueue) push(in *Instance) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, in)
+}
+
+// insert puts in at position i of items().
+func (q *instQueue) insert(i int, in *Instance) {
+	if n := len(q.buf) - q.head; q.head > 0 && i < n-i {
+		q.head--
+		copy(q.buf[q.head:q.head+i], q.buf[q.head+1:])
+		q.buf[q.head+i] = in
+		return
+	}
+	q.push(nil)
+	items := q.items()
+	copy(items[i+1:], items[i:])
+	items[i] = in
+}
+
+// remove deletes position i of items().
+func (q *instQueue) remove(i int) {
+	items := q.items()
+	if n := len(items); i < n-1-i {
+		copy(items[1:i+1], items[:i])
+		items[0] = nil
+		q.head++
+	} else {
+		copy(items[i:], items[i+1:])
+		items[n-1] = nil
+		q.buf = q.buf[:len(q.buf)-1]
+	}
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
+// removeInstance deletes target and reports whether it was buffered.
+func (q *instQueue) removeInstance(target *Instance) bool {
+	for i, in := range q.items() {
+		if in == target {
+			q.remove(i)
+			return true
+		}
+	}
+	return false
+}
+
+// dropExpired appends the instances expired at t to dropped, in buffer
+// order, and removes them.  It scans to the first expired instance before
+// rewriting anything: most sweeps drop nothing, and the untouched prefix
+// needs no pointer writes.
+func (q *instQueue) dropExpired(t timebase.Macrotick, dropped []*Instance) []*Instance {
+	items := q.items()
+	i := 0
+	for i < len(items) && !items[i].Expired(t) {
+		i++
+	}
+	if i == len(items) {
+		return dropped
+	}
+	keep := items[:i]
+	for _, in := range items[i:] {
+		if in.Expired(t) {
+			dropped = append(dropped, in)
+		} else {
+			keep = append(keep, in)
+		}
+	}
+	clear(items[len(keep):])
+	q.buf = q.buf[:q.head+len(keep)]
+	if len(keep) == 0 {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return dropped
+}
+
+// reset empties the queue, keeping its backing array.
+func (q *instQueue) reset() {
+	clear(q.buf)
+	q.buf, q.head = q.buf[:0], 0
 }

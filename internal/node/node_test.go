@@ -2,6 +2,8 @@ package node
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -282,5 +284,73 @@ func TestPeekDynamicForBlind(t *testing.T) {
 	}
 	if got := e.PeekDynamicForBlind(91, 10, 9); got != nil {
 		t.Fatalf("wrong frame ID offered: %+v", got)
+	}
+}
+
+// Randomized model test of the head-indexed CHI buffer against a plain
+// slice: push, insert (including requeue at the head), removal at a random
+// index, the expiry filter and reset leave the same sequence, and every
+// slot outside the live window is nil.
+func TestInstQueueMatchesSliceModel(t *testing.T) {
+	r := rand.New(rand.NewSource(20260601))
+	m := staticMsg(1, 1)
+	var q instQueue
+	var model []*Instance
+	seq := int64(0)
+	for step := 0; step < 20000; step++ {
+		switch op := r.Intn(20); {
+		case op < 8:
+			seq++
+			in := inst(m, seq, 0, timebase.Macrotick(r.Intn(1000)))
+			q.push(in)
+			model = append(model, in)
+		case op < 10:
+			seq++
+			in := inst(m, seq, 0, timebase.Macrotick(r.Intn(1000)))
+			i := 0
+			if op == 9 {
+				i = r.Intn(len(model) + 1)
+			}
+			q.insert(i, in)
+			model = slices.Insert(model, i, in)
+		case op < 18:
+			if len(model) == 0 {
+				continue
+			}
+			i := r.Intn(len(model))
+			if op < 12 {
+				i = 0 // FIFO pop
+			}
+			if !q.removeInstance(model[i]) {
+				t.Fatalf("step %d: removeInstance missed a buffered instance", step)
+			}
+			model = slices.Delete(model, i, i+1)
+		case op == 18:
+			now := timebase.Macrotick(r.Intn(1000))
+			var want []*Instance
+			model = slices.DeleteFunc(model, func(in *Instance) bool {
+				if in.Expired(now) {
+					want = append(want, in)
+					return true
+				}
+				return false
+			})
+			if got := q.dropExpired(now, nil); !slices.Equal(got, want) {
+				t.Fatalf("step %d: dropExpired returned %d instances, model %d", step, len(got), len(want))
+			}
+		default:
+			if r.Intn(10) == 0 {
+				q.reset()
+				model = model[:0]
+			}
+		}
+		if !slices.Equal(q.items(), model) {
+			t.Fatalf("step %d: queue holds %d instances, model %d", step, len(q.items()), len(model))
+		}
+		for i, in := range q.buf[:cap(q.buf)] {
+			if (i < q.head || i >= len(q.buf)) && in != nil {
+				t.Fatalf("step %d: vacated slot %d still points at an instance", step, i)
+			}
+		}
 	}
 }

@@ -2,8 +2,10 @@ package reliability
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -207,4 +209,148 @@ func TestReplanDualHealthyCopiesNeedFewer(t *testing.T) {
 	if dual.Success < goal {
 		t.Errorf("dual success %g below goal", dual.Success)
 	}
+}
+
+// The incremental greedy loops of ReplanDual must return exactly what a
+// full rescan of every message per step returns: the same vector,
+// bit-equal Success and TotalPerUnit, and the same error.
+func TestReplanDualMatchesFullRescan(t *testing.T) {
+	r := rand.New(rand.NewSource(20260601))
+	randBER := func() float64 {
+		if r.Intn(10) == 0 {
+			return 0
+		}
+		return 5e-3 * math.Pow(10, -6*r.Float64())
+	}
+	feasible := 0
+	for trial := 0; trial < 3000; trial++ {
+		msgs := randomMsgs(r, 1+r.Intn(40))
+		primary, retx := randBER(), randBER()
+		if r.Intn(4) == 0 {
+			retx = primary
+		}
+		goal := 1 - math.Pow(10, -(1+8*r.Float64())) // 0.9 .. 1−1e-9
+		maxRetx := r.Intn(17)
+		var prev []int
+		switch r.Intn(3) {
+		case 1:
+			prev = make([]int, len(msgs))
+			for i := range prev {
+				prev[i] = r.Intn(24) - 3 // out of range on both sides
+			}
+		case 2:
+			prev = make([]int, len(msgs)+1) // wrong length: ignored
+		}
+		got, gotErr := ReplanDual(msgs, primary, retx, time.Second, goal, maxRetx, prev)
+		want, wantErr := replanDualFullRescan(msgs, primary, retx, time.Second, goal, maxRetx, prev)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("trial %d: error %v, full rescan %v", trial, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		feasible++
+		if !slices.Equal(got.Retransmissions, want.Retransmissions) ||
+			math.Float64bits(got.Success) != math.Float64bits(want.Success) ||
+			math.Float64bits(got.TotalPerUnit) != math.Float64bits(want.TotalPerUnit) {
+			t.Fatalf("trial %d: plan %+v, full rescan %+v", trial, got, want)
+		}
+	}
+	if feasible < 500 {
+		t.Fatalf("only %d feasible plans; the generator no longer covers the planner", feasible)
+	}
+}
+
+// replanDualFullRescan is the reference greedy planner: every step
+// re-evaluates every message's gain or loss.
+func replanDualFullRescan(msgs []Message, primaryBER, retxBER float64, u time.Duration, goal float64, maxRetx int, prev []int) (Plan, error) {
+	if err := checkPlanArgs(msgs, u, goal); err != nil {
+		return Plan{}, err
+	}
+	if maxRetx <= 0 {
+		maxRetx = DefaultMaxRetransmissions
+	}
+	n := len(msgs)
+	p0 := make([]float64, n)
+	pr := make([]float64, n)
+	instances := make([]float64, n)
+	for i, m := range msgs {
+		if m.Period <= 0 {
+			return Plan{}, fmt.Errorf("%w: message %q period %v", ErrBadPeriod, m.Name, m.Period)
+		}
+		p, err := FailureProb(m, primaryBER)
+		if err != nil {
+			return Plan{}, fmt.Errorf("message %q: %w", m.Name, err)
+		}
+		p0[i] = p
+		if p, err = FailureProb(m, retxBER); err != nil {
+			return Plan{}, fmt.Errorf("message %q: %w", m.Name, err)
+		}
+		pr[i] = p
+		instances[i] = float64(u) / float64(m.Period)
+	}
+	retx := make([]int, n)
+	if len(prev) == n {
+		for i, k := range prev {
+			retx[i] = min(max(k, 0), maxRetx)
+		}
+	}
+	contrib := make([]float64, n)
+	sumContrib := func() float64 {
+		logP := 0.0
+		for i := range msgs {
+			logP += contrib[i]
+		}
+		return logP
+	}
+	for i := range msgs {
+		contrib[i] = logSuccessDual(p0[i], pr[i], retx[i], instances[i])
+	}
+	logP := sumContrib()
+	logGoal := math.Log(goal)
+	for logP < logGoal {
+		best, bestGain := -1, 0.0
+		for i := range msgs {
+			if retx[i] >= maxRetx || p0[i] <= 0 {
+				continue
+			}
+			gain := logSuccessDual(p0[i], pr[i], retx[i]+1, instances[i]) - contrib[i]
+			if math.IsNaN(gain) || gain <= 0 {
+				continue
+			}
+			if best == -1 || gain > bestGain {
+				best, bestGain = i, gain
+			}
+		}
+		if best == -1 {
+			return Plan{}, fmt.Errorf("%w: differentiated, cap %d", ErrUnreachable, maxRetx)
+		}
+		retx[best]++
+		contrib[best] = logSuccessDual(p0[best], pr[best], retx[best], instances[best])
+		logP = sumContrib()
+	}
+	for {
+		best, bestLoss := -1, 0.0
+		var bestContrib float64
+		for i := range msgs {
+			if retx[i] <= 0 {
+				continue
+			}
+			lower := logSuccessDual(p0[i], pr[i], retx[i]-1, instances[i])
+			loss := contrib[i] - lower
+			if logP-loss < logGoal {
+				continue
+			}
+			if best == -1 || loss < bestLoss {
+				best, bestLoss, bestContrib = i, loss, lower
+			}
+		}
+		if best == -1 {
+			break
+		}
+		retx[best]--
+		contrib[best] = bestContrib
+		logP -= bestLoss
+	}
+	return finishPlan(msgs, u, goal, retx, math.Exp(logP)), nil
 }

@@ -274,22 +274,36 @@ func ReplanDual(msgs []Message, primaryBER, retxBER float64, u time.Duration, go
 	logP := sumContrib()
 	logGoal := math.Log(goal)
 
+	// Each step changes one message's k, and no other message's
+	// contribution moves, so the loops below keep every message's next
+	// gain (add) or removal loss (prune) and recompute only the chosen
+	// message's: the floats, comparisons and lowest-index tie-breaking are
+	// those of a full rescan per step.
+	//
 	// Add greedily until the goal holds.  Contributions can be -Inf (a
 	// message certain to be lost at its current k), so gains are screened
 	// for NaN (-Inf minus -Inf: more copies don't help that message either)
 	// and the chosen contribution is recomputed rather than accumulated.
+	gain := make([]float64, n)
+	addGain := func(i int) float64 {
+		if retx[i] >= maxRetx || p0[i] <= 0 {
+			return math.NaN()
+		}
+		return logSuccessDual(p0[i], pr[i], retx[i]+1, instances[i]) - contrib[i]
+	}
+	if logP < logGoal {
+		for i := range msgs {
+			gain[i] = addGain(i)
+		}
+	}
 	for logP < logGoal {
 		best, bestGain := -1, 0.0
-		for i := range msgs {
-			if retx[i] >= maxRetx || p0[i] <= 0 {
+		for i, g := range gain {
+			if math.IsNaN(g) || g <= 0 {
 				continue
 			}
-			gain := logSuccessDual(p0[i], pr[i], retx[i]+1, instances[i]) - contrib[i]
-			if math.IsNaN(gain) || gain <= 0 {
-				continue
-			}
-			if best == -1 || gain > bestGain {
-				best, bestGain = i, gain
+			if best == -1 || g > bestGain {
+				best, bestGain = i, g
 			}
 		}
 		if best == -1 {
@@ -297,33 +311,40 @@ func ReplanDual(msgs []Message, primaryBER, retxBER float64, u time.Duration, go
 		}
 		retx[best]++
 		contrib[best] = logSuccessDual(p0[best], pr[best], retx[best], instances[best])
+		gain[best] = addGain(best)
 		logP = sumContrib()
 	}
 
 	// Prune: drop the retransmission whose removal loses the least log P
-	// for as long as the goal still holds afterwards.
+	// for as long as the goal still holds afterwards.  lower[i] is the
+	// contribution at retx[i]−1 and loss[i] what dropping to it costs.
+	lower, loss := make([]float64, n), make([]float64, n)
+	setLoss := func(i int) {
+		if retx[i] > 0 {
+			lower[i] = logSuccessDual(p0[i], pr[i], retx[i]-1, instances[i])
+			loss[i] = contrib[i] - lower[i]
+		}
+	}
+	for i := range msgs {
+		setLoss(i)
+	}
 	for {
-		best, bestLoss := -1, 0.0
-		var bestContrib float64
+		best := -1
 		for i := range msgs {
-			if retx[i] <= 0 {
+			if retx[i] <= 0 || logP-loss[i] < logGoal {
 				continue
 			}
-			lower := logSuccessDual(p0[i], pr[i], retx[i]-1, instances[i])
-			loss := contrib[i] - lower
-			if logP-loss < logGoal {
-				continue
-			}
-			if best == -1 || loss < bestLoss {
-				best, bestLoss, bestContrib = i, loss, lower
+			if best == -1 || loss[i] < loss[best] {
+				best = i
 			}
 		}
 		if best == -1 {
 			break
 		}
 		retx[best]--
-		contrib[best] = bestContrib
-		logP -= bestLoss
+		contrib[best] = lower[best]
+		logP -= loss[best]
+		setLoss(best)
 	}
 	return finishPlan(msgs, u, goal, retx, math.Exp(logP)), nil
 }

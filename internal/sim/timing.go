@@ -114,6 +114,11 @@ type timingState struct {
 	// babbleTraced rate-limits guardian-block trace events to one per
 	// babbler/channel/cycle; keyed by babbler ID then channel.
 	babbleTraced map[int]map[frame.Channel]int64
+	// senders and devs are endOfDoubleCycle's scratch: the observable
+	// sync senders and one observer's deviations, which FTM sorts in
+	// place.
+	senders []*nodeTiming
+	devs    []int64
 }
 
 // newTimingState builds the timing layer: one local clock (and guardian,
@@ -197,7 +202,7 @@ func (ts *timingState) cycleStart(e *engine, cycle int64, now timebase.Macrotick
 func (ts *timingState) endOfDoubleCycle(e *engine, cycle int64, nit timebase.Macrotick) {
 	// Observable sync senders: alive, transmitting (normal-active), and
 	// not scripted into sync-frame suppression.
-	var senders []*nodeTiming
+	senders := ts.senders[:0]
 	for _, id := range ts.order {
 		nt := ts.nodes[id]
 		if !nt.syncSender || nt.state != clocksync.POCNormalActive {
@@ -211,6 +216,7 @@ func (ts *timingState) endOfDoubleCycle(e *engine, cycle int64, nit timebase.Mac
 		}
 		senders = append(senders, nt)
 	}
+	ts.senders = senders
 
 	// Measurement + correction per observer.  Halted CCs observe nothing.
 	for _, id := range ts.order {
@@ -218,13 +224,14 @@ func (ts *timingState) endOfDoubleCycle(e *engine, cycle int64, nit timebase.Mac
 		if nt.state == clocksync.POCHalt {
 			continue
 		}
-		devs := make([]int64, 0, len(senders))
+		devs := ts.devs[:0]
 		for _, s := range senders {
 			if s.id == id {
 				continue
 			}
 			devs = append(devs, nt.clock.MeasureAgainst(s.clock))
 		}
+		ts.devs = devs
 		ts.gauges.SyncFrame(len(devs))
 		if len(devs) == 0 {
 			nt.syncLossStreak++

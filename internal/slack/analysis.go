@@ -1,9 +1,10 @@
 // Package slack implements the slack-stealing machinery of the paper
 // (Sections III-B, III-C and III-F): an exact offline analysis of the
-// fixed-priority periodic schedule, and a runtime slack stealer that admits
-// hard-deadline aperiodic tasks (retransmitted segments) and serves
-// soft-deadline aperiodic tasks (dynamic segments) in stolen slack without
-// endangering any periodic deadline.
+// fixed-priority periodic schedule, kept as the paper's table of the idle
+// time available before each job deadline, and a runtime slack stealer
+// that admits hard-deadline aperiodic tasks (retransmitted segments) and
+// serves soft-deadline aperiodic tasks (dynamic segments) in stolen slack
+// without endangering any periodic deadline.
 //
 // Terminology follows Thuel–Lehoczky and the paper.  With tasks indexed by
 // decreasing priority, "level i" (1-based) covers the i highest-priority
@@ -23,7 +24,6 @@ package slack
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/flexray-go/coefficient/internal/task"
 	"github.com/flexray-go/coefficient/internal/timebase"
@@ -37,48 +37,35 @@ var (
 	ErrUnschedulable = errors.New("slack: periodic task set unschedulable")
 	// ErrEmptySet is returned for an empty task set.
 	ErrEmptySet = errors.New("slack: empty task set")
-	// ErrBadLevel is returned for out-of-range level queries.
+	// ErrBadLevel is returned for out-of-range level or job queries.
 	ErrBadLevel = errors.New("slack: level out of range")
 )
 
-// Analysis holds the offline level-i idle-time tables of a periodic task
-// set.  It is immutable after construction and safe for concurrent use.
+// Analysis holds the paper's slack table of a periodic task set ("we
+// further use a table to store and maintain the identified values",
+// Section III-F): for every level i and every deadline d of task i inside
+// the simulated window, A_i(d), the level-i idle time before d.  Deadlines
+// beyond the window fold onto the table by whole hyperperiods.  It is
+// immutable after construction and safe for concurrent use.
 type Analysis struct {
 	set *task.Set
 	// window is the simulated horizon: maxOffset + 2·hyperperiod.
 	window timebase.Macrotick
 	// hyper is the task-set hyperperiod.
 	hyper timebase.Macrotick
-	// maxOff is the largest release offset.
-	maxOff timebase.Macrotick
-	// levels[i] holds the cumulative idle breakpoints of 1-based level
-	// i+1: at time ts[k] the cumulative level-(i+1) idle equals cum[k],
-	// and idleness accrues linearly until ts[k+1] if the interval
-	// starting at ts[k] is idle for this level.
-	levels []levelTable
+	// rows[i][k-1] is A_{i+1}(d_k), the level-(i+1) idle time before the
+	// k-th deadline of task i, for every d_k ≤ window.  The rows share one
+	// exactly sized backing array.
+	rows [][]timebase.Macrotick
 	// idlePerHyper[i] is the level-(i+1) idle time accrued per
-	// hyperperiod in steady state, used to extrapolate beyond the window.
+	// hyperperiod in steady state, A(window) − A(window − hyperperiod),
+	// used to extrapolate beyond the window.
 	idlePerHyper []timebase.Macrotick
-}
-
-// levelTable is a step-linear cumulative idle function.
-type levelTable struct {
-	// starts[k] is the start of the k-th idle interval of this level,
-	// ends[k] its end, and cum[k] the cumulative idle before it.
-	starts, ends, cum []timebase.Macrotick
-}
-
-// interval is a run of schedule time executing one task (or idling).
-type interval struct {
-	start, end timebase.Macrotick
-	// taskIdx is the 0-based executing task index, or -1 when the
-	// processor is idle.
-	taskIdx int
 }
 
 // NewAnalysis simulates the fixed-priority preemptive schedule of the set
 // over maxOffset + 2 hyperperiods, verifies every periodic deadline, and
-// builds the level-i idle tables.
+// builds the slack table.
 func NewAnalysis(s *task.Set) (*Analysis, error) {
 	if s == nil || len(s.Tasks) == 0 {
 		return nil, ErrEmptySet
@@ -87,76 +74,60 @@ func NewAnalysis(s *task.Set) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxOff := s.MaxOffset()
-	window := maxOff + 2*hyper
+	window := s.MaxOffset() + 2*hyper
 
-	ivals, err := simulate(s, window)
-	if err != nil {
-		return nil, err
-	}
-
+	n := len(s.Tasks)
 	a := &Analysis{
 		set:          s,
 		window:       window,
 		hyper:        hyper,
-		maxOff:       maxOff,
-		levels:       make([]levelTable, len(s.Tasks)),
-		idlePerHyper: make([]timebase.Macrotick, len(s.Tasks)),
+		rows:         make([][]timebase.Macrotick, n),
+		idlePerHyper: make([]timebase.Macrotick, n),
 	}
-	for i := range s.Tasks {
-		level := i + 1
-		// len(ivals) bounds the number of idle runs at any level, so one
-		// exact-capacity allocation per slice replaces repeated growth.
-		lt := levelTable{
-			starts: make([]timebase.Macrotick, 0, len(ivals)),
-			ends:   make([]timebase.Macrotick, 0, len(ivals)),
-			cum:    make([]timebase.Macrotick, 0, len(ivals)),
-		}
-		var cum timebase.Macrotick
-		for _, iv := range ivals {
-			if !idleForLevel(iv.taskIdx, level) {
-				continue
-			}
-			n := len(lt.ends)
-			if n > 0 && lt.ends[n-1] == iv.start {
-				lt.ends[n-1] = iv.end // merge adjacent idle runs
-			} else {
-				lt.starts = append(lt.starts, iv.start)
-				lt.ends = append(lt.ends, iv.end)
-				lt.cum = append(lt.cum, cum)
-			}
-			cum += iv.end - iv.start
-		}
-		a.levels[i] = lt
-		a.idlePerHyper[i] = a.idleAtRaw(level, window) - a.idleAtRaw(level, window-hyper)
+	// The window spans two periods past every offset, so each row has at
+	// least two deadlines.
+	deadlines := func(t task.Periodic) int { return int((window-t.Phi-t.D)/t.T) + 1 }
+	total := 0
+	for _, t := range s.Tasks {
+		total += deadlines(t)
+	}
+	backing := make([]timebase.Macrotick, total)
+	for i, t := range s.Tasks {
+		k := deadlines(t)
+		a.rows[i], backing = backing[:0:k], backing[k:]
+	}
+	if err := a.simulate(); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
 
-// idleForLevel reports whether an interval executing taskIdx (or idling,
-// taskIdx == -1) is idle for the 1-based level: no task of priority index
-// < level is pending, which in a fixed-priority schedule holds exactly when
-// the running task has 0-based index ≥ level or the processor idles.
-func idleForLevel(taskIdx, level int) bool {
-	return taskIdx == -1 || taskIdx >= level
-}
-
-// simulate runs the fixed-priority preemptive schedule of s over [0, window)
-// and returns the execution intervals.  It fails with ErrUnschedulable on
-// the first periodic deadline miss.
-func simulate(s *task.Set, window timebase.Macrotick) ([]interval, error) {
-	n := len(s.Tasks)
+// simulate runs the fixed-priority preemptive schedule of the set over
+// [0, window) and fills the slack table.  It steps to every release,
+// completion and deadline and to the mark window − hyperperiod; at a
+// deadline d of task i it records d minus the execution of tasks 0..i so
+// far, and at the mark and the window's end it records every level, whose
+// difference is idlePerHyper.  It fails with ErrUnschedulable on the first
+// periodic deadline miss.
+func (a *Analysis) simulate() error {
+	tasks := a.set.Tasks
+	n := len(tasks)
+	window, mark := a.window, a.window-a.hyper
 	remaining := make([]timebase.Macrotick, n) // unfinished released work
 	nextRel := make([]timebase.Macrotick, n)
-	released := make([]int64, n) // jobs released so far
+	nextDl := make([]timebase.Macrotick, n) // next deadline to record
 	executed := make([]timebase.Macrotick, n)
+	released := make([]int64, n) // jobs released so far
 	completed := make([]int64, n)
-	for i, t := range s.Tasks {
+	dlMin := window
+	for i, t := range tasks {
 		nextRel[i] = t.Phi
+		nextDl[i] = t.AbsDeadline(1)
+		dlMin = min(dlMin, nextDl[i])
 	}
 
 	release := func(now timebase.Macrotick) {
-		for i, t := range s.Tasks {
+		for i, t := range tasks {
 			for nextRel[i] <= now {
 				remaining[i] += t.C
 				released[i]++
@@ -164,19 +135,22 @@ func simulate(s *task.Set, window timebase.Macrotick) ([]interval, error) {
 			}
 		}
 	}
-	earliestRelease := func() timebase.Macrotick {
-		e := window
-		for i := range s.Tasks {
-			if nextRel[i] < e {
-				e = nextRel[i]
-			}
+	// nextEvent returns the earliest release, deadline to record or mark
+	// after now, capped at the window.
+	nextEvent := func(now timebase.Macrotick) timebase.Macrotick {
+		e := min(window, dlMin)
+		if now < mark {
+			e = min(e, mark)
+		}
+		for _, r := range nextRel {
+			e = min(e, r)
 		}
 		return e
 	}
-	// checkDeadline verifies that each job completed no later than its
+	// checkCompletions verifies that each job completed no later than its
 	// deadline once the task's executed time crosses a job boundary.
 	checkCompletions := func(i int, now timebase.Macrotick) error {
-		t := s.Tasks[i]
+		t := tasks[i]
 		for completed[i] < released[i] && executed[i] >= timebase.Macrotick(completed[i]+1)*t.C {
 			completed[i]++
 			if d := t.AbsDeadline(completed[i]); now > d {
@@ -186,17 +160,26 @@ func simulate(s *task.Set, window timebase.Macrotick) ([]interval, error) {
 		}
 		return nil
 	}
-
-	ivals := make([]interval, 0, 1024)
-	appendIval := func(start, end timebase.Macrotick, taskIdx int) {
-		if end <= start {
-			return
+	// record fills the table at an instant where a deadline, the mark or
+	// the window's end falls, summing the executed counters once.
+	record := func(now timebase.Macrotick) {
+		var busy timebase.Macrotick
+		dlMin = window
+		for i, t := range tasks {
+			busy += executed[i]
+			idle := now - busy
+			if nextDl[i] == now {
+				a.rows[i] = append(a.rows[i], idle)
+				nextDl[i] += t.T
+			}
+			dlMin = min(dlMin, nextDl[i])
+			switch now {
+			case mark:
+				a.idlePerHyper[i] = -idle
+			case window:
+				a.idlePerHyper[i] += idle
+			}
 		}
-		if n := len(ivals); n > 0 && ivals[n-1].end == start && ivals[n-1].taskIdx == taskIdx {
-			ivals[n-1].end = end
-			return
-		}
-		ivals = append(ivals, interval{start: start, end: end, taskIdx: taskIdx})
 	}
 
 	now := timebase.Macrotick(0)
@@ -210,44 +193,38 @@ func simulate(s *task.Set, window timebase.Macrotick) ([]interval, error) {
 				break
 			}
 		}
-		next := earliestRelease()
-		if next <= now { // releases exactly at now already handled
-			next = now + 1
-		}
+		next := nextEvent(now)
 		if run == -1 {
-			// Idle until the next release.
-			appendIval(now, next, -1)
+			// Idle until the next event.
 			now = next
-			release(now)
-			continue
+		} else {
+			// Run until completion of the current chunk or the next event.
+			span := min(remaining[run], next-now)
+			remaining[run] -= span
+			executed[run] += span
+			now += span
+			if err := checkCompletions(run, now); err != nil {
+				return err
+			}
 		}
-		// Run until completion of the current chunk or the next release.
-		span := remaining[run]
-		if next-now < span {
-			span = next - now
-		}
-		appendIval(now, now+span, run)
-		remaining[run] -= span
-		executed[run] += span
-		now += span
-		if err := checkCompletions(run, now); err != nil {
-			return nil, err
+		if now == dlMin || now == mark || now == window {
+			record(now)
 		}
 		release(now)
 	}
 	// A deadline can also be missed by work still pending at the horizon;
 	// the window covers two hyperperiods so any structural miss surfaces
 	// as a late completion above.  Verify nothing overdue remains.
-	for i, t := range s.Tasks {
+	for i, t := range tasks {
 		if completed[i] < released[i] {
 			d := t.AbsDeadline(completed[i] + 1)
 			if d < window {
-				return nil, fmt.Errorf("%w: task %q job %d unfinished at horizon, deadline %d",
+				return fmt.Errorf("%w: task %q job %d unfinished at horizon, deadline %d",
 					ErrUnschedulable, t.Name, completed[i]+1, d)
 			}
 		}
 	}
-	return ivals, nil
+	return nil
 }
 
 // Levels returns the number of priority levels (= tasks).
@@ -265,67 +242,45 @@ func (a *Analysis) Set() *task.Set { return a.set }
 // IdlePerHyperperiod returns the steady-state level idle time accrued per
 // hyperperiod for the 1-based level.
 func (a *Analysis) IdlePerHyperperiod(level int) (timebase.Macrotick, error) {
-	if level < 1 || level > len(a.levels) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrBadLevel, level, len(a.levels))
+	if level < 1 || level > len(a.rows) {
+		return 0, fmt.Errorf("%w: %d of %d", ErrBadLevel, level, len(a.rows))
 	}
 	return a.idlePerHyper[level-1], nil
 }
 
-// LevelIdle returns A_level(t): the cumulative level idle time in [0, t),
-// extrapolated periodically beyond the simulated window.
-func (a *Analysis) LevelIdle(level int, t timebase.Macrotick) (timebase.Macrotick, error) {
-	if level < 1 || level > len(a.levels) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrBadLevel, level, len(a.levels))
+// IdleBefore returns A_level(d_k), the level idle time available before
+// the k-th (1-based) deadline of the level's task: the slack table's entry
+// for that job.  Beyond the window it folds d_k by whole hyperperiods onto
+// the table and adds the steady-state idle of each.
+func (a *Analysis) IdleBefore(level int, k int64) (timebase.Macrotick, error) {
+	if level < 1 || level > len(a.rows) {
+		return 0, fmt.Errorf("%w: %d of %d", ErrBadLevel, level, len(a.rows))
 	}
-	if t <= 0 {
-		return 0, nil
+	if k < 1 {
+		return 0, fmt.Errorf("%w: job %d of level %d", ErrBadLevel, k, level)
 	}
-	if t <= a.window {
-		return a.idleAtRaw(level, t), nil
-	}
-	// Fold t into (window−hyper, window] and add whole hyperperiods.
-	over := t - a.window
-	m := over/a.hyper + 1
-	folded := t - m*a.hyper
-	return a.idleAtRaw(level, folded) + m*a.idlePerHyper[level-1], nil
+	return a.idleBefore(level-1, k), nil
 }
 
-// idleAtRaw evaluates the level table inside the simulated window.
-func (a *Analysis) idleAtRaw(level int, t timebase.Macrotick) timebase.Macrotick {
-	lt := &a.levels[level-1]
-	// Find the last idle interval starting before t.
-	k := sort.Search(len(lt.starts), func(i int) bool { return lt.starts[i] >= t })
-	if k == 0 {
-		return 0
+// idleBefore is IdleBefore for a 0-based task index in range and k ≥ 1, in
+// O(1).  A deadline d_k past the window folds into [window − hyper, window)
+// by m = (d_k − window)/hyper + 1 hyperperiods, each of which holds
+// hyper/T deadlines of the task.
+func (a *Analysis) idleBefore(i int, k int64) timebase.Macrotick {
+	row := a.rows[i]
+	if k <= int64(len(row)) {
+		return row[k-1]
 	}
-	k--
-	if t >= lt.ends[k] {
-		return lt.cum[k] + (lt.ends[k] - lt.starts[k])
-	}
-	return lt.cum[k] + (t - lt.starts[k])
-}
-
-// IdleInWindow returns the level idle time accrued in [t1, t2).
-func (a *Analysis) IdleInWindow(level int, t1, t2 timebase.Macrotick) (timebase.Macrotick, error) {
-	if t2 < t1 {
-		return 0, fmt.Errorf("slack: inverted window [%d, %d)", t1, t2)
-	}
-	i2, err := a.LevelIdle(level, t2)
-	if err != nil {
-		return 0, err
-	}
-	i1, err := a.LevelIdle(level, t1)
-	if err != nil {
-		return 0, err
-	}
-	return i2 - i1, nil
+	tk := a.set.Tasks[i]
+	m := (tk.AbsDeadline(k)-a.window)/a.hyper + 1
+	return row[k-1-int64(m*(a.hyper/tk.T))] + m*a.idlePerHyper[i]
 }
 
 // NextDeadline returns the earliest absolute deadline of the level's task
 // (0-based index level−1) at or after t.
 func (a *Analysis) NextDeadline(level int, t timebase.Macrotick) (timebase.Macrotick, error) {
-	if level < 1 || level > len(a.levels) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrBadLevel, level, len(a.levels))
+	if level < 1 || level > len(a.rows) {
+		return 0, fmt.Errorf("%w: %d of %d", ErrBadLevel, level, len(a.rows))
 	}
 	tk := a.set.Tasks[level-1]
 	first := tk.AbsDeadline(1)
@@ -339,8 +294,8 @@ func (a *Analysis) NextDeadline(level int, t timebase.Macrotick) (timebase.Macro
 // LastDeadlineIn returns the latest absolute deadline of the level's task in
 // the half-open interval (t1, t2], and ok=false when there is none.
 func (a *Analysis) LastDeadlineIn(level int, t1, t2 timebase.Macrotick) (timebase.Macrotick, bool, error) {
-	if level < 1 || level > len(a.levels) {
-		return 0, false, fmt.Errorf("%w: %d of %d", ErrBadLevel, level, len(a.levels))
+	if level < 1 || level > len(a.rows) {
+		return 0, false, fmt.Errorf("%w: %d of %d", ErrBadLevel, level, len(a.rows))
 	}
 	tk := a.set.Tasks[level-1]
 	first := tk.AbsDeadline(1)
@@ -369,8 +324,8 @@ type TableEntry struct {
 // SlackTable returns the slack table of the 1-based level for every job
 // deadline up to the horizon.
 func (a *Analysis) SlackTable(level int, horizon timebase.Macrotick) ([]TableEntry, error) {
-	if level < 1 || level > len(a.levels) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrBadLevel, level, len(a.levels))
+	if level < 1 || level > len(a.rows) {
+		return nil, fmt.Errorf("%w: %d of %d", ErrBadLevel, level, len(a.rows))
 	}
 	tk := a.set.Tasks[level-1]
 	var out []TableEntry
@@ -379,11 +334,7 @@ func (a *Analysis) SlackTable(level int, horizon timebase.Macrotick) ([]TableEnt
 		if d > horizon {
 			break
 		}
-		avail, err := a.LevelIdle(level, d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, TableEntry{Deadline: d, Available: avail})
+		out = append(out, TableEntry{Deadline: d, Available: a.idleBefore(level-1, k)})
 	}
 	return out, nil
 }

@@ -2,8 +2,10 @@ package slack
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"github.com/flexray-go/coefficient/internal/fault"
 	"github.com/flexray-go/coefficient/internal/task"
 	"github.com/flexray-go/coefficient/internal/timebase"
 )
@@ -54,6 +56,8 @@ func TestNewAnalysisRejectsUnschedulable(t *testing.T) {
 	}
 }
 
+// The level idle before each deadline of the twoTasks schedule:
+// level 1 (τ1, deadlines 5, 10, 15, 20) and level 2 (τ2, deadlines 10, 20).
 func TestLevelIdleHandComputed(t *testing.T) {
 	a, err := NewAnalysis(twoTasks(t))
 	if err != nil {
@@ -61,29 +65,23 @@ func TestLevelIdleHandComputed(t *testing.T) {
 	}
 	tests := []struct {
 		level int
-		t     timebase.Macrotick
+		k     int64
 		want  timebase.Macrotick
 	}{
-		{1, 0, 0},
-		{1, 2, 0},
-		{1, 3, 1}, // τ2 running → level-1 idle
-		{1, 5, 3},
-		{1, 7, 3},
-		{1, 8, 4}, // processor idle
-		{1, 10, 6},
-		{2, 5, 0},
-		{2, 7, 0},
-		{2, 10, 3},
-		{1, 20, 12}, // second hyperperiod
-		{2, 20, 6},
+		{1, 1, 3}, // [2,5) while τ2 runs
+		{1, 2, 6}, // plus the processor idle [7,10)
+		{1, 3, 9}, // second hyperperiod
+		{1, 4, 12},
+		{2, 1, 3}, // [7,10)
+		{2, 2, 6},
 	}
 	for _, tt := range tests {
-		got, err := a.LevelIdle(tt.level, tt.t)
+		got, err := a.IdleBefore(tt.level, tt.k)
 		if err != nil {
-			t.Fatalf("LevelIdle(%d, %d): %v", tt.level, tt.t, err)
+			t.Fatalf("IdleBefore(%d, %d): %v", tt.level, tt.k, err)
 		}
 		if got != tt.want {
-			t.Errorf("LevelIdle(%d, %d) = %d, want %d", tt.level, tt.t, got, tt.want)
+			t.Errorf("IdleBefore(%d, %d) = %d, want %d", tt.level, tt.k, got, tt.want)
 		}
 	}
 }
@@ -96,19 +94,19 @@ func TestLevelIdleExtrapolation(t *testing.T) {
 	// Window is 2 hyperperiods = 20.  Beyond it the pattern repeats.
 	for _, tt := range []struct {
 		level int
-		t     timebase.Macrotick
+		k     int64
 		want  timebase.Macrotick
 	}{
-		{1, 30, 18},
-		{1, 105, 63},   // 10.5 hyperperiods: 10*6 + idle(5)=3
-		{2, 1000, 300}, // 100 hyperperiods * 3
+		{1, 6, 18},    // deadline 30
+		{1, 21, 63},   // deadline 105: 10*6 + A_1(5)=3
+		{2, 100, 300}, // deadline 1000: 100 hyperperiods * 3
 	} {
-		got, err := a.LevelIdle(tt.level, tt.t)
+		got, err := a.IdleBefore(tt.level, tt.k)
 		if err != nil {
-			t.Fatalf("LevelIdle: %v", err)
+			t.Fatalf("IdleBefore: %v", err)
 		}
 		if got != tt.want {
-			t.Errorf("LevelIdle(%d, %d) = %d, want %d", tt.level, tt.t, got, tt.want)
+			t.Errorf("IdleBefore(%d, %d) = %d, want %d", tt.level, tt.k, got, tt.want)
 		}
 	}
 	per, err := a.IdlePerHyperperiod(1)
@@ -126,28 +124,13 @@ func TestLevelIdleBadLevel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAnalysis: %v", err)
 	}
-	if _, err := a.LevelIdle(0, 5); !errors.Is(err, ErrBadLevel) {
-		t.Errorf("LevelIdle(0) = %v, want ErrBadLevel", err)
-	}
-	if _, err := a.LevelIdle(3, 5); !errors.Is(err, ErrBadLevel) {
-		t.Errorf("LevelIdle(3) = %v, want ErrBadLevel", err)
-	}
-}
-
-func TestIdleInWindow(t *testing.T) {
-	a, err := NewAnalysis(twoTasks(t))
-	if err != nil {
-		t.Fatalf("NewAnalysis: %v", err)
-	}
-	got, err := a.IdleInWindow(1, 3, 8)
-	if err != nil {
-		t.Fatalf("IdleInWindow: %v", err)
-	}
-	if got != 3 { // [3,5) idle (2) + [7,8) idle (1)
-		t.Errorf("IdleInWindow(1, 3, 8) = %d, want 3", got)
-	}
-	if _, err := a.IdleInWindow(1, 8, 3); err == nil {
-		t.Error("inverted window accepted")
+	for _, q := range []struct {
+		level int
+		k     int64
+	}{{0, 1}, {3, 1}, {1, 0}, {2, -1}} {
+		if _, err := a.IdleBefore(q.level, q.k); !errors.Is(err, ErrBadLevel) {
+			t.Errorf("IdleBefore(%d, %d) = %v, want ErrBadLevel", q.level, q.k, err)
+		}
 	}
 }
 
@@ -224,18 +207,21 @@ func TestAnalysisWithOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAnalysis: %v", err)
 	}
-	// Level-1 idle: [0,1) ∪ [3,6) ∪ [8,11) ...
+	// Level-1 idle: [0,1) ∪ [3,6) ∪ [8,11) ..., τ1's deadlines 6, 11, 16;
+	// level-2 idle: [0,1) ∪ [8,11) ∪ [18,21), τ2's deadlines 10, 20.
 	for _, tt := range []struct {
-		t, want timebase.Macrotick
+		level int
+		k     int64
+		want  timebase.Macrotick
 	}{
-		{1, 1}, {3, 1}, {6, 4}, {8, 4}, {11, 7},
+		{1, 1, 4}, {1, 2, 7}, {1, 3, 10}, {2, 1, 3}, {2, 2, 6},
 	} {
-		got, err := a.LevelIdle(1, tt.t)
+		got, err := a.IdleBefore(tt.level, tt.k)
 		if err != nil {
-			t.Fatalf("LevelIdle: %v", err)
+			t.Fatalf("IdleBefore: %v", err)
 		}
 		if got != tt.want {
-			t.Errorf("LevelIdle(1, %d) = %d, want %d", tt.t, got, tt.want)
+			t.Errorf("IdleBefore(%d, %d) = %d, want %d", tt.level, tt.k, got, tt.want)
 		}
 	}
 	if a.Window() != 21 { // maxOffset 1 + 2*10
@@ -263,8 +249,8 @@ func TestAnalysisAccessors(t *testing.T) {
 	}
 }
 
-// Property-style check against an independent tick-level reference: the
-// level-i idle time from the analysis must match a brute-force tick
+// Check against an independent tick-level reference: the level idle time
+// before every deadline up to three windows must match a brute-force tick
 // simulation for a variety of small task sets.
 func TestLevelIdleMatchesBruteForce(t *testing.T) {
 	sets := [][]task.Periodic{
@@ -291,20 +277,152 @@ func TestLevelIdleMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("set %d: NewAnalysis: %v", si, err)
 		}
-		ref := bruteForceIdle(s, a.Window())
-		for level := 1; level <= len(s.Tasks); level++ {
-			for tm := timebase.Macrotick(0); tm <= a.Window(); tm += 1 {
-				got, err := a.LevelIdle(level, tm)
-				if err != nil {
-					t.Fatalf("LevelIdle: %v", err)
-				}
-				if got != ref[level-1][tm] {
-					t.Fatalf("set %d: LevelIdle(%d, %d) = %d, brute force %d",
-						si, level, tm, got, ref[level-1][tm])
-				}
+		if msg := compareWithBruteForce(a, 3*a.Window()); msg != "" {
+			t.Fatalf("set %d: %s", si, msg)
+		}
+	}
+}
+
+// Randomized check of the table against the tick-level reference: small
+// sets of 1–6 tasks with offsets and constrained deadlines, every deadline
+// of every level up to three windows, and the same unschedulable verdicts
+// as a brute-force deadline check over the analysis window.
+func TestSlackTableMatchesBruteForce(t *testing.T) {
+	rng := fault.NewRNG(20260601)
+	periods := []timebase.Macrotick{2, 3, 4, 5, 6, 8, 10, 12, 15}
+	schedulable := 0
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(6)
+		tasks := make([]task.Periodic, 0, n)
+		for i := 0; i < n; i++ {
+			p := periods[rng.Intn(len(periods))]
+			c := timebase.Macrotick(1 + rng.Intn(int(p)/2+1))
+			d := c + timebase.Macrotick(rng.Intn(int(p-c)+1))
+			phi := timebase.Macrotick(rng.Intn(int(p)))
+			tasks = append(tasks, task.Periodic{Name: fmt.Sprint("t", i), C: c, T: p, Phi: phi, D: d})
+		}
+		s, err := task.NewSet(tasks)
+		if err != nil {
+			continue // overloaded draw
+		}
+		ok, msg := checkAgainstBruteForce(s)
+		if msg != "" {
+			t.Fatalf("trial %d (%+v): %s", trial, s.Tasks, msg)
+		}
+		if ok {
+			schedulable++
+		}
+	}
+	if schedulable < 100 {
+		t.Fatalf("only %d schedulable draws; the generator no longer covers the table", schedulable)
+	}
+}
+
+// FuzzSlackTable decodes a task set of up to four tasks with periods up to
+// 24 from the fuzz input and holds the table to the tick-level reference.
+func FuzzSlackTable(f *testing.F) {
+	f.Add([]byte{1, 4, 1, 1, 0, 9, 2, 5, 1})
+	f.Add([]byte{2, 4, 1, 3, 2, 5, 0, 0, 0, 11, 2, 3, 5})
+	f.Add([]byte{3, 2, 2, 0, 1, 5, 1, 2, 3, 7, 3, 0, 6, 23, 4, 9, 22})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%4
+		data = data[1:]
+		if len(data) < 4*n {
+			return
+		}
+		tasks := make([]task.Periodic, n)
+		for i := range tasks {
+			b := data[4*i : 4*i+4]
+			p := 1 + timebase.Macrotick(b[0])%24
+			c := 1 + timebase.Macrotick(b[1])%p
+			d := c + timebase.Macrotick(b[2])%(p-c+1)
+			phi := timebase.Macrotick(b[3]) % p
+			tasks[i] = task.Periodic{Name: fmt.Sprint("t", i), C: c, T: p, Phi: phi, D: d}
+		}
+		s, err := task.NewSet(tasks)
+		if err != nil {
+			return // overloaded
+		}
+		if h, err := s.Hyperperiod(); err != nil || h > 2000 {
+			return // keep the tick-level reference cheap
+		}
+		if _, msg := checkAgainstBruteForce(s); msg != "" {
+			t.Fatalf("%+v: %s", s.Tasks, msg)
+		}
+	})
+}
+
+// checkAgainstBruteForce builds the analysis of s and compares it with
+// the tick-level reference: the verdict against bruteForceMisses, and,
+// when schedulable, every deadline entry up to three windows.  It reports
+// whether s is schedulable and describes the first mismatch ("" if none).
+func checkAgainstBruteForce(s *task.Set) (schedulable bool, mismatch string) {
+	h, err := s.Hyperperiod()
+	if err != nil {
+		return false, fmt.Sprintf("Hyperperiod: %v", err)
+	}
+	window := s.MaxOffset() + 2*h
+	a, err := NewAnalysis(s)
+	if missed := bruteForceMisses(s, window); missed != errors.Is(err, ErrUnschedulable) {
+		return false, fmt.Sprintf("NewAnalysis = %v, brute-force miss %v", err, missed)
+	}
+	if err != nil {
+		return false, ""
+	}
+	return true, compareWithBruteForce(a, 3*window)
+}
+
+// compareWithBruteForce checks IdleBefore at every deadline of every level
+// up to horizon against bruteForceIdle and returns the first mismatch, or
+// "".
+func compareWithBruteForce(a *Analysis, horizon timebase.Macrotick) string {
+	s := a.Set()
+	ref := bruteForceIdle(s, horizon)
+	for level := 1; level <= len(s.Tasks); level++ {
+		tk := s.Tasks[level-1]
+		for k := int64(1); tk.AbsDeadline(k) <= horizon; k++ {
+			got, err := a.IdleBefore(level, k)
+			if err != nil {
+				return fmt.Sprintf("IdleBefore(%d, %d): %v", level, k, err)
+			}
+			if want := ref[level-1][tk.AbsDeadline(k)]; got != want {
+				return fmt.Sprintf("IdleBefore(%d, %d) = %d at deadline %d, brute force %d",
+					level, k, got, tk.AbsDeadline(k), want)
 			}
 		}
 	}
+	return ""
+}
+
+// bruteForceMisses simulates the FP schedule tick by tick and reports
+// whether a job with a deadline before the window still has work at its
+// deadline.
+func bruteForceMisses(s *task.Set, window timebase.Macrotick) bool {
+	n := len(s.Tasks)
+	remaining := make([]timebase.Macrotick, n)
+	for tm := timebase.Macrotick(0); tm < window; tm++ {
+		for i, tk := range s.Tasks {
+			// Deadlines first: a job released at this tick is not due.
+			if tm >= tk.Phi+tk.D && (tm-tk.Phi-tk.D)%tk.T == 0 && remaining[i] > 0 {
+				return true
+			}
+		}
+		for i, tk := range s.Tasks {
+			if tm >= tk.Phi && (tm-tk.Phi)%tk.T == 0 {
+				remaining[i] += tk.C
+			}
+		}
+		for i := range remaining {
+			if remaining[i] > 0 {
+				remaining[i]--
+				break
+			}
+		}
+	}
+	return false
 }
 
 // bruteForceIdle simulates the FP schedule tick by tick and returns, per

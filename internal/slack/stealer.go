@@ -54,9 +54,11 @@ type Stealer struct {
 	// EDF order.
 	guaranteed []*guaranteedJob
 	// cacheA and cacheCompleted memoize A_i(d_i) per level keyed by the
-	// completed-job count: LevelIdle(level, d) is pure in (level, d) and
-	// d only moves when a job of the level completes, so slackAt's inner
-	// loop reduces to subtractions between completions.
+	// completed-job count: the table entry is pure in (level, job) and the
+	// job only moves when one of the level completes, so slackAt's inner
+	// loop reduces to subtractions between completions.  On long runs most
+	// lookups fold beyond the table's window, and the memo is cheaper than
+	// the fold's division.
 	cacheA         []timebase.Macrotick
 	cacheCompleted []int64
 }
@@ -251,12 +253,7 @@ func (st *Stealer) slackAt(c timebase.Macrotick, inact, executed []timebase.Macr
 		completed := int64(executed[level-1] / tk.C)
 		a := st.cacheA[level-1]
 		if st.cacheCompleted[level-1] != completed {
-			d := tk.AbsDeadline(completed + 1)
-			var err error
-			a, err = st.a.LevelIdle(level, d)
-			if err != nil {
-				return 0
-			}
+			a = st.a.idleBefore(level-1, completed+1)
 			st.cacheA[level-1] = a
 			st.cacheCompleted[level-1] = completed
 		}
