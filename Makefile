@@ -57,14 +57,13 @@ examples:
 	done
 
 # Short fuzz passes over the scenario-DSL parser, the wire-format
-# decoder, the trace JSON encoder and the slack table; FUZZTIME can be
-# raised for deeper runs.
+# decoder and the trace JSON encoder; FUZZTIME can be raised for deeper
+# runs.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/scenario/
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/frame/
 	$(GO) test -run=^$$ -fuzz=FuzzJSONWriter -fuzztime=$(FUZZTIME) ./internal/trace/
-	$(GO) test -run=^$$ -fuzz=FuzzSlackTable -fuzztime=$(FUZZTIME) ./internal/slack/
 
 # Quick-mode scenario corpus (DESIGN.md §13): generate CORPUSCOUNT
 # scenarios from CORPUSSEED, run them differentially under CoEfficient,

@@ -11,8 +11,6 @@ import (
 	coefficient "github.com/flexray-go/coefficient"
 	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/schedule"
-	"github.com/flexray-go/coefficient/internal/slack"
-	"github.com/flexray-go/coefficient/internal/task"
 	"github.com/flexray-go/coefficient/internal/timebase"
 	"github.com/flexray-go/coefficient/internal/workload"
 )
@@ -308,22 +306,6 @@ func BenchmarkAblationDualChannel(b *testing.B) {
 	b.ReportMetric(single, "single-dyn-latency-us")
 }
 
-// BenchmarkAblationFullAdmission compares the exact interval-series
-// admission test against the fast sufficient test.
-func BenchmarkAblationFullAdmission(b *testing.B) {
-	b.ReportAllocs()
-	base := coefficient.SchedulerOptions{BER: 1e-6, Goal: 0.999}
-	var quick, full float64
-	for i := 0; i < b.N; i++ {
-		quick = ablationRun(b, base).OverallMissRatio()
-		f := base
-		f.FullAdmission = true
-		full = ablationRun(b, f).OverallMissRatio()
-	}
-	b.ReportMetric(quick, "quick-admission-miss")
-	b.ReportMetric(full, "full-admission-miss")
-}
-
 // --- Microbenchmarks of the core machinery ---
 
 // BenchmarkPlanDifferentiated measures the greedy reliability planner.
@@ -400,53 +382,6 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkSlackAnalysisBuild measures the offline slack-table build (one
-// fixed-priority simulation filling A_i at every deadline) for the
-// BBW-derived task set.
-func BenchmarkSlackAnalysisBuild(b *testing.B) {
-	b.ReportAllocs()
-	set := bbwTaskSet(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := slack.NewAnalysis(set); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStealerAvailable measures the runtime slack query.
-func BenchmarkStealerAvailable(b *testing.B) {
-	b.ReportAllocs()
-	a, err := slack.NewAnalysis(bbwTaskSet(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	st := slack.NewStealer(a)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.Available(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStealerCapacity measures the interval-series projection over a
-// 50 ms horizon.
-func BenchmarkStealerCapacity(b *testing.B) {
-	b.ReportAllocs()
-	a, err := slack.NewAnalysis(bbwTaskSet(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	st := slack.NewStealer(a)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.Capacity(50_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPackSignals measures first-fit-decreasing packing of 2500
 // signals.
 func BenchmarkPackSignals(b *testing.B) {
@@ -475,27 +410,6 @@ func BenchmarkScheduleBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// bbwTaskSet maps the BBW messages onto the 1ms-cycle periodic task model.
-func bbwTaskSet(b *testing.B) *task.Set {
-	b.Helper()
-	cfg := timebase.LatencyConfig(50)
-	var tasks []task.Periodic
-	for _, m := range coefficient.BBW().Messages {
-		tasks = append(tasks, task.Periodic{
-			Name: m.Name,
-			C:    cfg.StaticSlotLen,
-			T:    cfg.FromDuration(m.Period),
-			Phi:  cfg.FromDuration(m.Offset),
-			D:    cfg.FromDuration(m.Deadline),
-		})
-	}
-	s, err := task.NewSet(tasks)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
 }
 
 // BenchmarkScheduleSynthesis measures slot-multiplexed schedule synthesis

@@ -14,9 +14,12 @@
 //     additionally in stolen static slack (the cooperative half).
 //
 // The retransmission budget k_z per message comes from the differentiated
-// planner of internal/reliability (Theorem 1); the slack analysis and the
-// runtime stealer of internal/slack provide the admission guarantee for
-// retransmission jobs on channel A.
+// planner of internal/reliability (Theorem 1).  Stealing needs no slack
+// admission test to protect the periodic deadlines: FlexRay gives each
+// static slot to exactly one node, a channel-A static slot is stolen only
+// when its owner has no pending instance, and channel B's static segment
+// carries no primary traffic, so a steal never displaces a periodic
+// transmission.
 package core
 
 import (
@@ -29,15 +32,13 @@ import (
 	"github.com/flexray-go/coefficient/internal/reliability"
 	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/sim"
-	"github.com/flexray-go/coefficient/internal/slack"
-	"github.com/flexray-go/coefficient/internal/task"
 	"github.com/flexray-go/coefficient/internal/timebase"
 )
 
 // Options configures the CoEfficient scheduler.
 type Options struct {
-	// BER is the assumed bit error rate of the channel (drives the
-	// retransmission plan).
+	// BER is the assumed bit error rate of the channel in [0, 1) (drives
+	// the retransmission plan).
 	BER float64
 	// Goal is the reliability goal ρ in (0, 1); 0 defaults to the SIL3
 	// goal over Unit.
@@ -55,16 +56,6 @@ type Options struct {
 	// NoSelectiveSlack disables skipping over a non-fitting EDF head
 	// when placing retransmissions (ablation: head-of-line blocking).
 	NoSelectiveSlack bool
-	// NoSlackAdmission disables the slack-stealer admission analysis
-	// (jobs are queued best-effort only).
-	NoSlackAdmission bool
-	// FullAdmission runs the exact interval-series acceptance test
-	// (slack.Stealer.AdmitHard) for every retransmission job.  The
-	// default is a cheap sufficient test — admit when the immediately
-	// available slack S(t) covers the admitted backlog plus the new job —
-	// which is sound but conservative, and O(levels) instead of a full
-	// schedule projection per job.
-	FullAdmission bool
 	// Adaptive enables the online reliability controller: a windowed
 	// frame-error-rate estimator per channel fed from transmission
 	// outcomes, runtime replanning of the retransmission vector k_z when
@@ -90,8 +81,6 @@ type retxJob struct {
 	in       *node.Instance
 	deadline timebase.Macrotick
 	duration timebase.Macrotick
-	name     string
-	admitted bool
 	seq      int64
 }
 
@@ -101,8 +90,6 @@ type Stats struct {
 	PlannedRetx int
 	// JobsCreated counts retransmission jobs enqueued.
 	JobsCreated int64
-	// JobsAdmitted counts jobs that passed the slack admission test.
-	JobsAdmitted int64
 	// StolenStatic counts transmissions placed into idle static slots.
 	StolenStatic int64
 	// StolenSoft counts dynamic (soft) messages served in static slack.
@@ -131,12 +118,6 @@ type Scheduler struct {
 	plan0        []int
 	plannedRetx0 int
 
-	// Channel-A slack machinery (nil when the model is unavailable).
-	analysis *slack.Analysis
-	stealer  *slack.Stealer
-	// taskIdx maps static frame IDs to priority indices of the analysis.
-	taskIdx map[int]int
-
 	// retx is the EDF-ordered retransmission queue, kept sorted by
 	// (deadline, seq) via binary insertion; jobs indexes it by instance
 	// (reactive mode, where at most one job per instance exists).
@@ -147,12 +128,6 @@ type Scheduler struct {
 	// spawned marks instances whose proactive copies were already
 	// enqueued.
 	spawned map[*node.Instance]bool
-
-	// dynHardA and dynSoftA accumulate channel-A dynamic-segment service
-	// since the last cycle start, reported to the stealer lazily.
-	dynHardA, dynSoftA timebase.Macrotick
-	// admittedBacklog tracks the remaining work of quick-admitted jobs.
-	admittedBacklog timebase.Macrotick
 
 	// Adaptive-mode state (nil / zero when Options.Adaptive is off).
 	ctl *adapt.Controller
@@ -244,9 +219,10 @@ func (s *Scheduler) isShed(id int) bool {
 
 var _ sim.Scheduler = (*Scheduler)(nil)
 
-// New returns a CoEfficient scheduler.
+// New returns a CoEfficient scheduler.  Out-of-range options are reported
+// by Init.
 func New(opts Options) *Scheduler {
-	if opts.Unit <= 0 {
+	if opts.Unit == 0 {
 		opts.Unit = time.Second
 	}
 	if opts.Goal == 0 {
@@ -268,27 +244,45 @@ func (s *Scheduler) Stats() Stats { return s.stats }
 // Plan returns the retransmission budget k_z for a frame ID.
 func (s *Scheduler) Plan(frameID int) int { return s.planFor(frameID) }
 
-// Init implements sim.Scheduler: it computes the differentiated
-// retransmission plan and builds the channel-A slack analysis.
+// Init implements sim.Scheduler: it checks the options and computes the
+// differentiated retransmission plan.
 func (s *Scheduler) Init(env *sim.Env) error {
+	if err := s.opts.validate(); err != nil {
+		return err
+	}
 	s.env = env
 	if err := s.buildPlan(); err != nil {
 		return fmt.Errorf("core: retransmission plan: %w", err)
 	}
 	s.plan0 = append(s.plan0[:0], s.plan...)
 	s.plannedRetx0 = s.stats.PlannedRetx
-	s.buildSlackModel()
 	s.initAdaptive()
 	return nil
 }
 
+// validate rejects out-of-range options.  It runs after New has filled in
+// the defaults, so a zero Goal or Unit never reaches it; the negated
+// range tests also reject NaN.
+func (o *Options) validate() error {
+	switch {
+	case !(o.BER >= 0 && o.BER < 1):
+		return fmt.Errorf("core: BER %g outside [0, 1)", o.BER)
+	case o.Unit < 0:
+		return fmt.Errorf("core: negative time unit %v", o.Unit)
+	case !(o.Goal > 0 && o.Goal < 1):
+		return fmt.Errorf("core: reliability goal %g outside (0, 1)", o.Goal)
+	case o.MaxRetx < 0:
+		return fmt.Errorf("core: negative retransmission cap %d", o.MaxRetx)
+	}
+	return nil
+}
+
 // ResetReplica implements sim.ReplicaResettable: the scheduler returns
-// to its just-Init state without re-running the reliability planner or
-// the slack analysis, both of which are pure functions of the workload
-// and options.  Queues, index maps and the job arena are emptied in
-// place; the plan is restored from the Init snapshot (adaptive replans
-// mutate it); the stealer rewinds over its immutable analysis; adaptive
-// mode rebuilds its controller, which is cheap and not allocation-gated.
+// to its just-Init state without re-running the reliability planner, a
+// pure function of the workload and options.  Queues, index maps and the
+// job arena are emptied in place; the plan is restored from the Init
+// snapshot (adaptive replans mutate it); adaptive mode rebuilds its
+// controller, which is cheap and not allocation-gated.
 //
 //perf:hotpath
 func (s *Scheduler) ResetReplica() error {
@@ -299,11 +293,6 @@ func (s *Scheduler) ResetReplica() error {
 	clear(s.spawned)
 	s.nextSeq = 0
 	s.jobArena.rewind()
-	s.dynHardA, s.dynSoftA = 0, 0
-	s.admittedBacklog = 0
-	if s.stealer != nil {
-		s.stealer.Reset()
-	}
 	if s.opts.Adaptive {
 		s.initAdaptive()
 		s.probeCycles = [2]int64{}
@@ -364,68 +353,8 @@ func (s *Scheduler) buildPlan() error {
 	return nil
 }
 
-// buildSlackModel maps the static messages to hard periodic tasks on
-// channel A and constructs the analysis and stealer.  The model is an
-// admission aid: when it cannot be built (empty static set, model
-// unschedulable, oversubscribed), CoEfficient degrades to best-effort
-// retransmission queueing, never failing the run.
-func (s *Scheduler) buildSlackModel() {
-	if s.opts.NoSlackAdmission {
-		return
-	}
-	statics := s.env.Set.Static()
-	if len(statics) == 0 {
-		return
-	}
-	cfg := s.env.Cfg
-	tasks := make([]task.Periodic, 0, len(statics))
-	for _, m := range statics {
-		tasks = append(tasks, task.Periodic{
-			Name: m.Name,
-			C:    cfg.StaticSlotLen,
-			T:    cfg.FromDuration(m.Period),
-			Phi:  cfg.FromDuration(m.Offset),
-			D:    cfg.FromDuration(m.Deadline),
-		})
-	}
-	set, err := task.NewSet(tasks)
-	if err != nil {
-		return
-	}
-	analysis, err := slack.NewAnalysis(set)
-	if err != nil {
-		return
-	}
-	s.analysis = analysis
-	s.stealer = slack.NewStealer(analysis)
-	s.taskIdx = make(map[int]int, len(statics))
-	for _, m := range statics {
-		for idx, tk := range set.Tasks {
-			if tk.Name == m.Name {
-				s.taskIdx[m.ID] = idx
-				break
-			}
-		}
-	}
-}
-
 // CycleStart implements sim.Scheduler.
 func (s *Scheduler) CycleStart(_ int64, now timebase.Macrotick) {
-	if s.stealer != nil {
-		// Reconcile the stealer clock with the bus: report the
-		// dynamic-segment service accumulated on channel A, then the
-		// remaining gap as inactivity.
-		if s.dynHardA > 0 {
-			_ = s.stealer.RunAperiodicSoft(s.dynHardA)
-		}
-		if s.dynSoftA > 0 {
-			_ = s.stealer.RunAperiodicSoft(s.dynSoftA)
-		}
-		if gap := now - s.stealer.Now(); gap > 0 {
-			_ = s.stealer.Idle(gap)
-		}
-	}
-	s.dynHardA, s.dynSoftA = 0, 0
 	s.purgeExpired(now)
 	s.adaptTick(now)
 }
@@ -439,7 +368,6 @@ func (s *Scheduler) purgeExpired(now timebase.Macrotick) {
 	s.retx.removeIf(func(j *retxJob) bool {
 		return j.deadline != node.NoDeadline && now > j.deadline
 	}, func(j *retxJob) {
-		s.releaseAdmission(j)
 		if s.opts.Reactive {
 			delete(s.jobs, j.in)
 			s.requeueHome(j.in)
@@ -451,7 +379,6 @@ func (s *Scheduler) purgeExpired(now timebase.Macrotick) {
 //
 //perf:hotpath
 func (s *Scheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now timebase.Macrotick) *sim.Transmission {
-	cfg := s.env.Cfg
 	if ch == frame.ChannelB {
 		if s.opts.SingleChannel {
 			return nil
@@ -463,14 +390,13 @@ func (s *Scheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now timebase
 		}
 		// Channel B carries no primary static traffic: its whole
 		// static segment is a steal pool.
-		return s.pickSteal(ch, now, cfg.StaticSlotLen, true /* static slack */, false)
+		return s.pickSteal(ch, now)
 	}
 
 	// Channel A: the owner first.
 	if m := s.env.StaticMsg(slot); m != nil && s.env.Attached(m.Node, ch) {
 		ecu := s.env.ECU(m.Node)
 		if in := ecu.PeekStatic(slot, now); in != nil {
-			s.reportOwnerSlot(slot, in)
 			s.maybeSpawnCopies(in)
 			return s.emit(sim.Transmission{
 				Instance: in,
@@ -481,65 +407,34 @@ func (s *Scheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now timebase
 		}
 	}
 	// Idle slot: steal it.
-	return s.pickSteal(ch, now, cfg.StaticSlotLen, true, true)
+	return s.pickSteal(ch, now)
 }
 
-// reportOwnerSlot tells the stealer the owner consumed its slot.  A
-// best-effort retry beyond the released periodic work is reported as
-// aperiodic consumption instead (it is not part of the periodic model).
-func (s *Scheduler) reportOwnerSlot(slot int, in *node.Instance) {
-	if s.stealer == nil {
-		return
-	}
-	slotLen := s.env.Cfg.StaticSlotLen
-	idx, ok := s.taskIdx[slot]
-	if !ok || in.Attempts > 0 {
-		_ = s.stealer.RunAperiodicSoft(slotLen)
-		return
-	}
-	if pending, err := s.stealer.Pending(idx); err != nil || pending <= 0 {
-		_ = s.stealer.RunAperiodicSoft(slotLen)
-		return
-	}
-	if err := s.stealer.RunPeriodic(idx, slotLen); err != nil {
-		_ = s.stealer.Idle(slotLen)
-	}
-}
-
-// pickSteal selects work for an idle slot: retransmission jobs EDF-first
-// (selectively skipping frames that do not fit), then soft dynamic
-// messages (cooperative scheduling).  reportA says the choice must be
-// reported to the channel-A stealer.
+// pickSteal selects work for an idle static slot: retransmission jobs
+// EDF-first (selectively skipping frames that do not fit), then soft
+// dynamic messages (cooperative scheduling).
 //
 //perf:hotpath
-func (s *Scheduler) pickSteal(ch frame.Channel, now, capacity timebase.Macrotick, staticSlack, reportA bool) *sim.Transmission {
+func (s *Scheduler) pickSteal(ch frame.Channel, now timebase.Macrotick) *sim.Transmission {
 	if !s.stealAllowed(ch) {
 		// Suspect channel outside its probe cycle: burning proactive
 		// copies on a likely-dead channel would defeat the plan.
-		if reportA && s.stealer != nil {
-			_ = s.stealer.Idle(capacity)
-		}
 		return nil
 	}
-	if tx := s.stealRetx(ch, now, capacity, staticSlack, reportA); tx != nil {
+	if tx := s.stealRetx(ch, now); tx != nil {
 		return tx
 	}
-	if tx := s.stealSoft(ch, now, capacity, staticSlack, reportA); tx != nil {
-		return tx
-	}
-	if reportA && s.stealer != nil {
-		_ = s.stealer.Idle(capacity)
-	}
-	return nil
+	return s.stealSoft(ch, now)
 }
 
 // stealRetx serves the retransmission queue.
 //
 //perf:hotpath
-func (s *Scheduler) stealRetx(ch frame.Channel, now, capacity timebase.Macrotick, staticSlack, reportA bool) *sim.Transmission {
+func (s *Scheduler) stealRetx(ch frame.Channel, now timebase.Macrotick) *sim.Transmission {
 	if s.avoidRetx(ch) {
 		return nil
 	}
+	capacity := s.env.Cfg.StaticSlotLen
 	for _, j := range s.retx.items() {
 		if !s.env.Attached(j.in.Msg.Node, ch) {
 			continue
@@ -547,16 +442,13 @@ func (s *Scheduler) stealRetx(ch frame.Channel, now, capacity timebase.Macrotick
 		fits := j.duration <= capacity &&
 			(j.deadline == node.NoDeadline || now+j.duration <= j.deadline)
 		if fits {
-			s.reportSteal(reportA, j.duration, capacity)
-			if staticSlack {
-				s.stats.StolenStatic++
-			}
+			s.stats.StolenStatic++
 			return s.emit(sim.Transmission{
 				Instance: j.in,
 				Channel:  ch,
 				Duration: j.duration,
 				Retx:     true,
-				Stolen:   staticSlack,
+				Stolen:   true,
 				Detail:   "retx",
 				Tag:      j,
 			})
@@ -571,7 +463,7 @@ func (s *Scheduler) stealRetx(ch frame.Channel, now, capacity timebase.Macrotick
 // stealSoft serves pending dynamic messages in static slack.
 //
 //perf:hotpath
-func (s *Scheduler) stealSoft(ch frame.Channel, now, capacity timebase.Macrotick, staticSlack, reportA bool) *sim.Transmission {
+func (s *Scheduler) stealSoft(ch frame.Channel, now timebase.Macrotick) *sim.Transmission {
 	// The sorted candidate list the original formulation built was only
 	// ever consumed up to its first usable entry, so a single-pass min
 	// selection over the total (priority, release, ID) order returns the
@@ -580,6 +472,7 @@ func (s *Scheduler) stealSoft(ch frame.Channel, now, capacity timebase.Macrotick
 	//     the remaining capacity;
 	//   - NoSelectiveSlack: the best candidate overall, which is rejected
 	//     outright when it does not fit.
+	capacity := s.env.Cfg.StaticSlotLen
 	var best softCand
 	found := false
 	for _, ecu := range s.env.OrderedECUs() {
@@ -605,16 +498,13 @@ func (s *Scheduler) stealSoft(ch frame.Channel, now, capacity timebase.Macrotick
 	if !found || best.dur > capacity {
 		return nil
 	}
-	s.reportSteal(reportA, best.dur, capacity)
-	if staticSlack {
-		s.stats.StolenSoft++
-	}
+	s.stats.StolenSoft++
 	return s.emit(sim.Transmission{
 		Instance: best.in,
 		Channel:  ch,
 		Duration: best.dur,
 		Retx:     best.in.Attempts > 0,
-		Stolen:   staticSlack,
+		Stolen:   true,
 		Detail:   "coop-dynamic",
 	})
 }
@@ -631,16 +521,6 @@ func softLess(x, y softCand) bool {
 		return a.Release < b.Release
 	}
 	return a.Msg.ID < b.Msg.ID
-}
-
-func (s *Scheduler) reportSteal(reportA bool, dur, capacity timebase.Macrotick) {
-	if !reportA || s.stealer == nil {
-		return
-	}
-	_ = s.stealer.RunAperiodicSoft(dur)
-	if rest := capacity - dur; rest > 0 {
-		_ = s.stealer.Idle(rest)
-	}
 }
 
 // DynamicSlot implements sim.Scheduler: the FTDMA walk serves the priority
@@ -665,9 +545,6 @@ func (s *Scheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _, remai
 		return nil
 	}
 	if in := ecu.PeekDynamicFor(slotCounter, now); in != nil {
-		if ch == frame.ChannelA {
-			s.dynSoftA += dur
-		}
 		s.maybeSpawnCopies(in)
 		return s.emit(sim.Transmission{
 			Instance: in,
@@ -686,9 +563,6 @@ func (s *Scheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _, remai
 		}
 		if s.env.Cfg.MinislotsForFrame(j.duration) > remaining {
 			continue
-		}
-		if ch == frame.ChannelA {
-			s.dynHardA += j.duration
 		}
 		return s.emit(sim.Transmission{
 			Instance: j.in,
@@ -713,8 +587,8 @@ func (s *Scheduler) maybeSpawnCopies(in *node.Instance) {
 		return
 	}
 	s.spawned[in] = true
-	for i := 0; i < k; i++ {
-		s.enqueueJob(in, "copy", i)
+	for range k {
+		s.enqueueJob(in)
 	}
 }
 
@@ -795,15 +669,13 @@ func (s *Scheduler) createJob(in *node.Instance) {
 	} else {
 		ecu.RemoveDynamic(in)
 	}
-	j := s.enqueueJob(in, "retx", -1)
+	j := s.enqueueJob(in)
 	s.jobs[in] = j
 }
 
-// enqueueJob creates one retransmission job with a slack-stealer admission
-// attempt on channel A and inserts it into the EDF queue.  kind and
-// copyIdx name the job ("copy"/"retx"); the name string itself is built
-// only on the full-admission path, which is the only consumer.
-func (s *Scheduler) enqueueJob(in *node.Instance, kind string, copyIdx int) *retxJob {
+// enqueueJob creates one retransmission job and inserts it into the EDF
+// queue.
+func (s *Scheduler) enqueueJob(in *node.Instance) *retxJob {
 	s.nextSeq++
 	j := s.jobArena.new()
 	*j = retxJob{
@@ -811,32 +683,6 @@ func (s *Scheduler) enqueueJob(in *node.Instance, kind string, copyIdx int) *ret
 		deadline: in.Deadline,
 		duration: s.env.FrameDuration(in.Msg),
 		seq:      s.nextSeq,
-	}
-	if s.stealer != nil && j.deadline != node.NoDeadline && j.deadline > s.stealer.Now() {
-		if s.opts.FullAdmission {
-			if copyIdx >= 0 {
-				j.name = fmt.Sprintf("%s-%d-%d-%d", kind, in.Msg.ID, in.Seq, copyIdx)
-			} else {
-				j.name = fmt.Sprintf("%s-%d-%d", kind, in.Msg.ID, in.Seq)
-			}
-			ap := task.Aperiodic{
-				Name:    j.name,
-				Arrival: s.stealer.Now(),
-				P:       j.duration,
-				D:       j.deadline,
-			}
-			if err := s.stealer.AdmitHard(ap); err == nil {
-				j.admitted = true
-				s.stats.JobsAdmitted++
-			}
-		} else if avail, err := s.stealer.Available(); err == nil &&
-			avail >= s.admittedBacklog+j.duration {
-			// Sufficient test: the slack available right now covers
-			// everything already guaranteed plus this job.
-			j.admitted = true
-			s.admittedBacklog += j.duration
-			s.stats.JobsAdmitted++
-		}
 	}
 	// Binary insertion by (deadline, seq).  seq is unique and strictly
 	// increasing, so the order is total and the queue position matches
@@ -858,7 +704,7 @@ func (s *Scheduler) enqueueJob(in *node.Instance, kind string, copyIdx int) *ret
 	return j
 }
 
-// removeJob deletes a job from the queue and the stealer.
+// removeJob deletes a job from the queue and the instance index.
 func (s *Scheduler) removeJob(j *retxJob) {
 	delete(s.jobs, j.in)
 	for i, q := range s.retx.items() {
@@ -866,25 +712,6 @@ func (s *Scheduler) removeJob(j *retxJob) {
 			s.retx.remove(i)
 			break
 		}
-	}
-	s.releaseAdmission(j)
-}
-
-// releaseAdmission returns a job's guaranteed capacity to the pool.
-func (s *Scheduler) releaseAdmission(j *retxJob) {
-	if !j.admitted {
-		return
-	}
-	j.admitted = false
-	if s.opts.FullAdmission {
-		if s.stealer != nil {
-			s.stealer.DropGuaranteed(j.name)
-		}
-		return
-	}
-	s.admittedBacklog -= j.duration
-	if s.admittedBacklog < 0 {
-		s.admittedBacklog = 0
 	}
 }
 
@@ -915,7 +742,7 @@ func (s *Scheduler) InstanceDropped(in *node.Instance, _ timebase.Macrotick) {
 		delete(s.spawned, in)
 	}
 	// Proactive copies of a dropped instance are pointless: discard them.
-	s.retx.removeIf(func(j *retxJob) bool { return j.in == in }, s.releaseAdmission)
+	s.retx.removeIf(func(j *retxJob) bool { return j.in == in }, nil)
 }
 
 // RetxQueueLen returns the number of pending retransmission jobs (for
@@ -975,9 +802,9 @@ func (q *jobQueue) remove(i int) {
 }
 
 // removeIf removes, in queue order, every job drop selects and hands each
-// to retire.  It scans to the first such job before rewriting anything:
-// most calls remove nothing, and the untouched prefix needs no pointer
-// writes.
+// to retire unless retire is nil.  It scans to the first such job before
+// rewriting anything: most calls remove nothing, and the untouched prefix
+// needs no pointer writes.
 func (q *jobQueue) removeIf(drop func(*retxJob) bool, retire func(*retxJob)) {
 	items := q.items()
 	i := 0
@@ -989,10 +816,10 @@ func (q *jobQueue) removeIf(drop func(*retxJob) bool, retire func(*retxJob)) {
 	}
 	keep := items[:i]
 	for _, j := range items[i:] {
-		if drop(j) {
-			retire(j)
-		} else {
+		if !drop(j) {
 			keep = append(keep, j)
+		} else if retire != nil {
+			retire(j)
 		}
 	}
 	clear(items[len(keep):])

@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/flexray-go/coefficient/internal/core"
 	"github.com/flexray-go/coefficient/internal/fault"
+	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/metrics"
 	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/sim"
@@ -246,13 +249,100 @@ func TestCoEfficientDeterministic(t *testing.T) {
 	}
 }
 
-func TestCoEfficientNoSlackAdmissionStillWorks(t *testing.T) {
-	sched := core.New(core.Options{BER: 2e-4, Goal: 0.999, NoSlackAdmission: true})
-	res := runWith(t, sched, 2e-4, 17, 100*time.Millisecond)
-	if res.Report.Delivered[metrics.Static] == 0 {
-		t.Fatal("nothing delivered without slack admission")
+// Out-of-range options are rejected at Init and surfaced by sim.Run, never
+// replaced by a default.  Zero still selects the default for Goal, Unit and
+// MaxRetx (TestCoEfficientCooperativeSoftStealing runs the zero Options).
+func TestInitRejectsOutOfRangeOptions(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		opts  core.Options
+	}{
+		{"BER", core.Options{BER: -1e-4, Goal: 0.999}},
+		{"goal", core.Options{BER: 0, Goal: 7}},
+		{"unit", core.Options{BER: 1e-4, Goal: 0.999, Unit: -time.Second}},
+		{"cap", core.Options{BER: 1e-4, Goal: 0.999, MaxRetx: -3}},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			_, err := sim.Run(sim.Options{
+				Config:   testConfig(),
+				Workload: mixedWorkload(),
+				Mode:     sim.Streaming,
+				Duration: 10 * time.Millisecond,
+				Seed:     1,
+			}, core.New(tc.opts))
+			if err == nil {
+				t.Fatalf("out-of-range %s accepted", tc.field)
+			}
+			if msg := err.Error(); !strings.HasPrefix(msg, "scheduler init: core: ") || !strings.Contains(msg, tc.field) {
+				t.Errorf("err = %q, want a scheduler init error naming the %s", msg, tc.field)
+			}
+		})
 	}
-	if sched.Stats().JobsAdmitted != 0 {
-		t.Errorf("admission disabled but %d jobs admitted", sched.Stats().JobsAdmitted)
+}
+
+// ownerGuard wraps CoEfficient and checks every channel-A static slot: a
+// stolen transmission is allowed only when the slot owner has no released,
+// undelivered instance.  FlexRay gives each static slot to one node, so
+// this is the whole of the guarantee that stealing never endangers a
+// periodic deadline.
+type ownerGuard struct {
+	*core.Scheduler
+	env        *sim.Env
+	steals     int
+	displaced  int
+	firstSlot  int
+	firstCycle int64
+}
+
+func (g *ownerGuard) Init(env *sim.Env) error {
+	g.env = env
+	return g.Scheduler.Init(env)
+}
+
+func (g *ownerGuard) StaticSlot(ch frame.Channel, cycle int64, slot int, now timebase.Macrotick) *sim.Transmission {
+	pending := false
+	if ch == frame.ChannelA {
+		if m := g.env.StaticMsg(slot); m != nil {
+			pending = g.env.ECU(m.Node).PeekStatic(slot, now) != nil
+		}
+	}
+	tx := g.Scheduler.StaticSlot(ch, cycle, slot, now)
+	if ch == frame.ChannelA && tx != nil && tx.Stolen {
+		g.steals++
+		if pending {
+			if g.displaced == 0 {
+				g.firstSlot, g.firstCycle = slot, cycle
+			}
+			g.displaced++
+		}
+	}
+	return tx
+}
+
+func TestStealsNeverDisplaceOwner(t *testing.T) {
+	modes := []struct {
+		name string
+		opts core.Options
+	}{
+		{"proactive", core.Options{Goal: 0.999}},
+		{"reactive", core.Options{Goal: 0.999, Reactive: true}},
+		{"adaptive", core.Options{Goal: 0.999, Adaptive: true}},
+	}
+	for _, ber := range []float64{0, 2e-4, 1e-3} {
+		for _, mode := range modes {
+			t.Run(fmt.Sprintf("%s/ber=%g", mode.name, ber), func(t *testing.T) {
+				opts := mode.opts
+				opts.BER = ber
+				g := &ownerGuard{Scheduler: core.New(opts)}
+				runWith(t, g, ber, 5, 200*time.Millisecond)
+				if g.steals == 0 {
+					t.Fatal("no channel-A steals: the check saw nothing")
+				}
+				if g.displaced > 0 {
+					t.Errorf("%d of %d channel-A steals took a slot whose owner had a pending instance (first: slot %d, cycle %d)",
+						g.displaced, g.steals, g.firstSlot, g.firstCycle)
+				}
+			})
+		}
 	}
 }

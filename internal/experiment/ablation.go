@@ -64,8 +64,6 @@ func Ablations(opts AblationOptions) ([]AblationRow, error) {
 		{"uniform-plan", func(o *core.Options) { o.Uniform = true }},
 		{"single-channel", func(o *core.Options) { o.SingleChannel = true }},
 		{"no-selective-slack", func(o *core.Options) { o.NoSelectiveSlack = true }},
-		{"no-slack-admission", func(o *core.Options) { o.NoSlackAdmission = true }},
-		{"full-admission", func(o *core.Options) { o.FullAdmission = true }},
 		{"reactive", func(o *core.Options) { o.Reactive = true }},
 	}
 

@@ -219,8 +219,8 @@ func TestAblationsSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Ablations: %v", err)
 	}
-	if len(rows) != 7 {
-		t.Fatalf("rows = %d, want 7 variants", len(rows))
+	if len(rows) != 5 {
+		t.Fatalf("rows = %d, want 5 variants", len(rows))
 	}
 	byName := make(map[string]AblationRow, len(rows))
 	for _, r := range rows {

@@ -23,8 +23,8 @@ import (
 const testBER = 1e-6
 
 // testSet is a mixed workload: three periodic signals across two nodes
-// plus two aperiodic streams, so static slots, dynamic slots and the
-// slack stealer all see work.
+// plus two aperiodic streams, so static slots, dynamic slots and slack
+// stealing all see work.
 func testSet() signal.Set {
 	return signal.Set{Name: "batch-test", Messages: []signal.Message{
 		{ID: 1, Name: "s1", Node: 0, Kind: signal.Periodic,
