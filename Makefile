@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race benchmod examples fuzz corpus corpus-update experiments experiments-update profile lint ci
+.PHONY: all vet build test race benchmod examples examples-update fuzz corpus corpus-update experiments experiments-update profile lint ci
 
 all: ci
 
@@ -48,12 +48,26 @@ race:
 benchmod:
 	cd bench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test -count=1 ./...
 
-# Run every example program end to end: compiling them is not enough,
-# since an example that builds can still fail (or log.Fatal) at run time.
+# Run every example program end to end and diff its stdout against the
+# golden results/examples/<name>.txt: compiling them is not enough, since
+# an example that builds can still fail (or log.Fatal) at run time or
+# print something else.  `make examples-update` rewrites the goldens
+# after an intended behavior change.
 examples:
-	@for dir in examples/*/; do \
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for dir in examples/*/; do \
+		name=$$(basename "$$dir"); \
 		echo "== go run ./$$dir"; \
-		$(GO) run "./$$dir" || exit 1; \
+		$(GO) run "./$$dir" > "$$out" || exit 1; \
+		diff -u "results/examples/$$name.txt" "$$out" || exit 1; \
+	done
+
+examples-update:
+	@mkdir -p results/examples; \
+	for dir in examples/*/; do \
+		name=$$(basename "$$dir"); \
+		echo "== go run ./$$dir > results/examples/$$name.txt"; \
+		$(GO) run "./$$dir" > "results/examples/$$name.txt" || exit 1; \
 	done
 
 # Short fuzz passes over the scenario-DSL parser, the wire-format
@@ -84,13 +98,13 @@ corpus-update: build
 # Full-run experiment tables as a golden, like the corpus: regenerate the
 # text and CSV tables and the SVG charts of `-experiment all` into a
 # temporary directory and diff them against results/ (the corpus store
-# excluded).  `make experiments-update` rewrites results/ after an
-# intended behavior change.
+# and the example goldens excluded).  `make experiments-update` rewrites
+# results/ after an intended behavior change.
 experiments: build
 	@dir=$$(mktemp -d); \
 	$(GO) run ./cmd/coefficientsim -experiment all -output $$dir/all_experiments.txt -svg $$dir && \
 	$(GO) run ./cmd/coefficientsim -experiment all -format csv -output $$dir/all_experiments.csv && \
-	diff -r -x corpus results $$dir; \
+	diff -r -x corpus -x examples results $$dir; \
 	status=$$?; rm -rf "$$dir"; exit $$status
 
 experiments-update: build

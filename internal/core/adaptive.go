@@ -80,9 +80,9 @@ func (s *Scheduler) observe(tx *sim.Transmission, ok bool) {
 
 // stealAllowed reports whether steals may be placed on the channel: always
 // on a healthy channel, and on a suspect one only during its periodic
-// probe cycle.  Withholding steals from a blacked-out channel matters in
-// proactive mode, where a copy job is retired once transmitted — burning
-// copies on a dead channel would defeat the retransmission plan.
+// probe cycle.  Withholding steals from a blacked-out channel matters
+// because a copy job is retired once transmitted — burning copies on a
+// dead channel would defeat the retransmission plan.
 func (s *Scheduler) stealAllowed(ch frame.Channel) bool {
 	if s.ctl == nil || !s.ctl.Suspect(ch) {
 		return true
@@ -92,8 +92,8 @@ func (s *Scheduler) stealAllowed(ch frame.Channel) bool {
 
 // avoidRetx reports whether retransmission copies should be withheld from
 // the channel because it is observably degraded while the other channel is
-// healthy.  A proactive copy is retired once transmitted, so spending it on
-// the degraded channel forfeits the reliability it was planned to buy; soft
+// healthy.  A copy is retired once transmitted, so spending it on the
+// degraded channel forfeits the reliability it was planned to buy; soft
 // dynamic steals stay unaffected (a corrupted soft transmission simply
 // retries later).
 func (s *Scheduler) avoidRetx(ch frame.Channel) bool {

@@ -67,13 +67,6 @@ type Options struct {
 	// Adapt tunes the controller; the zero value selects defaults (and a
 	// replan cooldown of 20 communication cycles).
 	Adapt adapt.Options
-	// Reactive switches from the paper-faithful proactive replication
-	// (k_z blind copies per instance, FlexRay has no acknowledgements) to
-	// an extension that retransmits only after an observed fault through
-	// an application-level acknowledgement, as in the dependability
-	// protocol of Li et al. (DATE'09).  Reactive mode uses far less
-	// bandwidth at the same delivered reliability.
-	Reactive bool
 }
 
 // retxJob is one pending retransmission: a hard aperiodic task.
@@ -94,9 +87,6 @@ type Stats struct {
 	StolenStatic int64
 	// StolenSoft counts dynamic (soft) messages served in static slack.
 	StolenSoft int64
-	// BudgetExhausted counts instances whose retransmission budget ran
-	// out and fell back to best-effort service.
-	BudgetExhausted int64
 	// Replans counts runtime recomputations of the retransmission plan
 	// (adaptive mode only).
 	Replans int64
@@ -119,10 +109,8 @@ type Scheduler struct {
 	plannedRetx0 int
 
 	// retx is the EDF-ordered retransmission queue, kept sorted by
-	// (deadline, seq) via binary insertion; jobs indexes it by instance
-	// (reactive mode, where at most one job per instance exists).
+	// (deadline, seq) via binary insertion.
 	retx     jobQueue
-	jobs     map[*node.Instance]*retxJob
 	nextSeq  int64
 	jobArena retxArena
 	// spawned marks instances whose proactive copies were already
@@ -180,7 +168,7 @@ func (a *retxArena) new() *retxJob {
 
 // rewind truncates every block back to length zero, keeping the backing
 // memory.  Safe only once no job handed out before the rewind is still
-// referenced — ResetReplica empties the queue and index maps first.
+// referenced — ResetReplica empties the queue first.
 //
 //perf:hotpath
 func (a *retxArena) rewind() {
@@ -230,7 +218,6 @@ func New(opts Options) *Scheduler {
 	}
 	return &Scheduler{
 		opts:    opts,
-		jobs:    make(map[*node.Instance]*retxJob),
 		spawned: make(map[*node.Instance]bool),
 	}
 }
@@ -279,9 +266,9 @@ func (o *Options) validate() error {
 
 // ResetReplica implements sim.ReplicaResettable: the scheduler returns
 // to its just-Init state without re-running the reliability planner, a
-// pure function of the workload and options.  Queues, index maps and the
-// job arena are emptied in place; the plan is restored from the Init
-// snapshot (adaptive replans mutate it); adaptive mode rebuilds its
+// pure function of the workload and options.  The queue, the spawned set
+// and the job arena are emptied in place; the plan is restored from the
+// Init snapshot (adaptive replans mutate it); adaptive mode rebuilds its
 // controller, which is cheap and not allocation-gated.
 //
 //perf:hotpath
@@ -289,7 +276,6 @@ func (s *Scheduler) ResetReplica() error {
 	copy(s.plan, s.plan0)
 	s.stats = Stats{PlannedRetx: s.plannedRetx0}
 	s.retx.reset()
-	clear(s.jobs)
 	clear(s.spawned)
 	s.nextSeq = 0
 	s.jobArena.rewind()
@@ -359,19 +345,12 @@ func (s *Scheduler) CycleStart(_ int64, now timebase.Macrotick) {
 	s.adaptTick(now)
 }
 
-// purgeExpired retires retransmission jobs whose deadline has passed.  In
-// reactive mode the instance returns to its home queue so the engine's
-// expiry sweep counts the drop — jobs must never make an instance vanish
-// unaccounted.  In proactive mode the instance never left its home queue,
-// so the job is simply discarded.
+// purgeExpired discards retransmission jobs whose deadline has passed.
+// The instance never left its home queue, so the engine's expiry sweep
+// counts its drop.
 func (s *Scheduler) purgeExpired(now timebase.Macrotick) {
 	s.retx.removeIf(func(j *retxJob) bool {
 		return j.deadline != node.NoDeadline && now > j.deadline
-	}, func(j *retxJob) {
-		if s.opts.Reactive {
-			delete(s.jobs, j.in)
-			s.requeueHome(j.in)
-		}
 	})
 }
 
@@ -576,12 +555,9 @@ func (s *Scheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _, remai
 	return nil
 }
 
-// maybeSpawnCopies enqueues, in proactive mode, the k_z blind copy jobs of
-// an instance the first time its primary transmission is scheduled.
+// maybeSpawnCopies enqueues the k_z blind copy jobs of an instance the
+// first time its primary transmission is scheduled.
 func (s *Scheduler) maybeSpawnCopies(in *node.Instance) {
-	if s.opts.Reactive {
-		return
-	}
 	k := s.planFor(in.Msg.ID)
 	if k <= 0 || s.spawned[in] {
 		return
@@ -592,62 +568,24 @@ func (s *Scheduler) maybeSpawnCopies(in *node.Instance) {
 	}
 }
 
-// Result implements sim.Scheduler.
-func (s *Scheduler) Result(tx *sim.Transmission, ok bool, now timebase.Macrotick) {
+// Result implements sim.Scheduler.  Replication is proactive: every copy
+// job is one wire attempt, retired once transmitted regardless of outcome
+// (FlexRay has no acknowledgements).  A delivered instance leaves its home
+// queue; its remaining copies still go out.
+func (s *Scheduler) Result(tx *sim.Transmission, ok bool, _ timebase.Macrotick) {
 	s.observe(tx, ok)
-	in := tx.Instance
-	if !s.opts.Reactive {
-		// Proactive replication: every copy job is one wire attempt,
-		// retired once transmitted regardless of outcome (no
-		// acknowledgements).  A delivered instance leaves its home
-		// queue; its remaining copies still go out.
-		if j, isJob := tx.Tag.(*retxJob); isJob {
-			s.removeJob(j)
-		}
-		if in.Done {
-			s.finish(in)
-		}
-		return
-	}
-
-	// Reactive mode (acknowledgement-based extension).
-	if ok && in.Done {
-		s.finish(in)
-		return
-	}
-	if ok {
-		return
-	}
-	// Transient fault: decide on a retransmission.
-	budget := s.planFor(in.Msg.ID)
-	if j, exists := s.jobs[in]; exists {
-		if in.Attempts <= budget {
-			return // the job stays queued and will retry
-		}
-		// Budget exhausted: fall back to best-effort in the home queue.
+	if j, isJob := tx.Tag.(*retxJob); isJob {
 		s.removeJob(j)
-		s.requeueHome(in)
-		s.stats.BudgetExhausted++
-		return
 	}
-	if in.Attempts <= budget {
-		s.createJob(in)
+	if tx.Instance.Done {
+		s.finish(tx.Instance)
 	}
-	// Else: the instance stays in its home queue and retries best-effort
-	// in its own slots.
-	_ = now
 }
 
-// finish clears the scheduler state of a delivered instance.  In proactive
-// mode any not-yet-sent copies stay queued: without acknowledgements the
-// protocol cannot cancel them, and their bandwidth cost is part of the
-// scheme.
+// finish clears the scheduler state of a delivered instance.  Any
+// not-yet-sent copies stay queued: without acknowledgements the protocol
+// cannot cancel them, and their bandwidth cost is part of the scheme.
 func (s *Scheduler) finish(in *node.Instance) {
-	if s.opts.Reactive {
-		if j, exists := s.jobs[in]; exists {
-			s.removeJob(j)
-		}
-	}
 	if len(s.spawned) != 0 {
 		delete(s.spawned, in)
 	}
@@ -659,23 +597,9 @@ func (s *Scheduler) finish(in *node.Instance) {
 	}
 }
 
-// createJob turns a failed instance into a hard aperiodic retransmission
-// job (reactive mode): it leaves its home queue and enters the EDF
-// retransmission queue.
-func (s *Scheduler) createJob(in *node.Instance) {
-	ecu := s.env.ECU(in.Msg.Node)
-	if in.Msg.Kind == signal.Periodic {
-		ecu.RemoveStatic(in)
-	} else {
-		ecu.RemoveDynamic(in)
-	}
-	j := s.enqueueJob(in)
-	s.jobs[in] = j
-}
-
 // enqueueJob creates one retransmission job and inserts it into the EDF
 // queue.
-func (s *Scheduler) enqueueJob(in *node.Instance) *retxJob {
+func (s *Scheduler) enqueueJob(in *node.Instance) {
 	s.nextSeq++
 	j := s.jobArena.new()
 	*j = retxJob{
@@ -701,12 +625,10 @@ func (s *Scheduler) enqueueJob(in *node.Instance) *retxJob {
 	}
 	s.retx.insert(lo, j)
 	s.stats.JobsCreated++
-	return j
 }
 
-// removeJob deletes a job from the queue and the instance index.
+// removeJob deletes a job from the queue.
 func (s *Scheduler) removeJob(j *retxJob) {
-	delete(s.jobs, j.in)
 	for i, q := range s.retx.items() {
 		if q == j {
 			s.retx.remove(i)
@@ -715,34 +637,13 @@ func (s *Scheduler) removeJob(j *retxJob) {
 	}
 }
 
-// requeueHome puts an instance back into its ECU queue for best-effort
-// service.
-func (s *Scheduler) requeueHome(in *node.Instance) {
-	ecu := s.env.ECU(in.Msg.Node)
-	var err error
-	if in.Msg.Kind == signal.Periodic {
-		err = ecu.RequeueStatic(in)
-	} else {
-		err = ecu.EnqueueDynamic(in)
-	}
-	if err != nil {
-		// The instance belongs to this ECU by construction.
-		panic("core: requeue failed: " + err.Error())
-	}
-}
-
 // InstanceDropped implements sim.Scheduler.
 func (s *Scheduler) InstanceDropped(in *node.Instance, _ timebase.Macrotick) {
-	if len(s.jobs) != 0 {
-		if j, exists := s.jobs[in]; exists {
-			s.removeJob(j)
-		}
-	}
 	if len(s.spawned) != 0 {
 		delete(s.spawned, in)
 	}
-	// Proactive copies of a dropped instance are pointless: discard them.
-	s.retx.removeIf(func(j *retxJob) bool { return j.in == in }, nil)
+	// Copies of a dropped instance are pointless: discard them.
+	s.retx.removeIf(func(j *retxJob) bool { return j.in == in })
 }
 
 // RetxQueueLen returns the number of pending retransmission jobs (for
@@ -801,11 +702,10 @@ func (q *jobQueue) remove(i int) {
 	}
 }
 
-// removeIf removes, in queue order, every job drop selects and hands each
-// to retire unless retire is nil.  It scans to the first such job before
-// rewriting anything: most calls remove nothing, and the untouched prefix
-// needs no pointer writes.
-func (q *jobQueue) removeIf(drop func(*retxJob) bool, retire func(*retxJob)) {
+// removeIf removes every job drop selects, keeping the others in order.
+// It scans to the first such job before rewriting anything: most calls
+// remove nothing, and the untouched prefix needs no pointer writes.
+func (q *jobQueue) removeIf(drop func(*retxJob) bool) {
 	items := q.items()
 	i := 0
 	for i < len(items) && !drop(items[i]) {
@@ -818,8 +718,6 @@ func (q *jobQueue) removeIf(drop func(*retxJob) bool, retire func(*retxJob)) {
 	for _, j := range items[i:] {
 		if !drop(j) {
 			keep = append(keep, j)
-		} else if retire != nil {
-			retire(j)
 		}
 	}
 	clear(items[len(keep):])

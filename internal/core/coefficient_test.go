@@ -325,7 +325,6 @@ func TestStealsNeverDisplaceOwner(t *testing.T) {
 		opts core.Options
 	}{
 		{"proactive", core.Options{Goal: 0.999}},
-		{"reactive", core.Options{Goal: 0.999, Reactive: true}},
 		{"adaptive", core.Options{Goal: 0.999, Adaptive: true}},
 	}
 	for _, ber := range []float64{0, 2e-4, 1e-3} {

@@ -15,78 +15,25 @@ import (
 )
 
 // Proactive replication must transmit the planned copies even on a
-// fault-free channel (no acknowledgements → no cancellation), while
-// reactive mode transmits copies only after observed faults.
-func TestProactiveVsReactiveBandwidth(t *testing.T) {
-	run := func(reactive bool) sim.Result {
-		sched := core.New(core.Options{BER: 1e-4, Goal: 0.999, Reactive: reactive})
-		opts := sim.Options{
-			Config:   testConfig(),
-			Workload: mixedWorkload(),
-			Mode:     sim.Streaming,
-			Duration: 100 * time.Millisecond,
-			Seed:     3,
-			// Fault-free wire despite the scheduler planning for 1e-4.
-		}
-		res, err := sim.Run(opts, sched)
-		if err != nil {
-			t.Fatalf("Run(reactive=%v): %v", reactive, err)
-		}
-		return res
-	}
-	pro := run(false)
-	rea := run(true)
-
-	if pro.Report.Retransmissions == 0 {
-		t.Error("proactive mode sent no copies on a fault-free channel")
-	}
-	if rea.Report.Retransmissions != 0 {
-		t.Errorf("reactive mode sent %d copies with zero faults", rea.Report.Retransmissions)
-	}
-	if rea.Report.RawUtilization >= pro.Report.RawUtilization {
-		t.Errorf("reactive raw utilization %g not below proactive %g",
-			rea.Report.RawUtilization, pro.Report.RawUtilization)
-	}
-	// Both deliver everything on a fault-free bus.
-	for _, r := range []sim.Result{pro, rea} {
-		if r.Report.OverallMissRatio() != 0 {
-			t.Errorf("%s fault-free misses: %g", r.Scheduler, r.Report.OverallMissRatio())
-		}
-	}
-}
-
-// Reactive mode must recover observed faults through slack-stolen
-// retransmissions.
-func TestReactiveRecoversFaults(t *testing.T) {
-	sched := core.New(core.Options{BER: 2e-4, Goal: 0.999, Reactive: true})
-	injA, err := fault.NewBERInjector(2e-4, 9)
-	if err != nil {
-		t.Fatalf("NewBERInjector: %v", err)
-	}
-	injB, err := fault.NewBERInjector(2e-4, 10)
-	if err != nil {
-		t.Fatalf("NewBERInjector: %v", err)
-	}
+// fault-free channel: FlexRay has no acknowledgements, so nothing cancels
+// them.
+func TestProactiveCopiesOnCleanChannel(t *testing.T) {
 	res, err := sim.Run(sim.Options{
-		Config:    testConfig(),
-		Workload:  mixedWorkload(),
-		Mode:      sim.Streaming,
-		Duration:  500 * time.Millisecond,
-		Seed:      9,
-		InjectorA: injA,
-		InjectorB: injB,
-	}, sched)
+		Config:   testConfig(),
+		Workload: mixedWorkload(),
+		Mode:     sim.Streaming,
+		Duration: 100 * time.Millisecond,
+		Seed:     3,
+		// Fault-free wire despite the scheduler planning for 1e-4.
+	}, core.New(core.Options{BER: 1e-4, Goal: 0.999}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.Report.Faults == 0 {
-		t.Fatal("no faults injected")
-	}
 	if res.Report.Retransmissions == 0 {
-		t.Fatal("reactive mode produced no retransmissions under faults")
+		t.Error("no copies sent on a fault-free channel")
 	}
-	if got := res.Report.OverallMissRatio(); got > 0.01 {
-		t.Errorf("reactive miss ratio = %g, want ≤ 0.01", got)
+	if got := res.Report.OverallMissRatio(); got != 0 {
+		t.Errorf("fault-free misses: %g", got)
 	}
 }
 
@@ -230,16 +177,15 @@ func TestSelectiveSlackSkipsOversizedFrames(t *testing.T) {
 	}
 }
 
-// Reactive mode under heavy faults and tight deadlines exercises the full
-// job lifecycle: budget exhaustion falls back to the home queue, expired
-// jobs requeue for the engine's drop accounting, and dropped instances
-// clean their jobs — and through it all no instance may be lost without
+// Heavy faults and tight deadlines exercise the full job lifecycle: copy
+// jobs are enqueued, sent, expired by the purge and discarded with their
+// dropped instances — and through it all no instance may be lost without
 // being counted.
-func TestReactiveJobLifecycleUnderPressure(t *testing.T) {
+func TestJobLifecycleUnderPressure(t *testing.T) {
 	// The scheduler plans against a mild BER (small budgets), but the
 	// channel is far worse (~57% frame loss at 5e-3 over ~168 wire bits),
-	// so budgets exhaust at runtime.
-	sched := core.New(core.Options{BER: 2e-4, Goal: 0.99, MaxRetx: 3, Reactive: true})
+	// so many instances exhaust their copies and expire.
+	sched := core.New(core.Options{BER: 2e-4, Goal: 0.99, MaxRetx: 3})
 	injA, err := fault.NewBERInjector(5e-3, 13)
 	if err != nil {
 		t.Fatalf("NewBERInjector: %v", err)
@@ -272,11 +218,8 @@ func TestReactiveJobLifecycleUnderPressure(t *testing.T) {
 	if total < 800 {
 		t.Errorf("static delivered+dropped = %d: instances lost unaccounted", total)
 	}
-	if sched.Stats().BudgetExhausted == 0 {
-		t.Error("no budget exhaustion at 57% frame loss with MaxRetx=3")
-	}
 	if sched.Stats().JobsCreated == 0 {
-		t.Error("no reactive jobs created")
+		t.Error("no copy jobs created")
 	}
 	// The retransmission queue must not hold stale jobs at the end.
 	if got := sched.RetxQueueLen(); got > 50 {

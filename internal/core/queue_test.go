@@ -11,8 +11,7 @@ import (
 // Randomized model test of the head-indexed retransmission queue against a
 // plain slice: insertion at the tail, the head or a random index, removal
 // at a random index, the expiry filter and reset leave the same sequence,
-// retire sees the removed jobs in queue order, and every slot outside the
-// live window is nil.
+// and every slot outside the live window is nil.
 func TestJobQueueMatchesSliceModel(t *testing.T) {
 	r := rand.New(rand.NewSource(20260601))
 	var q jobQueue
@@ -24,7 +23,7 @@ func TestJobQueueMatchesSliceModel(t *testing.T) {
 			i := len(model)
 			switch op {
 			case 8:
-				i = 0 // requeue at the head
+				i = 0 // insert at the head
 			case 9:
 				i = r.Intn(len(model) + 1)
 			}
@@ -43,17 +42,8 @@ func TestJobQueueMatchesSliceModel(t *testing.T) {
 		case op == 18:
 			now := timebase.Macrotick(r.Intn(1000))
 			expired := func(j *retxJob) bool { return now > j.deadline }
-			var want, got []*retxJob
-			for _, j := range model {
-				if expired(j) {
-					want = append(want, j)
-				}
-			}
 			model = slices.DeleteFunc(model, expired)
-			q.removeIf(expired, func(j *retxJob) { got = append(got, j) })
-			if !slices.Equal(got, want) {
-				t.Fatalf("step %d: removeIf retired %d jobs, model %d", step, len(got), len(want))
-			}
+			q.removeIf(expired)
 		default:
 			if r.Intn(10) == 0 {
 				q.reset()

@@ -1,8 +1,8 @@
 // Package corpus is the generative scenario corpus and differential
 // tester (ROADMAP item 4, DESIGN.md §13): a seeded, fully deterministic
-// generator sweeps message sets, cluster topologies, BER regimes,
-// drift/sync-loss/babble profiles from the scenario DSL and criticality
-// mixes into self-contained Cases; a differential harness runs every
+// generator sweeps message sets, BER regimes, drift/sync-loss/babble
+// profiles from the scenario DSL and criticality mixes into
+// self-contained Cases; a differential harness runs every
 // Case under CoEfficient, FSPEC and adaptive CoEfficient on the
 // deterministic parallel runner and checks a catalog of cross-scheduler
 // invariants; and a content-hashed golden store under results/corpus/
@@ -76,7 +76,10 @@ type WorkloadSpec struct {
 	PrioritySeed uint64 `json:"prioritySeed,omitempty"`
 }
 
-// TopologySpec describes the cluster layout of both channels.
+// TopologySpec labels a case with a channel layout.  The simulator does
+// not model channel layouts, so the label changes no run: every case runs
+// the same dual-channel cluster (BuildCluster).  It stays in the Case JSON
+// because a case's hash is its identity in the golden store.
 type TopologySpec struct {
 	// Kind is "bus", "star" or "hybrid".
 	Kind string `json:"kind"`
@@ -114,7 +117,7 @@ type Case struct {
 	Setting string `json:"setting"`
 	// Workload assembles the message set.
 	Workload WorkloadSpec `json:"workload"`
-	// Topology is the cluster layout.
+	// Topology is the channel-layout label (not simulated).
 	Topology TopologySpec `json:"topology"`
 	// Minislots is the dynamic segment size.
 	Minislots int `json:"minislots"`
@@ -276,29 +279,13 @@ func (c *Case) BuildWorkload() (signal.Set, error) {
 	return workload.Merge(fmt.Sprintf("%s+sae-%s", static.Name, c.Workload.PriorityMix), static, dyn)
 }
 
-// BuildCluster maps the topology spec onto the 10-node cluster every
-// workload distributes its messages over.  All nodes stay dual-channel
-// (message placement spans both channels); the spec varies the physical
-// layout of the channels themselves.
-func (c *Case) BuildCluster() (topology.Cluster, error) {
+// BuildCluster returns the 10-node cluster every workload distributes its
+// messages over.  All nodes are dual-channel (message placement spans both
+// channels); the topology label only names the cluster.
+func (c *Case) BuildCluster() topology.Cluster {
 	cluster := topology.DualChannelBus(workload.NodeCount)
 	cluster.Name = fmt.Sprintf("%s-%d", c.Topology.Kind, workload.NodeCount)
-	var cfg topology.ChannelConfig
-	switch c.Topology.Kind {
-	case "bus":
-		cfg = topology.ChannelConfig{Kind: topology.KindBus}
-	case "star":
-		cfg = topology.ChannelConfig{Kind: topology.KindStar, Couplers: c.Topology.Couplers}
-	case "hybrid":
-		cfg = topology.ChannelConfig{Kind: topology.KindHybrid, Couplers: c.Topology.Couplers}
-	default:
-		return topology.Cluster{}, fmt.Errorf("%w: topology kind %q", ErrCase, c.Topology.Kind)
-	}
-	cluster.ChannelA, cluster.ChannelB = cfg, cfg
-	if err := cluster.Validate(); err != nil {
-		return topology.Cluster{}, fmt.Errorf("%w: %v", ErrCase, err)
-	}
-	return cluster, nil
+	return cluster
 }
 
 // Compile builds the runnable pieces shared by every scheduler cell:
@@ -312,10 +299,7 @@ func (c *Case) Compile() (signal.Set, topology.Cluster, experiment.Setup, error)
 	if err != nil {
 		return signal.Set{}, topology.Cluster{}, experiment.Setup{}, err
 	}
-	cluster, err := c.BuildCluster()
-	if err != nil {
-		return signal.Set{}, topology.Cluster{}, experiment.Setup{}, err
-	}
+	cluster := c.BuildCluster()
 	setup, err := experiment.LatencySetup(set, c.staticSlots(), c.Minislots)
 	if err != nil {
 		return signal.Set{}, topology.Cluster{}, experiment.Setup{}, err

@@ -64,7 +64,6 @@ func Ablations(opts AblationOptions) ([]AblationRow, error) {
 		{"uniform-plan", func(o *core.Options) { o.Uniform = true }},
 		{"single-channel", func(o *core.Options) { o.SingleChannel = true }},
 		{"no-selective-slack", func(o *core.Options) { o.NoSelectiveSlack = true }},
-		{"reactive", func(o *core.Options) { o.Reactive = true }},
 	}
 
 	return runner.MapCtx(opts.Ctx, opts.Parallel, len(variants), func(i int) (AblationRow, error) {

@@ -18,6 +18,8 @@
 package fspec
 
 import (
+	"fmt"
+
 	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/node"
 	"github.com/flexray-go/coefficient/internal/signal"
@@ -30,7 +32,7 @@ type Options struct {
 	// Copies is the number of blind transmissions per instance per
 	// channel (≥ 1).  The paper's best-effort retransmission for all
 	// segments corresponds to a uniform copy count chasing the
-	// reliability goal.  Zero means 1.
+	// reliability goal.  Zero means 1; a negative count fails Init.
 	Copies int
 }
 
@@ -58,9 +60,10 @@ type Scheduler struct {
 
 var _ sim.Scheduler = (*Scheduler)(nil)
 
-// New returns the FSPEC baseline scheduler.
+// New returns the FSPEC baseline scheduler.  A negative copy count is
+// reported by Init.
 func New(opts Options) *Scheduler {
-	if opts.Copies < 1 {
+	if opts.Copies == 0 {
 		opts.Copies = 1
 	}
 	return &Scheduler{
@@ -74,6 +77,9 @@ func (s *Scheduler) Name() string { return "FSPEC" }
 
 // Init implements sim.Scheduler.
 func (s *Scheduler) Init(env *sim.Env) error {
+	if s.opts.Copies < 0 {
+		return fmt.Errorf("fspec: negative copy count %d", s.opts.Copies)
+	}
 	s.env = env
 	maxID := env.Cfg.StaticSlots
 	for i := range env.Set.Messages {

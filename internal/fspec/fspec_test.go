@@ -1,6 +1,8 @@
 package fspec_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -103,6 +105,48 @@ func TestZeroCopiesClamped(t *testing.T) {
 	}
 	if res.Report.Delivered[metrics.Static] == 0 {
 		t.Error("nothing delivered with Copies: 0")
+	}
+}
+
+// A negative copy count fails Init instead of running as one copy; zero
+// keeps meaning one copy.
+func TestCopyCountValidation(t *testing.T) {
+	run := func(copies int) (sim.Result, error) {
+		return sim.Run(sim.Options{
+			Config:   testConfig(),
+			Workload: smallWorkload(),
+			Mode:     sim.Streaming,
+			Duration: 20 * time.Millisecond,
+			Seed:     1,
+		}, fspec.New(fspec.Options{Copies: copies}))
+	}
+	one, err := run(1)
+	if err != nil {
+		t.Fatalf("Run(Copies: 1): %v", err)
+	}
+	for _, tc := range []struct {
+		copies  int
+		wantErr string
+	}{
+		{0, ""},
+		{-1, "scheduler init: fspec: negative copy count -1"},
+		{-3, "scheduler init: fspec: negative copy count -3"},
+	} {
+		t.Run(fmt.Sprintf("copies=%d", tc.copies), func(t *testing.T) {
+			res, err := run(tc.copies)
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("Run error = %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if !reflect.DeepEqual(res.Report, one.Report) {
+				t.Errorf("report differs from Copies: 1:\n got %+v\nwant %+v", res.Report, one.Report)
+			}
+		})
 	}
 }
 

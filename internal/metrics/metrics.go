@@ -135,10 +135,10 @@ type Collector struct {
 	// SegmentKind (valid kinds are 1 and 2, so a 3-element array replaces
 	// a map on the per-delivery path).
 	latency [int(Dynamic) + 1]*Series
-	// perFrame holds per-frame-ID delivery latencies in macroticks
-	// (Figure 4a plots latency against frame ID), indexed densely by
+	// perFrame holds per-frame-ID delivery latency sums in macroticks
+	// (Figure 4a plots mean latency against frame ID), indexed densely by
 	// frame ID and grown on demand.
-	perFrame []*Series
+	perFrame []frameLatency
 	// delivered/missed/dropped instances per kind.
 	delivered [int(Dynamic) + 1]int64
 	missed    [int(Dynamic) + 1]int64
@@ -164,6 +164,13 @@ type Collector struct {
 	adaptive AdaptiveGauges
 	// sync holds the clock-synchronization health gauges.
 	sync SyncGauges
+}
+
+// frameLatency is the running latency sum of one frame ID's n deliveries;
+// only its mean is reported.
+type frameLatency struct {
+	sum float64
+	n   int64
 }
 
 // AdaptiveGauges exposes the adaptive reliability controller's counters
@@ -356,8 +363,8 @@ func NewCollector(cfg timebase.Config) *Collector {
 }
 
 // Reset returns the collector to its just-constructed state while
-// keeping every buffer: the latency and per-frame series are truncated
-// in place and all counters zeroed.  The AdaptiveGauges and SyncGauges
+// keeping every buffer: the latency series are truncated in place and the
+// per-frame sums and all counters zeroed.  The AdaptiveGauges and SyncGauges
 // values are cleared without moving, so the pointers handed out by
 // Adaptive and SyncHealth stay valid across replicas.
 //
@@ -365,11 +372,7 @@ func NewCollector(cfg timebase.Config) *Collector {
 func (c *Collector) Reset() {
 	c.latency[Static].Reset()
 	c.latency[Dynamic].Reset()
-	for _, s := range c.perFrame {
-		if s != nil {
-			s.Reset()
-		}
-	}
+	clear(c.perFrame)
 	for kind := range c.delivered {
 		c.delivered[kind] = 0
 		c.missed[kind] = 0
@@ -398,16 +401,13 @@ func (c *Collector) DeliveredFrame(kind SegmentKind, frameID int, release, compl
 	c.latency[kind].Add(float64(completion - release))
 	if frameID > 0 {
 		if frameID >= len(c.perFrame) {
-			grown := make([]*Series, frameID+1)
+			grown := make([]frameLatency, frameID+1)
 			copy(grown, c.perFrame)
 			c.perFrame = grown
 		}
-		s := c.perFrame[frameID]
-		if s == nil {
-			s = &Series{}
-			c.perFrame[frameID] = s
-		}
-		s.Add(float64(completion - release))
+		f := &c.perFrame[frameID]
+		f.sum += float64(completion - release)
+		f.n++
 	}
 	c.delivered[kind]++
 	if completion > deadline {
@@ -511,11 +511,10 @@ func (c *Collector) Report() Report {
 			r.GoodputBps = float64(c.payloadBits) / simSeconds
 		}
 	}
-	for id, s := range c.perFrame {
-		if s == nil {
-			continue
+	for id, f := range c.perFrame {
+		if f.n > 0 {
+			r.PerFrameMean[id] = c.cfg.ToDuration(timebase.Macrotick(f.sum / float64(f.n)))
 		}
-		r.PerFrameMean[id] = c.cfg.ToDuration(timebase.Macrotick(s.Mean()))
 	}
 	for _, kind := range []SegmentKind{Static, Dynamic} {
 		s := c.latency[kind]

@@ -242,18 +242,6 @@ func (e *ECU) RemoveStatic(target *Instance) bool {
 	return false
 }
 
-// RequeueStatic puts an instance back at the head of its buffer (after a
-// failed transmission that still has retransmission budget).
-func (e *ECU) RequeueStatic(in *Instance) error {
-	q := e.staticBuf(in.Msg.ID)
-	if q == nil {
-		return fmt.Errorf("%w: %d on node %d", ErrUnknownFrame, in.Msg.ID, e.ID)
-	}
-	q.insert(0, in)
-	e.staticCount++
-	return nil
-}
-
 // StaticBacklog returns the number of pending static instances across all
 // owned frame IDs at time t.
 func (e *ECU) StaticBacklog(t timebase.Macrotick) int {

@@ -55,15 +55,11 @@ func TestStaticFIFO(t *testing.T) {
 	if got == nil || got.Seq != 1 {
 		t.Fatalf("PopStatic = %+v, want seq 1", got)
 	}
-	// Requeue puts it back at the head.
-	if err := e.RequeueStatic(got); err != nil {
-		t.Fatalf("RequeueStatic: %v", err)
+	if got := e.PeekStatic(3, 100); got == nil || got.Seq != 2 {
+		t.Fatalf("after pop PeekStatic = %+v, want seq 2", got)
 	}
-	if got := e.PeekStatic(3, 100); got == nil || got.Seq != 1 {
-		t.Fatalf("after requeue PeekStatic = %+v, want seq 1", got)
-	}
-	if got := e.StaticBacklog(100); got != 3 {
-		t.Errorf("StaticBacklog = %d, want 3", got)
+	if got := e.StaticBacklog(100); got != 2 {
+		t.Errorf("StaticBacklog = %d, want 2", got)
 	}
 }
 
@@ -76,9 +72,6 @@ func TestStaticErrors(t *testing.T) {
 	unknown := staticMsg(9, 1)
 	if err := e.EnqueueStatic(inst(unknown, 1, 0, NoDeadline)); !errors.Is(err, ErrUnknownFrame) {
 		t.Errorf("unknown frame = %v, want ErrUnknownFrame", err)
-	}
-	if err := e.RequeueStatic(inst(unknown, 1, 0, NoDeadline)); !errors.Is(err, ErrUnknownFrame) {
-		t.Errorf("requeue unknown frame = %v, want ErrUnknownFrame", err)
 	}
 	if got := e.PopStatic(9, 100); got != nil {
 		t.Errorf("PopStatic(unknown) = %+v, want nil", got)
@@ -288,7 +281,7 @@ func TestPeekDynamicForBlind(t *testing.T) {
 }
 
 // Randomized model test of the head-indexed CHI buffer against a plain
-// slice: push, insert (including requeue at the head), removal at a random
+// slice: push, insert (including at the head), removal at a random
 // index, the expiry filter and reset leave the same sequence, and every
 // slot outside the live window is nil.
 func TestInstQueueMatchesSliceModel(t *testing.T) {

@@ -305,8 +305,6 @@ func TestPartialTopologyNoInvalidTransmissions(t *testing.T) {
 			{ID: 3, Name: "dual-3", ChannelA: true, ChannelB: true},
 			{ID: 4, Name: "dual-4", ChannelA: true, ChannelB: true},
 		},
-		ChannelA: topology.ChannelConfig{Kind: topology.KindBus},
-		ChannelB: topology.ChannelConfig{Kind: topology.KindBus},
 	}
 	rec := trace.New()
 	res, err := sim.Run(sim.Options{

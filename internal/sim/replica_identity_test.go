@@ -23,8 +23,10 @@ import (
 const testBER = 1e-6
 
 // testSet is a mixed workload: three periodic signals across two nodes
-// plus two aperiodic streams, so static slots, dynamic slots and slack
-// stealing all see work.
+// plus three aperiodic streams, so static slots, dynamic slots and slack
+// stealing all see work.  d22's 60 ms period exceeds the 40 ms horizon, so
+// some replicas deliver none of it: a per-frame entry left over from an
+// earlier replica would show in the batched report.
 func testSet() signal.Set {
 	return signal.Set{Name: "batch-test", Messages: []signal.Message{
 		{ID: 1, Name: "s1", Node: 0, Kind: signal.Periodic,
@@ -39,6 +41,9 @@ func testSet() signal.Set {
 		{ID: 21, Name: "d21", Node: 0, Kind: signal.Aperiodic,
 			Period: 7 * time.Millisecond, Deadline: 7 * time.Millisecond,
 			Bits: 96, Priority: 2},
+		{ID: 22, Name: "d22", Node: 1, Kind: signal.Aperiodic,
+			Period: 60 * time.Millisecond, Deadline: 60 * time.Millisecond,
+			Bits: 64, Priority: 3},
 	}}
 }
 

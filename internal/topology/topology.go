@@ -1,6 +1,5 @@
 // Package topology models FlexRay cluster topologies: the set of nodes
-// (ECUs) and how each connects to the two channels, via a shared bus, active
-// star couplers, or a hybrid of both.
+// (ECUs) and which of the two channels each is attached to.
 //
 // The simulator uses the topology to decide which nodes may transmit and
 // observe frames on which channel; a frame sent on a channel a node is not
@@ -14,33 +13,6 @@ import (
 	"github.com/flexray-go/coefficient/internal/frame"
 )
 
-// Kind is the physical layout of a channel.
-type Kind int
-
-// Channel layouts supported by the FlexRay specification.
-const (
-	// KindBus is a passive linear bus.
-	KindBus Kind = iota + 1
-	// KindStar is an active star: all traffic passes one or more couplers.
-	KindStar
-	// KindHybrid mixes bus stubs attached to star couplers.
-	KindHybrid
-)
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case KindBus:
-		return "bus"
-	case KindStar:
-		return "star"
-	case KindHybrid:
-		return "hybrid"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
 // Errors returned by Validate.
 var (
 	// ErrNoNodes is returned for clusters without nodes.
@@ -51,8 +23,6 @@ var (
 	ErrNegativeNode = errors.New("topology: negative node ID")
 	// ErrUnattached is returned for a node attached to no channel.
 	ErrUnattached = errors.New("topology: node attached to no channel")
-	// ErrNoCoupler is returned for star channels without couplers.
-	ErrNoCoupler = errors.New("topology: star channel needs at least one coupler")
 )
 
 // Node is one ECU attachment point.
@@ -78,26 +48,16 @@ func (n Node) Attached(ch frame.Channel) bool {
 	}
 }
 
-// ChannelConfig describes one channel's physical layout.
-type ChannelConfig struct {
-	// Kind is the layout.
-	Kind Kind
-	// Couplers is the number of active star couplers (star/hybrid only).
-	Couplers int
-}
-
 // Cluster is a validated FlexRay cluster topology.
 type Cluster struct {
 	// Name labels the cluster.
 	Name string
 	// Nodes lists the ECUs.
 	Nodes []Node
-	// ChannelA and ChannelB describe the two channels' layouts.
-	ChannelA, ChannelB ChannelConfig
 }
 
 // DualChannelBus returns the paper's testbed topology: n nodes, all attached
-// to both channels, each channel a passive bus.
+// to both channels.
 func DualChannelBus(n int) Cluster {
 	nodes := make([]Node, n)
 	for i := range nodes {
@@ -109,10 +69,8 @@ func DualChannelBus(n int) Cluster {
 		}
 	}
 	return Cluster{
-		Name:     fmt.Sprintf("dual-bus-%d", n),
-		Nodes:    nodes,
-		ChannelA: ChannelConfig{Kind: KindBus},
-		ChannelB: ChannelConfig{Kind: KindBus},
+		Name:  fmt.Sprintf("dual-bus-%d", n),
+		Nodes: nodes,
 	}
 }
 
@@ -132,21 +90,6 @@ func (c Cluster) Validate() error {
 		seen[n.ID] = n.Name
 		if !n.ChannelA && !n.ChannelB {
 			return fmt.Errorf("%w: node %d (%q)", ErrUnattached, n.ID, n.Name)
-		}
-	}
-	for _, chc := range []struct {
-		ch  frame.Channel
-		cfg ChannelConfig
-	}{{frame.ChannelA, c.ChannelA}, {frame.ChannelB, c.ChannelB}} {
-		switch chc.cfg.Kind {
-		case KindBus:
-			// No couplers needed.
-		case KindStar, KindHybrid:
-			if chc.cfg.Couplers < 1 {
-				return fmt.Errorf("%w: channel %v", ErrNoCoupler, chc.ch)
-			}
-		default:
-			return fmt.Errorf("topology: channel %v has unknown kind %d", chc.ch, int(chc.cfg.Kind))
 		}
 	}
 	return nil

@@ -30,44 +30,29 @@ func TestValidateErrors(t *testing.T) {
 	}{
 		{
 			name:    "no nodes",
-			cluster: Cluster{ChannelA: ChannelConfig{Kind: KindBus}, ChannelB: ChannelConfig{Kind: KindBus}},
+			cluster: Cluster{},
 			wantErr: ErrNoNodes,
 		},
 		{
 			name: "duplicate id",
 			cluster: Cluster{
-				Nodes:    []Node{{ID: 1, ChannelA: true}, {ID: 1, ChannelA: true}},
-				ChannelA: ChannelConfig{Kind: KindBus},
-				ChannelB: ChannelConfig{Kind: KindBus},
+				Nodes: []Node{{ID: 1, ChannelA: true}, {ID: 1, ChannelA: true}},
 			},
 			wantErr: ErrDuplicateNode,
 		},
 		{
 			name: "negative id",
 			cluster: Cluster{
-				Nodes:    []Node{{ID: 0, ChannelA: true}, {ID: -1, ChannelA: true}},
-				ChannelA: ChannelConfig{Kind: KindBus},
-				ChannelB: ChannelConfig{Kind: KindBus},
+				Nodes: []Node{{ID: 0, ChannelA: true}, {ID: -1, ChannelA: true}},
 			},
 			wantErr: ErrNegativeNode,
 		},
 		{
 			name: "unattached node",
 			cluster: Cluster{
-				Nodes:    []Node{{ID: 1}},
-				ChannelA: ChannelConfig{Kind: KindBus},
-				ChannelB: ChannelConfig{Kind: KindBus},
+				Nodes: []Node{{ID: 1}},
 			},
 			wantErr: ErrUnattached,
-		},
-		{
-			name: "star without coupler",
-			cluster: Cluster{
-				Nodes:    []Node{{ID: 1, ChannelA: true}},
-				ChannelA: ChannelConfig{Kind: KindStar},
-				ChannelB: ChannelConfig{Kind: KindBus},
-			},
-			wantErr: ErrNoCoupler,
 		},
 	}
 	for _, tt := range tests {
@@ -76,28 +61,6 @@ func TestValidateErrors(t *testing.T) {
 				t.Fatalf("Validate() = %v, want %v", err, tt.wantErr)
 			}
 		})
-	}
-}
-
-func TestValidateStarWithCoupler(t *testing.T) {
-	c := Cluster{
-		Nodes:    []Node{{ID: 1, ChannelA: true, ChannelB: true}},
-		ChannelA: ChannelConfig{Kind: KindStar, Couplers: 1},
-		ChannelB: ChannelConfig{Kind: KindHybrid, Couplers: 2},
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatalf("Validate() = %v", err)
-	}
-}
-
-func TestValidateUnknownKind(t *testing.T) {
-	c := Cluster{
-		Nodes:    []Node{{ID: 1, ChannelA: true}},
-		ChannelA: ChannelConfig{Kind: Kind(42)},
-		ChannelB: ChannelConfig{Kind: KindBus},
-	}
-	if err := c.Validate(); err == nil {
-		t.Fatal("unknown kind accepted")
 	}
 }
 
@@ -119,8 +82,6 @@ func TestAttachedPartial(t *testing.T) {
 			{ID: 1, ChannelB: true},
 			{ID: 2, ChannelA: true, ChannelB: true},
 		},
-		ChannelA: ChannelConfig{Kind: KindBus},
-		ChannelB: ChannelConfig{Kind: KindBus},
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("Validate() = %v", err)
@@ -134,15 +95,5 @@ func TestAttachedPartial(t *testing.T) {
 	}
 	if c.Nodes[0].Attached(frame.Channel(9)) {
 		t.Error("attached to invalid channel")
-	}
-}
-
-func TestKindString(t *testing.T) {
-	for k, want := range map[Kind]string{
-		KindBus: "bus", KindStar: "star", KindHybrid: "hybrid", Kind(9): "Kind(9)",
-	} {
-		if got := k.String(); got != want {
-			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
-		}
 	}
 }
