@@ -28,7 +28,6 @@ package coefficient
 import (
 	"time"
 
-	"github.com/flexray-go/coefficient/internal/adapt"
 	"github.com/flexray-go/coefficient/internal/analysis"
 	"github.com/flexray-go/coefficient/internal/core"
 	"github.com/flexray-go/coefficient/internal/experiment"
@@ -387,8 +386,6 @@ type (
 	ScenarioNodeEvent = scenario.NodeEvent
 	// ScenarioDuration unmarshals from duration strings or nanoseconds.
 	ScenarioDuration = scenario.Duration
-	// AdaptOptions tunes the adaptive reliability controller.
-	AdaptOptions = adapt.Options
 	// AdaptiveGauges reports the controller's activity in a Report.
 	AdaptiveGauges = metrics.AdaptiveGauges
 	// DegradationOptions configures the graceful-degradation experiment.

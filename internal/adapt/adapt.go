@@ -20,58 +20,30 @@ import (
 	"github.com/flexray-go/coefficient/internal/timebase"
 )
 
-// Options tunes the estimator and controller.  Zero values select the
-// documented defaults.
-type Options struct {
-	// Window is the observation count at which the per-channel counters
-	// are halved (exponential forgetting).  Default 512.
-	Window int
-	// MinSamples is the number of observations required on a channel
-	// before its estimate is trusted.  Default 64.
-	MinSamples int
-	// MinFaults is the number of (decayed) faults required in the window
+// Controller parameters.  They are constants: no program tunes them, and
+// the replan cooldown, which depends on the cycle length, is the one
+// parameter the caller passes in.
+const (
+	// window is the observation count at which a channel's counters are
+	// halved (exponential forgetting).
+	window = 512
+	// minSamples is the number of observations required on a channel
+	// before its estimate is trusted.
+	minSamples = 64
+	// minFaults is the number of (decayed) faults required in the window
 	// before an up-replan may trigger, guarding against a single unlucky
-	// frame at a healthy BER.  Default 3.
-	MinFaults float64
-	// DivergenceFactor triggers a replan when the observed equivalent BER
+	// frame at a healthy BER.
+	minFaults = 3
+	// divergenceFactor triggers a replan when the observed equivalent BER
 	// exceeds factor × planned BER, or falls below planned BER / factor.
-	// Default 4.
-	DivergenceFactor float64
-	// Cooldown is the minimum macrotick gap between replans.  Default 0
-	// (callers usually set it from the cycle length; the controller then
-	// uses 10000 macroticks).
-	Cooldown timebase.Macrotick
-	// BlackoutAfter consecutive corrupted transmissions mark a channel
-	// suspect (failover).  Default 8.
-	BlackoutAfter int
-	// RecoverAfter consecutive successful transmissions clear the suspect
-	// mark.  Default 4.
-	RecoverAfter int
-}
-
-func (o *Options) fill() {
-	if o.Window <= 0 {
-		o.Window = 512
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 64
-	}
-	if o.MinFaults <= 0 {
-		o.MinFaults = 3
-	}
-	if o.DivergenceFactor <= 1 {
-		o.DivergenceFactor = 4
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 10_000
-	}
-	if o.BlackoutAfter <= 0 {
-		o.BlackoutAfter = 8
-	}
-	if o.RecoverAfter <= 0 {
-		o.RecoverAfter = 4
-	}
-}
+	divergenceFactor = 4
+	// blackoutAfter consecutive corrupted transmissions mark a channel
+	// suspect (failover).
+	blackoutAfter = 8
+	// recoverAfter consecutive successful transmissions clear the suspect
+	// mark.
+	recoverAfter = 4
+)
 
 // channelState is the estimator state of one channel.
 type channelState struct {
@@ -86,26 +58,16 @@ type channelState struct {
 	suspect              bool
 }
 
-// Estimator tracks windowed frame-error rates per channel.  It is not
-// safe for concurrent use; the simulator invokes schedulers serially.
+// Estimator tracks windowed frame-error rates per channel.  The zero
+// value is ready to use.  It is not safe for concurrent use; the simulator
+// invokes schedulers serially.
 type Estimator struct {
-	opts  Options
-	chans map[frame.Channel]*channelState
-}
-
-// NewEstimator returns an estimator with the given options.
-func NewEstimator(opts Options) *Estimator {
-	opts.fill()
-	return &Estimator{opts: opts, chans: make(map[frame.Channel]*channelState)}
+	// chans holds channel A's state at index 0 and channel B's at 1.
+	chans [2]channelState
 }
 
 func (e *Estimator) state(ch frame.Channel) *channelState {
-	st, ok := e.chans[ch]
-	if !ok {
-		st = &channelState{}
-		e.chans[ch] = st
-	}
-	return st
+	return &e.chans[ch-frame.ChannelA]
 }
 
 // Observe feeds one transmission outcome: the channel it used, its wire
@@ -119,13 +81,13 @@ func (e *Estimator) Observe(ch frame.Channel, bits int, ok bool) {
 		st.faults++
 		st.consecFail++
 		st.consecOK = 0
-		if st.consecFail >= e.opts.BlackoutAfter {
+		if st.consecFail >= blackoutAfter {
 			st.suspect = true
 		}
 	} else {
 		st.consecOK++
 		st.consecFail = 0
-		if st.suspect && st.consecOK >= e.opts.RecoverAfter {
+		if st.suspect && st.consecOK >= recoverAfter {
 			st.suspect = false
 			// The window is dominated by the outage, which says nothing
 			// about the channel's post-recovery BER: restart the estimate
@@ -133,7 +95,7 @@ func (e *Estimator) Observe(ch frame.Channel, bits int, ok bool) {
 			st.total, st.faults, st.bitsSum = 0, 0, 0
 		}
 	}
-	if st.total >= float64(e.opts.Window) {
+	if st.total >= window {
 		st.total /= 2
 		st.faults /= 2
 		st.bitsSum /= 2
@@ -182,43 +144,28 @@ func (e *Estimator) EquivalentBER(ch frame.Channel) float64 {
 	return -math.Expm1(math.Log1p(-p) / meanBits)
 }
 
-// Controller decides replans from the estimator's view of the primary
+// Controller decides replans from its estimator's view of the primary
 // channel.  It never plans below the design BER: the offline plan is the
 // floor the system returns to when the channel heals.
 type Controller struct {
-	opts      Options
-	est       *Estimator
+	Estimator
 	designBER float64
 	planBER   float64
+	cooldown  timebase.Macrotick
 	lastAt    timebase.Macrotick
 	replanned bool
 }
 
 // NewController returns a controller around a fresh estimator.  designBER
-// is the BER the offline plan was computed against.
-func NewController(opts Options, designBER float64) *Controller {
-	opts.fill()
+// is the BER the offline plan was computed against; cooldown is the
+// minimum macrotick gap between replans.
+func NewController(designBER float64, cooldown timebase.Macrotick) *Controller {
 	return &Controller{
-		opts:      opts,
-		est:       NewEstimator(opts),
 		designBER: designBER,
 		planBER:   designBER,
+		cooldown:  cooldown,
 	}
 }
-
-// Estimator returns the controller's estimator.
-func (c *Controller) Estimator() *Estimator { return c.est }
-
-// Observe feeds one transmission outcome.
-func (c *Controller) Observe(ch frame.Channel, bits int, ok bool) {
-	c.est.Observe(ch, bits, ok)
-}
-
-// PlanBER returns the BER the current plan is computed at.
-func (c *Controller) PlanBER() float64 { return c.planBER }
-
-// Suspect reports whether the channel currently looks blacked out.
-func (c *Controller) Suspect(ch frame.Channel) bool { return c.est.Suspect(ch) }
 
 // Degraded reports whether the channel's observed equivalent BER has
 // diverged above the design BER by the divergence factor (with the same
@@ -227,10 +174,10 @@ func (c *Controller) Suspect(ch frame.Channel) bool { return c.est.Suspect(ch) }
 // copy is burned once transmitted, so placing it on a channel known to be
 // degraded squanders the reliability the plan paid for.
 func (c *Controller) Degraded(ch frame.Channel) bool {
-	if c.est.Samples(ch) < int64(c.opts.MinSamples) || c.est.Faults(ch) < c.opts.MinFaults {
+	if c.Samples(ch) < minSamples || c.Faults(ch) < minFaults {
 		return false
 	}
-	return c.est.EquivalentBER(ch) > c.designBER*c.opts.DivergenceFactor
+	return c.EquivalentBER(ch) > c.designBER*divergenceFactor
 }
 
 // ReplanBER returns the BER to replan at and true when the observed error
@@ -238,25 +185,25 @@ func (c *Controller) Degraded(ch frame.Channel) bool {
 // the divergence factor (respecting min-samples, min-faults for upward
 // moves, and the replan cooldown).
 func (c *Controller) ReplanBER(primary frame.Channel, now timebase.Macrotick) (float64, bool) {
-	if c.replanned && now-c.lastAt < c.opts.Cooldown {
+	if c.replanned && now-c.lastAt < c.cooldown {
 		return 0, false
 	}
-	if c.est.Samples(primary) < int64(c.opts.MinSamples) {
+	if c.Samples(primary) < minSamples {
 		return 0, false
 	}
-	obs := c.est.EquivalentBER(primary)
+	obs := c.EquivalentBER(primary)
 	if obs >= 1 {
 		// A fully dead channel is the failover path's job, not the
 		// planner's: no finite k_z helps at FER 1.
 		return 0, false
 	}
-	if obs > c.planBER*c.opts.DivergenceFactor {
-		if c.est.Faults(primary) < c.opts.MinFaults {
+	if obs > c.planBER*divergenceFactor {
+		if c.Faults(primary) < minFaults {
 			return 0, false
 		}
 		return obs, true
 	}
-	if c.planBER > c.designBER && obs < c.planBER/c.opts.DivergenceFactor {
+	if c.planBER > c.designBER && obs < c.planBER/divergenceFactor {
 		next := obs
 		if next < c.designBER {
 			next = c.designBER

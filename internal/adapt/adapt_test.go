@@ -18,7 +18,7 @@ func feed(e *Estimator, ch frame.Channel, bits, n, every int) {
 }
 
 func TestEstimatorFERConverges(t *testing.T) {
-	e := NewEstimator(Options{})
+	e := &Estimator{}
 	feed(e, frame.ChannelA, 500, 1000, 10) // FER 0.1 by construction
 	got := e.FER(frame.ChannelA)
 	if math.Abs(got-0.1) > 0.02 {
@@ -33,7 +33,7 @@ func TestEstimatorFERConverges(t *testing.T) {
 }
 
 func TestEstimatorWindowForgets(t *testing.T) {
-	e := NewEstimator(Options{Window: 128})
+	e := &Estimator{}
 	feed(e, frame.ChannelA, 500, 256, 2)  // FER 0.5 era
 	feed(e, frame.ChannelA, 500, 1024, 0) // then a long healthy era
 	if got := e.FER(frame.ChannelA); got > 0.05 {
@@ -42,14 +42,15 @@ func TestEstimatorWindowForgets(t *testing.T) {
 }
 
 // EquivalentBER must invert the fault model: feeding outcomes drawn from
-// p = FrameFailureProb(ber, W) recovers ber within sampling error.
+// p = FrameFailureProb(ber, W) recovers ber within sampling error.  The
+// outcome pattern is periodic, so halving the counters keeps its ratio.
 func TestEquivalentBERInvertsFaultModel(t *testing.T) {
 	const ber, bits = 2e-4, 1000
 	p, err := fault.FrameFailureProb(ber, bits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEstimator(Options{Window: 1 << 20}) // no decay for this check
+	e := &Estimator{}
 	every := int(math.Round(1 / p))
 	feed(e, frame.ChannelA, bits, 100*every, every)
 	got := e.EquivalentBER(frame.ChannelA)
@@ -59,23 +60,23 @@ func TestEquivalentBERInvertsFaultModel(t *testing.T) {
 }
 
 func TestSuspectDetectionAndRecovery(t *testing.T) {
-	e := NewEstimator(Options{BlackoutAfter: 8, RecoverAfter: 4})
-	feed(e, frame.ChannelA, 500, 7, 1) // 7 consecutive faults: not yet
+	e := &Estimator{}
+	feed(e, frame.ChannelA, 500, blackoutAfter-1, 1) // not yet
 	if e.Suspect(frame.ChannelA) {
-		t.Fatal("suspect before BlackoutAfter consecutive faults")
+		t.Fatal("suspect before blackoutAfter consecutive faults")
 	}
-	e.Observe(frame.ChannelA, 500, false) // the 8th
+	e.Observe(frame.ChannelA, 500, false) // the blackoutAfter-th
 	if !e.Suspect(frame.ChannelA) {
-		t.Fatal("not suspect after BlackoutAfter consecutive faults")
+		t.Fatal("not suspect after blackoutAfter consecutive faults")
 	}
-	// Successes clear it only after RecoverAfter in a row.
-	feed(e, frame.ChannelA, 500, 3, 0)
+	// Successes clear it only after recoverAfter in a row.
+	feed(e, frame.ChannelA, 500, recoverAfter-1, 0)
 	if !e.Suspect(frame.ChannelA) {
 		t.Fatal("suspect cleared too early")
 	}
 	e.Observe(frame.ChannelA, 500, true)
 	if e.Suspect(frame.ChannelA) {
-		t.Fatal("suspect not cleared after RecoverAfter successes")
+		t.Fatal("suspect not cleared after recoverAfter successes")
 	}
 	// Recovery resets the window: the outage's faults must not poison the
 	// post-recovery estimate.
@@ -88,11 +89,11 @@ func TestSuspectDetectionAndRecovery(t *testing.T) {
 }
 
 func TestSuspectInterruptedRecovery(t *testing.T) {
-	e := NewEstimator(Options{BlackoutAfter: 4, RecoverAfter: 4})
-	feed(e, frame.ChannelA, 500, 4, 1)
-	feed(e, frame.ChannelA, 500, 3, 0)
+	e := &Estimator{}
+	feed(e, frame.ChannelA, 500, blackoutAfter, 1)
+	feed(e, frame.ChannelA, 500, recoverAfter-1, 0)
 	e.Observe(frame.ChannelA, 500, false) // fault interrupts the OK streak
-	feed(e, frame.ChannelA, 500, 3, 0)
+	feed(e, frame.ChannelA, 500, recoverAfter-1, 0)
 	if !e.Suspect(frame.ChannelA) {
 		t.Error("interrupted OK streak still cleared the suspect mark")
 	}
@@ -100,7 +101,7 @@ func TestSuspectInterruptedRecovery(t *testing.T) {
 
 func TestControllerReplanTriggersOnDivergence(t *testing.T) {
 	const design = 1e-7
-	c := NewController(Options{MinSamples: 64, MinFaults: 3, Cooldown: 1000}, design)
+	c := NewController(design, 1000)
 	// Healthy traffic: no replan.
 	for i := 0; i < 200; i++ {
 		c.Observe(frame.ChannelA, 500, true)
@@ -120,18 +121,19 @@ func TestControllerReplanTriggersOnDivergence(t *testing.T) {
 		t.Errorf("replan BER %g not above the design BER %g", ber, design)
 	}
 	c.NotifyReplan(ber, 0)
-	if c.PlanBER() != ber {
-		t.Errorf("PlanBER = %g, want %g", c.PlanBER(), ber)
-	}
 	// Cooldown suppresses an immediate follow-up.
 	if _, ok := c.ReplanBER(frame.ChannelA, 500); ok {
 		t.Error("replan inside the cooldown window")
+	}
+	// After the cooldown the same estimate matches the installed plan BER.
+	if got, ok := c.ReplanBER(frame.ChannelA, 1000); ok {
+		t.Errorf("replan at BER %g after installing a plan at %g", got, ber)
 	}
 }
 
 func TestControllerReplansDownToDesignFloor(t *testing.T) {
 	const design = 1e-7
-	c := NewController(Options{Window: 256, MinSamples: 64, MinFaults: 3, Cooldown: 10}, design)
+	c := NewController(design, 10)
 	c.NotifyReplan(1e-4, 0) // pretend a degraded-era plan is installed
 	// A long healthy era decays the estimate to ~0.
 	for i := 0; i < 2000; i++ {
@@ -148,13 +150,13 @@ func TestControllerReplansDownToDesignFloor(t *testing.T) {
 
 func TestControllerDegraded(t *testing.T) {
 	const design = 1e-7
-	c := NewController(Options{MinSamples: 64, MinFaults: 3}, design)
+	c := NewController(design, 1000)
 	// Too few samples: never degraded, whatever the few outcomes say.
 	for i := 0; i < 10; i++ {
 		c.Observe(frame.ChannelA, 500, false)
 	}
 	if c.Degraded(frame.ChannelA) {
-		t.Fatal("degraded below MinSamples")
+		t.Fatal("degraded below minSamples")
 	}
 	for i := 1; i <= 300; i++ {
 		c.Observe(frame.ChannelA, 500, i%5 != 0)
@@ -172,8 +174,8 @@ func TestControllerDegraded(t *testing.T) {
 }
 
 func TestControllerSuspectDelegates(t *testing.T) {
-	c := NewController(Options{BlackoutAfter: 4}, 1e-7)
-	for i := 0; i < 4; i++ {
+	c := NewController(1e-7, 1000)
+	for i := 0; i < blackoutAfter; i++ {
 		c.Observe(frame.ChannelB, 500, false)
 	}
 	if !c.Suspect(frame.ChannelB) || c.Suspect(frame.ChannelA) {
@@ -182,7 +184,7 @@ func TestControllerSuspectDelegates(t *testing.T) {
 }
 
 func TestReplanBERIgnoresDeadChannel(t *testing.T) {
-	c := NewController(Options{MinSamples: 16, MinFaults: 1, BlackoutAfter: 1 << 30}, 1e-7)
+	c := NewController(1e-7, 1000)
 	for i := 0; i < 100; i++ {
 		c.Observe(frame.ChannelA, 500, false) // FER 1: equivalent BER 1
 	}

@@ -14,11 +14,12 @@
 //     value, i.e. least critical, first) until the goal is reachable for
 //     the rest; shedding restarts from the full set on every replan, so a
 //     healing channel restores shed messages automatically;
-//  3. failover — while channel A looks blacked out (BlackoutAfter
-//     consecutive corrupted frames), channel B's static segment serves the
-//     slot owners directly instead of acting as a steal pool, and steals
-//     are withheld from the suspect channel (except for a periodic probe
-//     cycle that lets the estimator observe recovery).
+//  3. failover — while channel A looks blacked out (a run of consecutive
+//     corrupted frames, see internal/adapt) or the timing layer reports
+//     sync loss, channel B's static segment serves the slot owners directly
+//     instead of acting as a steal pool, and steals are withheld from a
+//     suspect channel (except for a periodic probe cycle that lets the
+//     estimator observe recovery).
 package core
 
 import (
@@ -38,6 +39,10 @@ import (
 // keeps receiving observations and can notice the channel healing.
 const probeEvery = 8
 
+// replanCooldownCycles is the minimum gap between two replans, in
+// communication cycles.
+const replanCooldownCycles = 20
+
 // planEntry caches per-message planning inputs for runtime replans.
 type planEntry struct {
 	msg  reliability.Message
@@ -52,11 +57,7 @@ func (s *Scheduler) initAdaptive() {
 	if !s.opts.Adaptive {
 		return
 	}
-	ao := s.opts.Adapt
-	if ao.Cooldown <= 0 {
-		ao.Cooldown = 20 * s.env.Cfg.MacroPerCycle
-	}
-	s.ctl = adapt.NewController(ao, s.opts.BER)
+	s.ctl = adapt.NewController(s.opts.BER, replanCooldownCycles*s.env.Cfg.MacroPerCycle)
 	// Sized like the plan table (frame IDs are dense); probeCycles is a
 	// fixed array and needs no allocation.
 	s.shed = make([]bool, len(s.plan))
@@ -114,10 +115,9 @@ func (s *Scheduler) adaptTick(now timebase.Macrotick) {
 	if s.ctl == nil {
 		return
 	}
-	est := s.ctl.Estimator()
 	if g := s.env.Gauges; g != nil {
-		g.SetFER("A", est.FER(frame.ChannelA))
-		g.SetFER("B", est.FER(frame.ChannelB))
+		g.SetFER("A", s.ctl.FER(frame.ChannelA))
+		g.SetFER("B", s.ctl.FER(frame.ChannelB))
 	}
 	for _, ch := range adaptChannels {
 		if s.ctl.Suspect(ch) {
@@ -132,7 +132,7 @@ func (s *Scheduler) adaptTick(now timebase.Macrotick) {
 	// unreliable on every channel, so failover serves the static owners
 	// redundantly and replanning is suppressed (the estimator's window is
 	// dominated by timing losses, not by the physical BER).
-	syncLost := s.env.Sync.Lost()
+	syncLost := s.env.SyncLost
 	active := (s.ctl.Suspect(frame.ChannelA) || syncLost) && !s.opts.SingleChannel
 	if active != s.failoverActive {
 		s.failoverActive = active
@@ -179,7 +179,7 @@ func (s *Scheduler) replan(ber float64, now timebase.Macrotick) {
 	// healthy channel's slack until late copies starve.
 	retxBER := ber
 	if s.avoidRetx(frame.ChannelA) {
-		eb := s.ctl.Estimator().EquivalentBER(frame.ChannelB)
+		eb := s.ctl.EquivalentBER(frame.ChannelB)
 		if eb < s.opts.BER {
 			eb = s.opts.BER
 		}
@@ -249,7 +249,6 @@ func (s *Scheduler) replan(ber float64, now timebase.Macrotick) {
 		detail = fmt.Sprintf("ber=%.3g unreachable", ber)
 	}
 	s.env.Record(trace.Event{Time: now, Kind: trace.EventReplan, Detail: detail})
-	s.stats.Replans++
 }
 
 // adaptChannels is the fixed channel iteration order of adaptTick.
@@ -291,7 +290,6 @@ func (s *Scheduler) applyShed(shedNow map[int]bool, now timebase.Macrotick) {
 			s.env.Record(trace.Event{
 				Time: now, Kind: trace.EventShed, FrameID: id, Detail: "shed",
 			})
-			s.stats.ShedMessages++
 		}
 	}
 	for id, on := range s.shed {
@@ -362,6 +360,3 @@ func (s *Scheduler) ShedIDs() []int {
 	}
 	return ids
 }
-
-// Controller returns the adaptive controller, or nil when Adaptive is off.
-func (s *Scheduler) Controller() *adapt.Controller { return s.ctl }

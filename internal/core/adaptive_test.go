@@ -101,11 +101,11 @@ func TestAdaptiveBeatsStaticPlanOnBERStep(t *testing.T) {
 	if am >= sm {
 		t.Errorf("adaptive miss ratio %g not strictly below static %g", am, sm)
 	}
-	if adaptive.Stats().Replans == 0 {
+	if ares.Report.Adaptive.Replans == 0 {
 		t.Error("adaptive run never replanned despite a 1000x BER step")
 	}
-	if static.Stats().Replans != 0 {
-		t.Errorf("static run replanned %d times", static.Stats().Replans)
+	if n := sres.Report.Adaptive.Replans; n != 0 {
+		t.Errorf("static run replanned %d times", n)
 	}
 }
 
@@ -128,7 +128,6 @@ func TestAdaptiveFailoverDeliversOnChannelB(t *testing.T) {
 
 	aopts := base
 	aopts.Adaptive = true
-	aopts.Adapt.BlackoutAfter = 4
 	adaptive := core.New(aopts)
 	rec := trace.New()
 	ares := runScenario(t, adaptive, staticTriple(), scn, seed, dur, rec)
@@ -199,7 +198,8 @@ func shedWorkload() signal.Set {
 // critical first; a replan at a healed BER restores them all.
 func TestAdaptiveShedsInCriticalityOrder(t *testing.T) {
 	sched := core.New(core.Options{BER: 1e-7, Goal: 0.999, MaxRetx: 2, Adaptive: true})
-	runScenario(t, sched, shedWorkload(), nil, 1, 10*time.Millisecond, nil)
+	rec := trace.New()
+	runScenario(t, sched, shedWorkload(), nil, 1, 10*time.Millisecond, rec)
 
 	steps := []struct {
 		ber  float64
@@ -222,8 +222,11 @@ func TestAdaptiveShedsInCriticalityOrder(t *testing.T) {
 			t.Errorf("replan at BER %g: shed = %v, want %v", st.ber, got, st.want)
 		}
 	}
-	if sched.Stats().ShedMessages != 2 { // 25 once, 20 once; restores don't count
-		t.Errorf("ShedMessages = %d, want 2", sched.Stats().ShedMessages)
+	shed := rec.Filter(func(ev trace.Event) bool {
+		return ev.Kind == trace.EventShed && ev.Detail == "shed"
+	})
+	if len(shed) != 2 { // 25 once, 20 once; restores don't count
+		t.Errorf("%d shed events, want 2", len(shed))
 	}
 }
 

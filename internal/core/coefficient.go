@@ -64,9 +64,6 @@ type Options struct {
 	// criticality-ordered load shedding when the required retransmissions
 	// no longer fit the stolen-slack budget.
 	Adaptive bool
-	// Adapt tunes the controller; the zero value selects defaults (and a
-	// replan cooldown of 20 communication cycles).
-	Adapt adapt.Options
 }
 
 // retxJob is one pending retransmission: a hard aperiodic task.
@@ -87,12 +84,6 @@ type Stats struct {
 	StolenStatic int64
 	// StolenSoft counts dynamic (soft) messages served in static slack.
 	StolenSoft int64
-	// Replans counts runtime recomputations of the retransmission plan
-	// (adaptive mode only).
-	Replans int64
-	// ShedMessages counts shed transitions of messages (adaptive mode
-	// only; a message shed twice across two episodes counts twice).
-	ShedMessages int64
 }
 
 // Scheduler is the CoEfficient policy.

@@ -141,19 +141,23 @@ var criticalScope = map[string][]string{
 		"internal/sim", "internal/runner",
 		"internal/experiment", "internal/scenario", "internal/fault",
 		"internal/core", "internal/serve", "internal/serve/journal",
-		"internal/corpus",
+		"internal/corpus", "internal/adapt", "internal/node",
+		"internal/fspec",
 	},
 	// The durability layer (internal/serve/journal) is listed explicitly:
 	// suffix matching does not descend into subpackages, and journal
 	// replay must be a pure function of the bytes on disk — no wall-clock
 	// reads, no map-order leaks into record sequences.  internal/corpus
 	// is in scope for the same reason: corpus generation and the golden
-	// store must be pure functions of the corpus seed.
+	// store must be pure functions of the corpus seed.  internal/adapt,
+	// internal/node and internal/fspec run inside every simulated cycle,
+	// like internal/core.
 	"wallclock": {
 		"internal/sim", "internal/runner",
 		"internal/experiment", "internal/scenario", "internal/fault",
 		"internal/core", "internal/serve", "internal/serve/journal",
-		"internal/corpus",
+		"internal/corpus", "internal/adapt", "internal/node",
+		"internal/fspec",
 	},
 	"goroutineleak": {"internal/runner", "internal/sim", "internal/serve", "internal/serve/journal"},
 	"errdrop":       nil, // whole repository

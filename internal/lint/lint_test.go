@@ -111,11 +111,17 @@ func TestApplies(t *testing.T) {
 		{"mapiter", mod + "/internal/scenario", true},
 		{"mapiter", mod + "/internal/fault", true},
 		{"mapiter", mod + "/internal/core", true},
+		{"mapiter", mod + "/internal/adapt", true}, // every cycle calls into these three
+		{"mapiter", mod + "/internal/node", true},
+		{"mapiter", mod + "/internal/fspec", true},
 		{"mapiter", mod + "/internal/plot", false},
 		{"mapiter", mod + "/internal/metrics", false},
 		{"mapiter", mod + "/internal/serve", true},
 		{"mapiter", mod + "/internal/serve/journal", true}, // record sequences must not leak map order
 		{"wallclock", mod + "/internal/sim", true},
+		{"wallclock", mod + "/internal/adapt", true},
+		{"wallclock", mod + "/internal/node", true},
+		{"wallclock", mod + "/internal/fspec", true},
 		{"wallclock", mod + "/internal/serve", true},         // retry jitter must be seeded, not wall-clock
 		{"wallclock", mod + "/internal/serve/journal", true}, // recovery is a pure function of bytes on disk
 		{"wallclock", mod + "/cmd/coefficientsim", false},    // bench timing is legitimate there

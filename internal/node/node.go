@@ -207,27 +207,6 @@ func (e *ECU) PeekDynamicForBlind(frameID int, t timebase.Macrotick, maxAttempts
 	return nil
 }
 
-// PopStatic removes and returns the oldest pending instance for the frame
-// ID released by time t.
-func (e *ECU) PopStatic(frameID int, t timebase.Macrotick) *Instance {
-	q := e.staticBuf(frameID)
-	if q == nil {
-		return nil
-	}
-	for i, in := range q.items() {
-		if in.Done {
-			continue
-		}
-		if in.Release > t {
-			return nil
-		}
-		q.remove(i)
-		e.staticCount--
-		return in
-	}
-	return nil
-}
-
 // RemoveStatic deletes the exact instance from its static buffer and
 // reports whether it was present.
 func (e *ECU) RemoveStatic(target *Instance) bool {
@@ -240,23 +219,6 @@ func (e *ECU) RemoveStatic(target *Instance) bool {
 		return true
 	}
 	return false
-}
-
-// StaticBacklog returns the number of pending static instances across all
-// owned frame IDs at time t.
-func (e *ECU) StaticBacklog(t timebase.Macrotick) int {
-	if e.staticCount == 0 {
-		return 0
-	}
-	n := 0
-	for _, fid := range e.staticIDs {
-		for _, in := range e.staticBufs[fid].items() {
-			if !in.Done && in.Release <= t {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // DropExpiredStatic removes expired instances from all static buffers and
@@ -274,41 +236,17 @@ func (e *ECU) DropExpiredStatic(t timebase.Macrotick) []*Instance {
 	return dropped
 }
 
-// EnqueueDynamic inserts a dynamic instance into its message's buffer.
+// EnqueueDynamic appends a dynamic instance to its message's buffer.  The
+// caller releases each message's instances in (Release, Seq) order, which
+// keeps every buffer release-sorted.
 func (e *ECU) EnqueueDynamic(in *Instance) error {
 	if in.Msg.Node != e.ID {
 		return fmt.Errorf("%w: message %q is node %d, ECU is %d",
 			ErrForeignMessage, in.Msg.Name, in.Msg.Node, e.ID)
 	}
-	st := e.dynStream(in.Msg.ID, in.Msg.Priority)
-	// Releases arrive in (Release, Seq) order, so the common case is a
-	// plain append; a requeued instance (failed attempt re-entering the
-	// buffer) binary-inserts back into its sorted position.
-	if buf := st.buf.items(); len(buf) == 0 || !releaseBefore(in, buf[len(buf)-1]) {
-		st.buf.push(in)
-	} else {
-		lo, hi := 0, len(buf)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if releaseBefore(buf[mid], in) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		st.buf.insert(lo, in)
-	}
+	e.dynStream(in.Msg.ID, in.Msg.Priority).buf.push(in)
 	e.dynCount++
 	return nil
-}
-
-// releaseBefore orders instances of one stream by (Release, Seq); Seq is
-// unique within a message, so the order is total.
-func releaseBefore(a, b *Instance) bool {
-	if a.Release != b.Release {
-		return a.Release < b.Release
-	}
-	return a.Seq < b.Seq
 }
 
 // dynStream returns the stream for the frame ID, creating and indexing it
@@ -429,22 +367,6 @@ func (e *ECU) RemoveDynamic(target *Instance) bool {
 	return false
 }
 
-// DynamicBacklog returns the number of pending dynamic instances at t.
-func (e *ECU) DynamicBacklog(t timebase.Macrotick) int {
-	n := 0
-	for _, st := range e.dynStreams {
-		for _, in := range st.buf.items() {
-			if in.Release > t {
-				break // release-sorted: the rest are later
-			}
-			if !in.Done {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // DropExpiredDynamic removes expired instances from the dynamic buffers
 // and returns them in (priority, frame ID, release, seq) order, which is
 // deterministic across runs.
@@ -491,11 +413,11 @@ func (st *dynStream) head(t timebase.Macrotick) *Instance {
 }
 
 // instQueue is one CHI buffer, held as buf[head:] so that taking the head
-// is O(1).  Removing or inserting an entry shifts whichever side of it is
-// shorter: in batch mode a buffer holds hundreds of instances, and every
-// shifted pointer costs a write barrier while the collector marks.  A push
-// at the tail compacts only when the backing array is full, and vacated
-// slots are nil so the collector can free delivered instances.
+// is O(1).  Removing an entry shifts whichever side of it is shorter: in
+// batch mode a buffer holds hundreds of instances, and every shifted
+// pointer costs a write barrier while the collector marks.  A push at the
+// tail compacts only when the backing array is full, and vacated slots
+// are nil so the collector can free delivered instances.
 type instQueue struct {
 	buf  []*Instance
 	head int
@@ -513,20 +435,6 @@ func (q *instQueue) push(in *Instance) {
 		q.buf, q.head = q.buf[:n], 0
 	}
 	q.buf = append(q.buf, in)
-}
-
-// insert puts in at position i of items().
-func (q *instQueue) insert(i int, in *Instance) {
-	if n := len(q.buf) - q.head; q.head > 0 && i < n-i {
-		q.head--
-		copy(q.buf[q.head:q.head+i], q.buf[q.head+1:])
-		q.buf[q.head+i] = in
-		return
-	}
-	q.push(nil)
-	items := q.items()
-	copy(items[i+1:], items[i:])
-	items[i] = in
 }
 
 // remove deletes position i of items().

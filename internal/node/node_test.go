@@ -51,15 +51,18 @@ func TestStaticFIFO(t *testing.T) {
 	if got := e.PeekStatic(3, 5); got != nil {
 		t.Errorf("PeekStatic(t=5) = seq %d, want nil", got.Seq)
 	}
-	got := e.PopStatic(3, 100)
+	got := e.PeekStatic(3, 100)
 	if got == nil || got.Seq != 1 {
-		t.Fatalf("PopStatic = %+v, want seq 1", got)
+		t.Fatalf("PeekStatic = %+v, want seq 1", got)
+	}
+	if !e.RemoveStatic(got) {
+		t.Fatal("RemoveStatic missed the head")
 	}
 	if got := e.PeekStatic(3, 100); got == nil || got.Seq != 2 {
-		t.Fatalf("after pop PeekStatic = %+v, want seq 2", got)
+		t.Fatalf("after remove PeekStatic = %+v, want seq 2", got)
 	}
-	if got := e.StaticBacklog(100); got != 2 {
-		t.Errorf("StaticBacklog = %d, want 2", got)
+	if got := len(e.staticBufs[3].items()); got != 2 {
+		t.Errorf("%d instances buffered, want 2", got)
 	}
 }
 
@@ -73,8 +76,11 @@ func TestStaticErrors(t *testing.T) {
 	if err := e.EnqueueStatic(inst(unknown, 1, 0, NoDeadline)); !errors.Is(err, ErrUnknownFrame) {
 		t.Errorf("unknown frame = %v, want ErrUnknownFrame", err)
 	}
-	if got := e.PopStatic(9, 100); got != nil {
-		t.Errorf("PopStatic(unknown) = %+v, want nil", got)
+	if got := e.PeekStatic(9, 100); got != nil {
+		t.Errorf("PeekStatic(unknown) = %+v, want nil", got)
+	}
+	if e.RemoveStatic(inst(unknown, 1, 0, NoDeadline)) {
+		t.Error("RemoveStatic(unknown) returned true")
 	}
 }
 
@@ -93,8 +99,8 @@ func TestDropExpiredStatic(t *testing.T) {
 	if len(dropped) != 1 || dropped[0].Seq != 2 {
 		t.Fatalf("DropExpiredStatic = %+v, want seq 2 only", dropped)
 	}
-	if e.StaticBacklog(100) != 2 {
-		t.Errorf("backlog after drop = %d, want 2", e.StaticBacklog(100))
+	if got := len(e.staticBufs[3].items()); got != 2 {
+		t.Errorf("%d instances buffered after drop, want 2", got)
 	}
 }
 
@@ -126,9 +132,18 @@ func TestDynamicPriorityOrder(t *testing.T) {
 	if got := e.PeekDynamicAny(10); got == nil || got.Msg.ID != 92 {
 		t.Fatalf("after remove, PeekDynamicAny = %+v, want 92", got)
 	}
-	if e.DynamicBacklog(10) != 2 {
-		t.Errorf("DynamicBacklog = %d, want 2", e.DynamicBacklog(10))
+	if got := dynamicBuffered(e); got != 2 {
+		t.Errorf("%d dynamic instances buffered, want 2", got)
 	}
+}
+
+// dynamicBuffered counts the instances in the ECU's dynamic buffers.
+func dynamicBuffered(e *ECU) int {
+	n := 0
+	for _, st := range e.dynStreams {
+		n += len(st.buf.items())
+	}
+	return n
 }
 
 func got2(t *testing.T, in *Instance) *Instance {
@@ -164,8 +179,11 @@ func TestDynamicReleaseGating(t *testing.T) {
 	if got := e.PeekDynamicAny(50); got != nil {
 		t.Errorf("unreleased instance visible at t=50")
 	}
-	if e.DynamicBacklog(50) != 0 {
-		t.Errorf("DynamicBacklog(50) = %d, want 0", e.DynamicBacklog(50))
+	if got := e.PeekDynamicFor(90, 50); got != nil {
+		t.Errorf("unreleased instance visible to its slot at t=50")
+	}
+	if got := e.PeekDynamicFor(90, 100); got == nil || got.Seq != 1 {
+		t.Errorf("PeekDynamicFor(t=100) = %+v, want the released seq 1", got)
 	}
 }
 
@@ -182,8 +200,11 @@ func TestDropExpiredDynamic(t *testing.T) {
 	if len(dropped) != 1 || dropped[0].Seq != 1 {
 		t.Fatalf("DropExpiredDynamic = %+v", dropped)
 	}
-	if e.DynamicBacklog(100) != 1 {
-		t.Errorf("backlog = %d, want 1", e.DynamicBacklog(100))
+	if got := dynamicBuffered(e); got != 1 {
+		t.Errorf("%d dynamic instances buffered, want 1", got)
+	}
+	if got := e.PeekDynamicFor(90, 100); got == nil || got.Seq != 2 {
+		t.Errorf("PeekDynamicFor = %+v, want seq 2", got)
 	}
 }
 
@@ -281,9 +302,8 @@ func TestPeekDynamicForBlind(t *testing.T) {
 }
 
 // Randomized model test of the head-indexed CHI buffer against a plain
-// slice: push, insert (including at the head), removal at a random
-// index, the expiry filter and reset leave the same sequence, and every
-// slot outside the live window is nil.
+// slice: push, removal at a random index, the expiry filter and reset
+// leave the same sequence, and every slot outside the live window is nil.
 func TestInstQueueMatchesSliceModel(t *testing.T) {
 	r := rand.New(rand.NewSource(20260601))
 	m := staticMsg(1, 1)
@@ -292,20 +312,11 @@ func TestInstQueueMatchesSliceModel(t *testing.T) {
 	seq := int64(0)
 	for step := 0; step < 20000; step++ {
 		switch op := r.Intn(20); {
-		case op < 8:
+		case op < 10:
 			seq++
 			in := inst(m, seq, 0, timebase.Macrotick(r.Intn(1000)))
 			q.push(in)
 			model = append(model, in)
-		case op < 10:
-			seq++
-			in := inst(m, seq, 0, timebase.Macrotick(r.Intn(1000)))
-			i := 0
-			if op == 9 {
-				i = r.Intn(len(model) + 1)
-			}
-			q.insert(i, in)
-			model = slices.Insert(model, i, in)
 		case op < 18:
 			if len(model) == 0 {
 				continue

@@ -8,11 +8,12 @@ import (
 
 // PackOptions controls frame packing.
 type PackOptions struct {
-	// MaxPayloadBits is the frame payload capacity in bits.  The FlexRay
-	// v2.1 maximum payload is 254 bytes = 2032 bits.
+	// MaxPayloadBits is the frame payload capacity in bits, at most the
+	// FlexRay v2.1 maximum payload of 254 bytes = 2032 bits (the default
+	// when zero).
 	MaxPayloadBits int
-	// FirstID is the frame ID assigned to the first produced message;
-	// subsequent messages get consecutive IDs.
+	// FirstID is the frame ID assigned to the first produced message
+	// (1 when zero); subsequent messages get consecutive IDs.
 	FirstID int
 }
 
@@ -25,12 +26,20 @@ const DefaultMaxPayloadBits = 254 * 8
 // the same kind, the same period, and compatible offsets (the minimum offset
 // of the group is used).  The packed message takes the minimum deadline of
 // its signals, so packing never relaxes a timing constraint.  Signals wider
-// than the payload capacity are rejected.
+// than the payload capacity are rejected, as are negative options and a
+// capacity above the FlexRay maximum.
 func Pack(signals []Signal, opts PackOptions) ([]Message, error) {
-	if opts.MaxPayloadBits <= 0 {
+	switch {
+	case opts.MaxPayloadBits < 0 || opts.MaxPayloadBits > DefaultMaxPayloadBits:
+		return nil, fmt.Errorf("signal: MaxPayloadBits %d outside 0..%d",
+			opts.MaxPayloadBits, DefaultMaxPayloadBits)
+	case opts.FirstID < 0:
+		return nil, fmt.Errorf("signal: negative FirstID %d", opts.FirstID)
+	}
+	if opts.MaxPayloadBits == 0 {
 		opts.MaxPayloadBits = DefaultMaxPayloadBits
 	}
-	if opts.FirstID <= 0 {
+	if opts.FirstID == 0 {
 		opts.FirstID = 1
 	}
 	for _, s := range signals {

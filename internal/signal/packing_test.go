@@ -2,6 +2,7 @@ package signal
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -84,6 +85,26 @@ func TestPackRejectsOversizedSignal(t *testing.T) {
 	_, err := Pack([]Signal{s}, PackOptions{MaxPayloadBits: 2032})
 	if !errors.Is(err, ErrPayloadOverflow) {
 		t.Fatalf("Pack() = %v, want ErrPayloadOverflow", err)
+	}
+}
+
+func TestPackRejectsBadOptions(t *testing.T) {
+	s := sig("a", 1, 100, 8*time.Millisecond)
+	for _, tt := range []struct {
+		name  string
+		opts  PackOptions
+		field string
+	}{
+		{"negative capacity", PackOptions{MaxPayloadBits: -1}, "MaxPayloadBits"},
+		{"capacity above FlexRay maximum", PackOptions{MaxPayloadBits: 2033}, "MaxPayloadBits"},
+		{"negative first ID", PackOptions{FirstID: -4}, "FirstID"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := Pack([]Signal{s}, tt.opts)
+			if err == nil || !strings.Contains(err.Error(), tt.field) {
+				t.Fatalf("Pack(%+v) = %v, want an error naming %s", tt.opts, err, tt.field)
+			}
+		})
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"github.com/flexray-go/coefficient/internal/frame"
 )
 
 // Common validation errors.
@@ -139,16 +141,23 @@ type Message struct {
 	Priority int `json:"priority,omitempty"`
 }
 
-// Validate checks the message attributes.
+// Validate checks the message attributes, including that the message fits
+// a FlexRay frame: an 11-bit frame ID and at most DefaultMaxPayloadBits of
+// payload.
 func (m Message) Validate() error {
 	if m.Bits <= 0 {
 		return fmt.Errorf("%w: message %q has %d bits", ErrBadLength, m.Name, m.Bits)
 	}
+	if m.Bits > DefaultMaxPayloadBits {
+		return fmt.Errorf("%w: message %q has %d bits, capacity %d",
+			ErrPayloadOverflow, m.Name, m.Bits, DefaultMaxPayloadBits)
+	}
 	if m.Deadline <= 0 {
 		return fmt.Errorf("%w: message %q deadline %v", ErrBadDeadline, m.Name, m.Deadline)
 	}
-	if m.ID <= 0 {
-		return fmt.Errorf("signal: message %q has non-positive frame ID %d", m.Name, m.ID)
+	if m.ID <= 0 || m.ID > frame.MaxFrameID {
+		return fmt.Errorf("signal: message %q has frame ID %d outside 1..%d",
+			m.Name, m.ID, frame.MaxFrameID)
 	}
 	switch m.Kind {
 	case Periodic:

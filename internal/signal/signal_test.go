@@ -101,6 +101,13 @@ func TestMessageValidateOK(t *testing.T) {
 	if err := validMessage().Validate(); err != nil {
 		t.Fatalf("Validate() = %v", err)
 	}
+	// The largest frame FlexRay can carry: an 11-bit frame ID and a
+	// 254-byte payload.
+	m := validMessage()
+	m.ID, m.Bits = 2047, 2032
+	if err := m.Validate(); err != nil {
+		t.Fatalf("Validate() at the frame-format limits = %v", err)
+	}
 }
 
 func TestMessageValidateErrors(t *testing.T) {
@@ -110,6 +117,8 @@ func TestMessageValidateErrors(t *testing.T) {
 	}{
 		{"zero bits", func(m *Message) { m.Bits = 0 }},
 		{"zero id", func(m *Message) { m.ID = 0 }},
+		{"id above 11 bits", func(m *Message) { m.ID = 2048 }},
+		{"bits above payload", func(m *Message) { m.Bits = 2033 }},
 		{"zero deadline", func(m *Message) { m.Deadline = 0 }},
 		{"deadline > period", func(m *Message) { m.Deadline = 10 * time.Millisecond }},
 		{"zero period", func(m *Message) { m.Period = 0 }},

@@ -182,11 +182,11 @@ func (c *Compiled) NewState(sched Scheduler) (*RunState, error) {
 // rebuilds the node watch and timing layer, re-seeds the CRC and arrival
 // RNGs, zeroes the CHI buffers and metrics and rewinds the releaser.  It
 // readies the scheduler last, so the scheduler sees the replica's sink,
-// Sync monitor and gauges: the first Reset calls Init, later ones call
-// ResetReplica when the scheduler implements ReplicaResettable and Init
-// otherwise.  Because every piece is rewound, the following Run depends
-// only on the compiled options and ro, never on the replicas the state
-// ran before.
+// cleared sync-loss flag and gauges: the first Reset calls Init, later
+// ones call ResetReplica when the scheduler implements ReplicaResettable
+// and Init otherwise.  Because every piece is rewound, the following Run
+// depends only on the compiled options and ro, never on the replicas the
+// state ran before.
 // Construct-only branches (scenario compile, timing layer) allocate and
 // are outside the alloc-free replica contract; the flagged constructs
 // live in the unmarked helpers below.
@@ -276,15 +276,16 @@ func (st *RunState) resetScenario(seed uint64) error {
 	return nil
 }
 
-// resetTiming rebuilds the local-clock layer for the new seed.  The
-// layer's state graph (per-node clocks, POC, guardians) is rebuilt from
-// scratch — timing replicas allocate and are outside the alloc-free
-// contract, like scenario replicas.  Scenario-scripted timing faults
-// need the layer even when the options leave it off.
+// resetTiming clears the sync-loss flag and rebuilds the local-clock
+// layer for the new seed.  The layer's state graph (per-node clocks, POC,
+// guardians) is rebuilt from scratch — timing replicas allocate and are
+// outside the alloc-free contract, like scenario replicas.
+// Scenario-scripted timing faults need the layer even when the options
+// leave it off.
 func (st *RunState) resetTiming() {
 	eng := st.eng
 	eng.timing = nil
-	eng.env.Sync = nil
+	eng.env.SyncLost = false
 	if eng.opts.Timing == nil && (eng.scn == nil || !eng.scn.HasTimingFaults()) {
 		return
 	}
@@ -293,7 +294,6 @@ func (st *RunState) resetTiming() {
 		topts = *eng.opts.Timing
 	}
 	eng.timing = newTimingState(topts, eng)
-	eng.env.Sync = eng.timing.monitor
 }
 
 // resetScheduler readies the scheduler for the next replica: Init on the

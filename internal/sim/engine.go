@@ -325,7 +325,6 @@ func (e *engine) runStaticSegment(cycle int64) {
 				blocked, f := e.timing.staticGate(tx.Instance.Msg.Node, slotStart)
 				if blocked {
 					e.timing.gauges.GuardianBlock()
-					e.timing.monitor.ObserveContainment()
 					e.record(trace.Event{
 						Time: slotStart, Kind: trace.EventGuardianBlock,
 						FrameID: tx.Instance.Msg.ID, Seq: tx.Instance.Seq,

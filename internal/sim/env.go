@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/flexray-go/coefficient/internal/adapt"
 	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/metrics"
 	"github.com/flexray-go/coefficient/internal/node"
@@ -36,7 +35,7 @@ var (
 // timing, the workload, the ECUs with their CHI buffers, and frame timing
 // helpers.  Schedulers reach messages and ECUs through the accessors
 // (StaticMsg, DynamicMsg, ECU, OrderedECUs) and manipulate the ECU queues
-// directly (pop, requeue) — the engine owns time, the wire, fault
+// directly (peek, remove) — the engine owns time, the wire, fault
 // injection and bookkeeping.
 type Env struct {
 	// Cfg is the cluster timing configuration.
@@ -59,11 +58,12 @@ type Env struct {
 	// Gauges exposes the metrics collector's adaptive-controller gauges
 	// for schedulers to update.  Nil-safe via the gauge methods.
 	Gauges *metrics.AdaptiveGauges
-	// Sync exposes the timing layer's clock-synchronization health so the
-	// adaptive scheduler can treat sync loss like a blackout.  Nil when
-	// the run models a perfect shared macrotick; all methods are
-	// nil-safe.
-	Sync *adapt.SyncMonitor
+	// SyncLost reports whether the timing layer's most recent
+	// double-cycle check found the cluster out of sync: a node raised a
+	// sync-loss event, or the cluster precision exceeded the bound.  The
+	// adaptive scheduler treats it like a blackout.  Always false when the
+	// run models a perfect shared macrotick.
+	SyncLost bool
 
 	// Dispatch tables, built once by Compile (ecuByID and ecuOrder by
 	// NewState) so the per-slot walk indexes slices.  All are nil on

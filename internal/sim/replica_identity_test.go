@@ -12,6 +12,7 @@ import (
 	"github.com/flexray-go/coefficient/internal/fault"
 	"github.com/flexray-go/coefficient/internal/fspec"
 	"github.com/flexray-go/coefficient/internal/runner"
+	"github.com/flexray-go/coefficient/internal/scenario"
 	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/sim"
 	"github.com/flexray-go/coefficient/internal/trace"
@@ -60,25 +61,45 @@ func testOptions() sim.Options {
 	}
 }
 
+// syncOutage suppresses every sync sender of testSet from 30 ms to past
+// the 40 ms horizon, so each replica ends with the cluster out of sync: a
+// Reset that carried the sync-loss flag into the next replica would engage
+// failover in its first cycle.
+const syncOutage = `{
+	"name": "sync-outage-at-horizon",
+	"timing": {
+		"syncLoss": [
+			{"node": 0, "start": "30ms", "end": "80ms"},
+			{"node": 1, "start": "30ms", "end": "80ms"},
+			{"node": 2, "start": "30ms", "end": "80ms"}
+		]
+	}
+}`
+
 // testSchedulers enumerates every scheduler family the fig5 sweep ships:
-// plain CoEfficient, adaptive CoEfficient, and the FSPEC baseline.
+// plain CoEfficient, adaptive CoEfficient, and the FSPEC baseline; plus
+// adaptive CoEfficient under a scenario (JSON) that runs the timing layer.
 func testSchedulers() []struct {
-	name string
-	mk   func() (sim.Scheduler, error)
+	name     string
+	mk       func() (sim.Scheduler, error)
+	scenario string
 } {
+	adaptive := func() (sim.Scheduler, error) {
+		return core.New(core.Options{BER: testBER, Goal: 0.999, Unit: time.Second, Adaptive: true}), nil
+	}
 	return []struct {
-		name string
-		mk   func() (sim.Scheduler, error)
+		name     string
+		mk       func() (sim.Scheduler, error)
+		scenario string
 	}{
 		{"coefficient", func() (sim.Scheduler, error) {
 			return core.New(core.Options{BER: testBER, Goal: 0.999, Unit: time.Second}), nil
-		}},
-		{"coefficient-adaptive", func() (sim.Scheduler, error) {
-			return core.New(core.Options{BER: testBER, Goal: 0.999, Unit: time.Second, Adaptive: true}), nil
-		}},
+		}, ""},
+		{"coefficient-adaptive", adaptive, ""},
 		{"fspec", func() (sim.Scheduler, error) {
 			return fspec.New(fspec.Options{Copies: 2}), nil
-		}},
+		}, ""},
+		{"coefficient-adaptive-sync-outage", adaptive, syncOutage},
 	}
 }
 
@@ -112,8 +133,8 @@ func traceJSON(t *testing.T, rec *trace.Recorder) []byte {
 // seeds back to back on ONE reused RunState must produce bus traces
 // byte-identical to a fresh engine per seed.  The seed list repeats its
 // first entry at the end, so a replica polluted by its predecessor's
-// state (arena not rewound, counter not zeroed, scheduler not reset)
-// cannot pass.
+// state (arena not rewound, counter not zeroed, scheduler not reset,
+// sync-loss flag not cleared) cannot pass.
 func TestReplicaTraceByteIdentity(t *testing.T) {
 	seeds := []uint64{3, 9, 3}
 	for _, tc := range testSchedulers() {
@@ -122,7 +143,13 @@ func TestReplicaTraceByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("scheduler: %v", err)
 			}
-			compiled, err := sim.Compile(testOptions())
+			opts := testOptions()
+			if tc.scenario != "" {
+				if opts.Scenario, err = scenario.Parse([]byte(tc.scenario)); err != nil {
+					t.Fatalf("scenario: %v", err)
+				}
+			}
+			compiled, err := sim.Compile(opts)
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
@@ -139,6 +166,7 @@ func TestReplicaTraceByteIdentity(t *testing.T) {
 				injA, injB := replicaInjectors(t, seed)
 				naiveRec := trace.New()
 				naiveOpts := testOptions()
+				naiveOpts.Scenario = opts.Scenario
 				naiveOpts.Seed = seed
 				naiveOpts.InjectorA, naiveOpts.InjectorB = injA, injB
 				naiveOpts.Sink = naiveRec

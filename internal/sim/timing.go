@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"github.com/flexray-go/coefficient/internal/adapt"
 	"github.com/flexray-go/coefficient/internal/clocksync"
 	"github.com/flexray-go/coefficient/internal/fault"
 	"github.com/flexray-go/coefficient/internal/frame"
@@ -98,9 +97,8 @@ type timingState struct {
 	seed  uint64
 	nodes map[int]*nodeTiming
 	// order fixes the node iteration order for determinism.
-	order   []int
-	monitor *adapt.SyncMonitor
-	gauges  *metrics.SyncGauges
+	order  []int
+	gauges *metrics.SyncGauges
 	// precision is the largest tolerated clock deviation in macroticks,
 	// a quarter static slot (at least 1): beyond it a node demotes to
 	// normal-passive, and a static frame starting further than it from
@@ -133,7 +131,6 @@ func newTimingState(opts TimingOptions, e *engine) *timingState {
 		seed:         e.opts.Seed,
 		precision:    precision,
 		nodes:        make(map[int]*nodeTiming, len(e.env.OrderedECUs())),
-		monitor:      adapt.NewSyncMonitor(float64(precision)),
 		gauges:       e.col.SyncHealth(),
 		babbleTraced: make(map[int]map[frame.Channel]int64),
 	}
@@ -357,7 +354,7 @@ func (ts *timingState) endOfDoubleCycle(e *engine, cycle int64, nit timebase.Mac
 	}
 	precisionMT := float64(hiUT-loUT) / float64(clocksync.MicroPerMacro)
 	ts.gauges.ObserveOffset(precisionMT)
-	ts.monitor.ObserveDoubleCycle(precisionMT, lossEvents)
+	e.env.SyncLost = lossEvents > 0 || precisionMT > float64(ts.precision)
 	if !first {
 		ts.refUT = (loUT + hiUT) / 2
 	}
@@ -431,7 +428,6 @@ func (ts *timingState) babbleCollision(e *engine, cycle int64, slot int, ch fram
 		if bt != nil && bt.guardian != nil && !bt.guardian.Owns(slot) {
 			// Guardian contains the babble at the node boundary.
 			ts.gauges.GuardianBlock()
-			ts.monitor.ObserveContainment()
 			traced := ts.babbleTraced[b]
 			if traced == nil {
 				traced = make(map[frame.Channel]int64)

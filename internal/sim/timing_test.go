@@ -2,14 +2,17 @@ package sim_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/flexray-go/coefficient/internal/core"
 	"github.com/flexray-go/coefficient/internal/fault"
 	"github.com/flexray-go/coefficient/internal/metrics"
 	"github.com/flexray-go/coefficient/internal/scenario"
 	"github.com/flexray-go/coefficient/internal/sim"
+	"github.com/flexray-go/coefficient/internal/timebase"
 	"github.com/flexray-go/coefficient/internal/trace"
 
 	"github.com/flexray-go/coefficient/internal/fspec"
@@ -161,6 +164,75 @@ func TestBabbleGuardianContainment(t *testing.T) {
 	if off.DeadlineMissRatio[metrics.Static] <= on.DeadlineMissRatio[metrics.Static] {
 		t.Errorf("unguarded miss ratio %g not above guarded %g",
 			off.DeadlineMissRatio[metrics.Static], on.DeadlineMissRatio[metrics.Static])
+	}
+}
+
+// syncProbe wraps a scheduler and records Env.SyncLost at the start of
+// every cycle.
+type syncProbe struct {
+	sim.Scheduler
+	env  *sim.Env
+	lost []bool
+}
+
+func (p *syncProbe) Init(env *sim.Env) error {
+	p.env = env
+	return p.Scheduler.Init(env)
+}
+
+func (p *syncProbe) CycleStart(cycle int64, now timebase.Macrotick) {
+	p.lost = append(p.lost, p.env.SyncLost)
+	p.Scheduler.CycleStart(cycle, now)
+}
+
+// Env.SyncLost is how the timing layer reports sync health to the
+// scheduler: never set without the layer, set during a cluster-wide
+// sync-frame outage, and clear again once the nodes have resynchronized.
+func TestSyncLostFlag(t *testing.T) {
+	run := func(scn *scenario.Scenario) []bool {
+		t.Helper()
+		probe := &syncProbe{Scheduler: core.New(core.Options{BER: 1e-7, Goal: 0.9, Adaptive: true})}
+		_, err := sim.Run(sim.Options{
+			Config:   testConfig(),
+			Workload: staticOnlyWorkload(),
+			Mode:     sim.Streaming,
+			Duration: 200 * time.Millisecond,
+			Seed:     3,
+			Scenario: scn,
+		}, probe)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return probe.lost
+	}
+
+	if c := slices.Index(run(nil), true); c >= 0 {
+		t.Errorf("cycle %d: SyncLost set without the timing layer", c)
+	}
+
+	scn, err := scenario.Parse([]byte(`{
+		"name": "sync-blackout",
+		"timing": {
+			"syncLoss": [
+				{"node": 0, "start": "30ms", "end": "60ms"},
+				{"node": 1, "start": "30ms", "end": "60ms"},
+				{"node": 2, "start": "30ms", "end": "60ms"}
+			]
+		}
+	}`))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	lost := run(scn)
+	// testConfig's cycle is 1 ms, so cycle c starts at c ms.
+	switch first := slices.Index(lost, true); {
+	case first < 0:
+		t.Fatal("SyncLost never set during a cluster-wide sync outage")
+	case first < 30:
+		t.Errorf("SyncLost set at cycle %d, before the outage starts at 30 ms", first)
+	}
+	if lost[len(lost)-1] {
+		t.Error("SyncLost still set at the end of the run, after resynchronization")
 	}
 }
 

@@ -21,21 +21,11 @@ const seedCRC uint64 = 0xC2C_F11B_0B17_0004
 // past both CRCs (the frame arrives, silently corrupted — exactly the
 // residual error probability CRCs are sized against).
 func (e *engine) crcOutcome(m *signal.Message, ch frame.Channel, at timebase.Macrotick) (bool, string) {
-	id := m.ID
-	if id < 1 {
-		id = 1
-	}
-	if id > frame.MaxFrameID {
-		id = frame.MaxFrameID
-	}
-	nbytes := m.Bytes()
-	if nbytes > frame.MaxPayloadBytes {
-		nbytes = frame.MaxPayloadBytes
-	}
+	// Message.Validate keeps the ID and payload within the frame format.
 	f := frame.Frame{
-		ID:         id,
+		ID:         m.ID,
 		CycleCount: int(e.opts.Config.CycleOf(at) % (frame.MaxCycleCount + 1)),
-		Payload:    make([]byte, nbytes),
+		Payload:    make([]byte, m.Bytes()),
 	}
 	buf, err := f.Encode(ch)
 	if err != nil {

@@ -15,14 +15,16 @@ import (
 type SignalLevelOptions struct {
 	// Signals is the number of raw signals to generate.
 	Signals int
-	// Nodes is the number of producing ECUs (defaults to NodeCount).
+	// Nodes is the number of producing ECUs (NodeCount when zero;
+	// negative is an error).
 	Nodes int
 	// Seed makes generation reproducible.
 	Seed uint64
-	// FirstID is the first frame ID for the packed messages.
+	// FirstID is the first frame ID for the packed messages, checked and
+	// defaulted by signal.Pack.
 	FirstID int
-	// MaxPayloadBits caps the packed frame payload (defaults to the
-	// FlexRay maximum).
+	// MaxPayloadBits caps the packed frame payload, checked and defaulted
+	// (to the FlexRay maximum) by signal.Pack.
 	MaxPayloadBits int
 }
 
@@ -34,11 +36,11 @@ func SyntheticSignals(opts SignalLevelOptions) (signal.Set, error) {
 	if opts.Signals <= 0 {
 		return signal.Set{}, fmt.Errorf("workload: signal count %d", opts.Signals)
 	}
-	if opts.Nodes <= 0 {
-		opts.Nodes = NodeCount
+	if opts.Nodes < 0 {
+		return signal.Set{}, fmt.Errorf("workload: negative signal-level Nodes %d", opts.Nodes)
 	}
-	if opts.FirstID <= 0 {
-		opts.FirstID = 1
+	if opts.Nodes == 0 {
+		opts.Nodes = NodeCount
 	}
 	rng := fault.NewRNG(opts.Seed ^ 0x51C0A15)
 	periods := []time.Duration{

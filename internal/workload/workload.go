@@ -114,7 +114,8 @@ type SyntheticOptions struct {
 	Messages int
 	// Seed makes generation reproducible.
 	Seed uint64
-	// FirstID is the frame ID of the first message (defaults to 1).
+	// FirstID is the frame ID of the first message (1 when zero; negative
+	// is an error).
 	FirstID int
 	// Periods lists the candidate periods.  Defaults to harmonic-friendly
 	// values within the paper's 5–50 ms range so hyperperiods stay small.
@@ -131,7 +132,7 @@ const (
 )
 
 func (o *SyntheticOptions) fill() {
-	if o.FirstID <= 0 {
+	if o.FirstID == 0 {
 		o.FirstID = 1
 	}
 	if len(o.Periods) == 0 {
@@ -148,6 +149,9 @@ func (o *SyntheticOptions) fill() {
 func Synthetic(opts SyntheticOptions) (signal.Set, error) {
 	if opts.Messages <= 0 {
 		return signal.Set{}, fmt.Errorf("workload: synthetic message count %d", opts.Messages)
+	}
+	if opts.FirstID < 0 {
+		return signal.Set{}, fmt.Errorf("workload: negative synthetic FirstID %d", opts.FirstID)
 	}
 	opts.fill()
 	rng := fault.NewRNG(opts.Seed)
@@ -182,9 +186,10 @@ func Synthetic(opts SyntheticOptions) (signal.Set, error) {
 type SAEAperiodicOptions struct {
 	// FirstID is the first dynamic frame ID: 81 for 80-slot
 	// configurations, 121 for 120-slot configurations (paper Section
-	// IV-A).
+	// IV-A).  Zero selects 81; negative is an error.
 	FirstID int
-	// Count is the number of aperiodic messages (paper: 30).
+	// Count is the number of aperiodic messages.  Zero selects the
+	// paper's 30; negative is an error.
 	Count int
 	// Seed makes the size draw reproducible.
 	Seed uint64
@@ -201,10 +206,16 @@ const (
 // the mean inter-arrival time) and a 50 ms deadline, uniformly distributed
 // over the 10 nodes.
 func SAEAperiodic(opts SAEAperiodicOptions) (signal.Set, error) {
-	if opts.Count <= 0 {
+	switch {
+	case opts.Count < 0:
+		return signal.Set{}, fmt.Errorf("workload: negative SAE Count %d", opts.Count)
+	case opts.FirstID < 0:
+		return signal.Set{}, fmt.Errorf("workload: negative SAE FirstID %d", opts.FirstID)
+	}
+	if opts.Count == 0 {
 		opts.Count = 30
 	}
-	if opts.FirstID <= 0 {
+	if opts.FirstID == 0 {
 		opts.FirstID = 81
 	}
 	rng := fault.NewRNG(opts.Seed)

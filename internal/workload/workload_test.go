@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -132,6 +133,46 @@ func TestSyntheticRespectsPaperRanges(t *testing.T) {
 func TestSyntheticRejectsBadCount(t *testing.T) {
 	if _, err := Synthetic(SyntheticOptions{Messages: 0}); err == nil {
 		t.Error("Synthetic(0) accepted")
+	}
+}
+
+// Zero selects a generator's default; a negative option is an error that
+// names the field, as is a payload the frame format cannot carry.
+func TestGeneratorsRejectBadOptions(t *testing.T) {
+	for _, tt := range []struct {
+		name  string
+		gen   func() (signal.Set, error)
+		field string
+	}{
+		{"synthetic first ID", func() (signal.Set, error) {
+			return Synthetic(SyntheticOptions{Messages: 5, FirstID: -7})
+		}, "FirstID"},
+		{"SAE count", func() (signal.Set, error) {
+			return SAEAperiodic(SAEAperiodicOptions{Count: -3})
+		}, "Count"},
+		{"SAE first ID", func() (signal.Set, error) {
+			return SAEAperiodic(SAEAperiodicOptions{FirstID: -5})
+		}, "FirstID"},
+		{"signal-level nodes", func() (signal.Set, error) {
+			return SyntheticSignals(SignalLevelOptions{Signals: 20, Nodes: -2})
+		}, "Nodes"},
+		{"signal-level first ID", func() (signal.Set, error) {
+			return SyntheticSignals(SignalLevelOptions{Signals: 20, FirstID: -1})
+		}, "FirstID"},
+		{"signal-level negative payload", func() (signal.Set, error) {
+			return SyntheticSignals(SignalLevelOptions{Signals: 20, MaxPayloadBits: -8})
+		}, "MaxPayloadBits"},
+		{"signal-level payload above FlexRay maximum", func() (signal.Set, error) {
+			return SyntheticSignals(SignalLevelOptions{Signals: 200, MaxPayloadBits: 8000})
+		}, "MaxPayloadBits"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			set, err := tt.gen()
+			if err == nil || !strings.Contains(err.Error(), tt.field) {
+				t.Fatalf("got %d messages, err %v; want an error naming %s",
+					len(set.Messages), err, tt.field)
+			}
+		})
 	}
 }
 
