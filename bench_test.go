@@ -425,20 +425,3 @@ func BenchmarkScheduleSynthesis(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkStartup measures one coldstart run of a 10-node cluster.
-func BenchmarkStartup(b *testing.B) {
-	b.ReportAllocs()
-	nodes := make([]coefficient.StartupNode, 10)
-	for i := range nodes {
-		nodes[i] = coefficient.StartupNode{Name: string(rune('a' + i)), Coldstart: i < 3}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := coefficient.SimulateStartup(coefficient.StartupConfig{
-			Nodes: nodes, Seed: uint64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -40,7 +40,6 @@ import (
 	"github.com/flexray-go/coefficient/internal/schedule"
 	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/sim"
-	"github.com/flexray-go/coefficient/internal/startup"
 	"github.com/flexray-go/coefficient/internal/timebase"
 	"github.com/flexray-go/coefficient/internal/topology"
 	"github.com/flexray-go/coefficient/internal/trace"
@@ -230,33 +229,6 @@ func DynamicWCRT(set MessageSet, cfg Config, bitRate int64, frameID int) (WCRTRe
 // set (a WCRT of -1 marks an unbounded dynamic frame).
 func AnalyzeWCRT(set MessageSet, cfg Config, bitRate int64) ([]WCRTResult, error) {
 	return analysis.All(set, cfg, bitRate)
-}
-
-// Cluster startup (wakeup + coldstart).
-type (
-	// StartupNode configures one member for the coldstart simulation.
-	StartupNode = startup.Node
-	// StartupConfig parameterizes a startup simulation.
-	StartupConfig = startup.Config
-	// StartupReport is the join timeline of a startup run.
-	StartupReport = startup.Report
-	// WakeupNode configures one member for the wakeup simulation.
-	WakeupNode = startup.WakeupNode
-	// WakeupConfig parameterizes a wakeup simulation.
-	WakeupConfig = startup.WakeupConfig
-	// WakeupReport is the wake timeline of a wakeup run.
-	WakeupReport = startup.WakeupReport
-)
-
-// SimulateWakeup runs the FlexRay wakeup pattern propagation.
-func SimulateWakeup(cfg WakeupConfig) (WakeupReport, error) {
-	return startup.SimulateWakeup(cfg)
-}
-
-// SimulateStartup runs the FlexRay coldstart protocol and returns the join
-// timeline.
-func SimulateStartup(cfg StartupConfig) (StartupReport, error) {
-	return startup.Simulate(cfg)
 }
 
 // BuildSchedule derives the static schedule table (base cycle and

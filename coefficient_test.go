@@ -174,21 +174,6 @@ func TestPublicAPISurface(t *testing.T) {
 		t.Errorf("DynamicWCRT: %v", err)
 	}
 
-	boot, err := coefficient.SimulateStartup(coefficient.StartupConfig{
-		Nodes: []coefficient.StartupNode{
-			{Name: "a", Coldstart: true},
-			{Name: "b", Coldstart: true},
-			{Name: "c"},
-		},
-		Seed: 1,
-	})
-	if err != nil {
-		t.Fatalf("SimulateStartup: %v", err)
-	}
-	if len(boot.JoinCycle) != 3 {
-		t.Errorf("JoinCycle = %v", boot.JoinCycle)
-	}
-
 	synced, err := coefficient.Simulate(coefficient.SimOptions{
 		Config:   lat.Config,
 		Workload: set,
@@ -299,21 +284,5 @@ func TestPublicAPISynthesisExperiment(t *testing.T) {
 	}
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
-	}
-}
-
-func TestPublicAPIWakeup(t *testing.T) {
-	rep, err := coefficient.SimulateWakeup(coefficient.WakeupConfig{
-		Nodes: []coefficient.WakeupNode{
-			{Name: "w", CanWake: true},
-			{Name: "n", WakeDelay: 2},
-		},
-		Seed: 1,
-	})
-	if err != nil {
-		t.Fatalf("SimulateWakeup: %v", err)
-	}
-	if rep.Initiator != "w" || len(rep.AwakeCycle) != 2 {
-		t.Errorf("wakeup = %+v", rep)
 	}
 }

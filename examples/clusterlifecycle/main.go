@@ -1,9 +1,8 @@
-// Cluster lifecycle: everything that has to happen before the paper's
-// scheduling results apply — the wakeup pattern and the coldstart protocol
-// bring the cluster up from silence, then CoEfficient schedules the BBW
-// workload (here with one ECU suffering a permanent fault mid-run) while
-// every node's drifting clock is held to the cluster's by the FTM
-// offset/rate correction loop.
+// Cluster lifecycle: a running, synchronized cluster through a permanent
+// node failure.  CoEfficient schedules the BBW workload while every
+// node's drifting clock is held to the cluster's by the FTM offset/rate
+// correction loop, and ECU 4 fails permanently at 1 s; its traffic is
+// dropped from then on while the other nodes keep their schedule.
 package main
 
 import (
@@ -15,41 +14,9 @@ import (
 )
 
 func main() {
-	// Phase 0: wakeup.  A wake-capable ECU puts the wakeup pattern on the
-	// bus; transceivers leave sleep after their per-node delays.
-	wnodes := make([]coefficient.WakeupNode, 10)
-	for i := range wnodes {
-		wnodes[i] = coefficient.WakeupNode{
-			Name:      fmt.Sprintf("ecu-%02d", i),
-			CanWake:   i < 3,
-			WakeDelay: i % 4,
-		}
-	}
-	wake, err := coefficient.SimulateWakeup(coefficient.WakeupConfig{Nodes: wnodes, Seed: 11})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wakeup:     %s woke the bus; all transceivers up after %d cycles\n",
-		wake.Initiator, wake.WakeupCycles)
-
-	// Phase 1: coldstart.  Three coldstart-capable ECUs, seven others.
-	nodes := make([]coefficient.StartupNode, 10)
-	for i := range nodes {
-		nodes[i] = coefficient.StartupNode{
-			Name:      fmt.Sprintf("ecu-%02d", i),
-			Coldstart: i < 3,
-		}
-	}
-	boot, err := coefficient.SimulateStartup(coefficient.StartupConfig{Nodes: nodes, Seed: 11})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("startup:    leader %s, cluster up after %d cycles (%d CAS collisions)\n",
-		boot.Leader, boot.StartupCycles, boot.CASCollisions)
-
-	// Phase 2: schedule the BBW workload; ECU 4 fails permanently at 1s.
-	// Every node runs a local clock drifting up to ±100 ppm, corrected by
-	// the FTM loop over the sync frames of the running schedule.
+	// Schedule the BBW workload; ECU 4 fails permanently at 1s.  Every
+	// node runs a local clock drifting up to ±100 ppm, corrected by the
+	// FTM loop over the sync frames of the running schedule.
 	sae, err := coefficient.SAEAperiodic(coefficient.SAEAperiodicOptions{FirstID: 31, Seed: 11})
 	if err != nil {
 		log.Fatal(err)

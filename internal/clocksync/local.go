@@ -25,8 +25,8 @@ const MicroPerMacro int64 = 40
 // degradation chain the simulator models: a synchronized node is
 // normal-active; losing sync quality demotes it to normal-passive (receive
 // and correct, but keep the bus clean by not transmitting); persistent sync
-// loss halts the CC, after which only reintegration via the startup path
-// (internal/startup) brings it back.
+// loss halts the CC, after which only reintegration (ReintegrationCycles)
+// brings it back.
 type POCState int
 
 // POC degradation states.
@@ -54,6 +54,21 @@ func (s POCState) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// listenRange is the randomized listen-timeout range in cycles;
+// randomization keeps halted nodes from retrying in lockstep.
+const listenRange = 8
+
+// ReintegrationCycles returns how many communication cycles a halted node
+// needs before it can rejoin a running cluster: a randomized listen window
+// plus the two double-cycles of consistent sync-frame observation that
+// integration requires.  The caller mixes the node identity and halt
+// instance into seed so repeated halts of the same node draw fresh
+// timeouts while the whole run stays deterministic.
+func ReintegrationCycles(seed uint64) int {
+	rng := fault.NewRNG(seed ^ 0x57A27)
+	return 2 + rng.Intn(listenRange) + 4
 }
 
 // LocalClock is one node's view of global time: an accumulated offset in

@@ -87,15 +87,18 @@ func TestLocalClockMeasurementJitterBoundedAndDeterministic(t *testing.T) {
 }
 
 func TestPOCStateString(t *testing.T) {
-	cases := map[POCState]string{
-		POCNormalActive:  "normal-active",
-		POCNormalPassive: "normal-passive",
-		POCHalt:          "halt",
-		POCState(0):      "unknown",
+	cases := []struct {
+		s    POCState
+		want string
+	}{
+		{POCNormalActive, "normal-active"},
+		{POCNormalPassive, "normal-passive"},
+		{POCHalt, "halt"},
+		{POCState(0), "unknown"},
 	}
-	for s, want := range cases {
-		if got := s.String(); got != want {
-			t.Fatalf("POCState(%d).String() = %q, want %q", s, got, want)
+	for _, c := range cases {
+		if got := c.s.String(); got != c.want {
+			t.Fatalf("POCState(%d).String() = %q, want %q", c.s, got, c.want)
 		}
 	}
 }

@@ -142,22 +142,26 @@ var criticalScope = map[string][]string{
 		"internal/experiment", "internal/scenario", "internal/fault",
 		"internal/core", "internal/serve", "internal/serve/journal",
 		"internal/corpus", "internal/adapt", "internal/node",
-		"internal/fspec",
+		"internal/fspec", "internal/clocksync", "internal/metrics",
+		"internal/trace", "internal/frame", "internal/timebase",
+		"internal/signal", "internal/topology", "internal/reliability",
 	},
 	// The durability layer (internal/serve/journal) is listed explicitly:
 	// suffix matching does not descend into subpackages, and journal
 	// replay must be a pure function of the bytes on disk — no wall-clock
 	// reads, no map-order leaks into record sequences.  internal/corpus
 	// is in scope for the same reason: corpus generation and the golden
-	// store must be pure functions of the corpus seed.  internal/adapt,
-	// internal/node and internal/fspec run inside every simulated cycle,
-	// like internal/core.
+	// store must be pure functions of the corpus seed.  The packages
+	// after internal/corpus run inside every simulated cycle, like
+	// internal/core (internal/reliability in every adaptive replan).
 	"wallclock": {
 		"internal/sim", "internal/runner",
 		"internal/experiment", "internal/scenario", "internal/fault",
 		"internal/core", "internal/serve", "internal/serve/journal",
 		"internal/corpus", "internal/adapt", "internal/node",
-		"internal/fspec",
+		"internal/fspec", "internal/clocksync", "internal/metrics",
+		"internal/trace", "internal/frame", "internal/timebase",
+		"internal/signal", "internal/topology", "internal/reliability",
 	},
 	"goroutineleak": {"internal/runner", "internal/sim", "internal/serve", "internal/serve/journal"},
 	"errdrop":       nil, // whole repository

@@ -114,14 +114,30 @@ func TestApplies(t *testing.T) {
 		{"mapiter", mod + "/internal/adapt", true}, // every cycle calls into these three
 		{"mapiter", mod + "/internal/node", true},
 		{"mapiter", mod + "/internal/fspec", true},
+		{"mapiter", mod + "/internal/clocksync", true}, // the cycle loop calls into these eight too
+		{"mapiter", mod + "/internal/metrics", true},
+		{"mapiter", mod + "/internal/trace", true},
+		{"mapiter", mod + "/internal/frame", true},
+		{"mapiter", mod + "/internal/timebase", true},
+		{"mapiter", mod + "/internal/signal", true},
+		{"mapiter", mod + "/internal/topology", true},
+		{"mapiter", mod + "/internal/reliability", true},
 		{"mapiter", mod + "/internal/plot", false},
-		{"mapiter", mod + "/internal/metrics", false},
 		{"mapiter", mod + "/internal/serve", true},
 		{"mapiter", mod + "/internal/serve/journal", true}, // record sequences must not leak map order
 		{"wallclock", mod + "/internal/sim", true},
 		{"wallclock", mod + "/internal/adapt", true},
 		{"wallclock", mod + "/internal/node", true},
 		{"wallclock", mod + "/internal/fspec", true},
+		{"wallclock", mod + "/internal/clocksync", true},
+		{"wallclock", mod + "/internal/metrics", true},
+		{"wallclock", mod + "/internal/trace", true},
+		{"wallclock", mod + "/internal/frame", true},
+		{"wallclock", mod + "/internal/timebase", true},
+		{"wallclock", mod + "/internal/signal", true},
+		{"wallclock", mod + "/internal/topology", true},
+		{"wallclock", mod + "/internal/reliability", true},
+		{"wallclock", mod + "/internal/plot", false},
 		{"wallclock", mod + "/internal/serve", true},         // retry jitter must be seeded, not wall-clock
 		{"wallclock", mod + "/internal/serve/journal", true}, // recovery is a pure function of bytes on disk
 		{"wallclock", mod + "/cmd/coefficientsim", false},    // bench timing is legitimate there

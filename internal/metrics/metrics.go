@@ -270,7 +270,7 @@ type SyncGauges struct {
 	PassiveTransitions int64
 	// Halts counts normal-passive → halt transitions.
 	Halts int64
-	// Reintegrations counts halted nodes that rejoined via startup.
+	// Reintegrations counts halted nodes that rejoined the cluster.
 	Reintegrations int64
 }
 

@@ -1,8 +1,9 @@
 // Package node models one FlexRay ECU's controller–host interface (CHI):
 // the buffers between the host that produces message instances and the
 // communication controller (CC) — static send buffers keyed by frame ID
-// and priority queues for dynamic messages (paper Section II-B) — plus
-// the node's bus guardian.
+// and priority queues for dynamic messages (paper Section II-B).  The
+// node's bus guardian is modelled by the simulator's timing layer
+// (internal/sim), which reads slot ownership from the static schedule.
 package node
 
 import (

@@ -307,7 +307,7 @@ func (e *engine) runStaticSegment(cycle int64) {
 			// frame.
 			collision := false
 			if e.timing != nil {
-				collision = e.timing.babbleCollision(e, cycle, slot, ch, slotStart, ownerNode)
+				collision = e.timing.babbleCollision(e, cycle, ch, slotStart, ownerNode)
 			}
 			tx := e.sched.StaticSlot(ch, cycle, slot, slotStart)
 			if tx == nil {

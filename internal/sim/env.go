@@ -60,9 +60,10 @@ type Env struct {
 	Gauges *metrics.AdaptiveGauges
 	// SyncLost reports whether the timing layer's most recent
 	// double-cycle check found the cluster out of sync: a node raised a
-	// sync-loss event, or the cluster precision exceeded the bound.  The
-	// adaptive scheduler treats it like a blackout.  Always false when the
-	// run models a perfect shared macrotick.
+	// sync-loss event, the cluster precision exceeded the bound, or no
+	// node was left alive and un-halted.  The adaptive scheduler treats it
+	// like a blackout.  Always false when the run models a perfect shared
+	// macrotick.
 	SyncLost bool
 
 	// Dispatch tables, built once by Compile (ecuByID and ecuOrder by

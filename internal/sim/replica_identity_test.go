@@ -76,30 +76,50 @@ const syncOutage = `{
 	}
 }`
 
+// babble scripts two babbling idiots: node 2 from 15 to 35 ms and node 1
+// for the one cycle at 10 ms.  Under guardians each babbler's guardian
+// contains its babble in every slot it does not own, traced once per
+// babbler, channel and cycle; node 1's babble is traced again in the next
+// replica only if that rate limit starts over.
+const babble = `{
+	"name": "babble-under-guardians",
+	"timing": {
+		"babble": [
+			{"node": 1, "start": "10ms", "end": "11ms"},
+			{"node": 2, "start": "15ms", "end": "35ms"}
+		]
+	}
+}`
+
 // testSchedulers enumerates every scheduler family the fig5 sweep ships:
 // plain CoEfficient, adaptive CoEfficient, and the FSPEC baseline; plus
-// adaptive CoEfficient under a scenario (JSON) that runs the timing layer.
+// adaptive CoEfficient under a scenario (JSON) that runs the timing layer,
+// and CoEfficient with bus guardians (timing options) under babble.
 func testSchedulers() []struct {
 	name     string
 	mk       func() (sim.Scheduler, error)
 	scenario string
+	timing   *sim.TimingOptions
 } {
 	adaptive := func() (sim.Scheduler, error) {
 		return core.New(core.Options{BER: testBER, Goal: 0.999, Unit: time.Second, Adaptive: true}), nil
+	}
+	coefficient := func() (sim.Scheduler, error) {
+		return core.New(core.Options{BER: testBER, Goal: 0.999, Unit: time.Second}), nil
 	}
 	return []struct {
 		name     string
 		mk       func() (sim.Scheduler, error)
 		scenario string
+		timing   *sim.TimingOptions
 	}{
-		{"coefficient", func() (sim.Scheduler, error) {
-			return core.New(core.Options{BER: testBER, Goal: 0.999, Unit: time.Second}), nil
-		}, ""},
-		{"coefficient-adaptive", adaptive, ""},
+		{"coefficient", coefficient, "", nil},
+		{"coefficient-adaptive", adaptive, "", nil},
 		{"fspec", func() (sim.Scheduler, error) {
 			return fspec.New(fspec.Options{Copies: 2}), nil
-		}, ""},
-		{"coefficient-adaptive-sync-outage", adaptive, syncOutage},
+		}, "", nil},
+		{"coefficient-adaptive-sync-outage", adaptive, syncOutage, nil},
+		{"coefficient-guardian-babble", coefficient, babble, &sim.TimingOptions{Guardians: true}},
 	}
 }
 
@@ -144,6 +164,7 @@ func TestReplicaTraceByteIdentity(t *testing.T) {
 				t.Fatalf("scheduler: %v", err)
 			}
 			opts := testOptions()
+			opts.Timing = tc.timing
 			if tc.scenario != "" {
 				if opts.Scenario, err = scenario.Parse([]byte(tc.scenario)); err != nil {
 					t.Fatalf("scenario: %v", err)
@@ -167,6 +188,7 @@ func TestReplicaTraceByteIdentity(t *testing.T) {
 				naiveRec := trace.New()
 				naiveOpts := testOptions()
 				naiveOpts.Scenario = opts.Scenario
+				naiveOpts.Timing = tc.timing
 				naiveOpts.Seed = seed
 				naiveOpts.InjectorA, naiveOpts.InjectorB = injA, injB
 				naiveOpts.Sink = naiveRec
@@ -199,6 +221,15 @@ func TestReplicaTraceByteIdentity(t *testing.T) {
 				}
 				if res.Cycles != naiveRes.Cycles || res.FaultsA != naiveRes.FaultsA || res.FaultsB != naiveRes.FaultsB {
 					t.Errorf("replica %d (seed %d): batched result header differs from naive", i, seed)
+				}
+				if tc.timing != nil && tc.timing.Guardians {
+					contained := rec.Filter(func(ev trace.Event) bool {
+						return ev.Kind == trace.EventGuardianBlock && ev.Detail == "babble"
+					})
+					if len(contained) == 0 || res.Report.Sync.GuardianBlocks == 0 {
+						t.Errorf("replica %d (seed %d): guardians contained no babble (%d events, %d blocks)",
+							i, seed, len(contained), res.Report.Sync.GuardianBlocks)
+					}
 				}
 			}
 		})

@@ -7,8 +7,6 @@ import (
 	"github.com/flexray-go/coefficient/internal/fault"
 	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/metrics"
-	"github.com/flexray-go/coefficient/internal/node"
-	"github.com/flexray-go/coefficient/internal/startup"
 	"github.com/flexray-go/coefficient/internal/timebase"
 	"github.com/flexray-go/coefficient/internal/trace"
 )
@@ -20,8 +18,8 @@ import (
 // that fall outside the precision bound (a quarter static slot, at
 // least one macrotick) degrade through POC states (normal-active →
 // normal-passive → halt after 4 passive double-cycles → reintegration
-// via internal/startup), and optional per-node bus guardians contain
-// transmissions outside a node's scheduled window.
+// after clocksync.ReintegrationCycles), and optional per-node bus
+// guardians contain transmissions outside a node's scheduled window.
 type TimingOptions struct {
 	// DriftPPM bounds each node's oscillator error: per-node drift is
 	// drawn uniformly in ±DriftPPM from the run seed (scenario drift
@@ -34,7 +32,8 @@ type TimingOptions struct {
 	// clocks drift uncorrected (the experiment's broken baseline).
 	SyncEnabled bool
 	// Guardians enables per-node bus guardians gating static-segment
-	// transmissions to the node's scheduled windows.
+	// transmissions to the node's scheduled windows (the slots the static
+	// schedule gives it).
 	Guardians bool
 }
 
@@ -61,10 +60,9 @@ const (
 
 // nodeTiming is the per-node timing state.
 type nodeTiming struct {
-	id       int
-	clock    *clocksync.LocalClock
-	guardian *node.Guardian
-	state    clocksync.POCState
+	id    int
+	clock *clocksync.LocalClock
+	state clocksync.POCState
 	// syncSender marks nodes owning static frames: their lowest-ID static
 	// frame doubles as the sync frame.
 	syncSender bool
@@ -88,6 +86,10 @@ type nodeTiming struct {
 	// offset — a common-mode drift keeps the cluster synchronized).
 	lastMid int64
 	hasMid  bool
+	// babbleTraced is the last cycle a contained babble of this node was
+	// traced, per channel (-1 before the first), so guardian-block trace
+	// events are rate-limited to one per babbler/channel/cycle.
+	babbleTraced [2]int64
 }
 
 // timingState is the engine's timing-fault layer.
@@ -109,9 +111,6 @@ type timingState struct {
 	// slot alignment is judged against it, not against absolute global
 	// time, so a common-mode drift does not misfire the guardians.
 	refUT int64
-	// babbleTraced rate-limits guardian-block trace events to one per
-	// babbler/channel/cycle; keyed by babbler ID then channel.
-	babbleTraced map[int]map[frame.Channel]int64
 	// senders and devs are endOfDoubleCycle's scratch: the observable
 	// sync senders and one observer's deviations, which FTM sorts in
 	// place.
@@ -119,20 +118,19 @@ type timingState struct {
 	devs    []int64
 }
 
-// newTimingState builds the timing layer: one local clock (and guardian,
-// when enabled) per cluster node, drift drawn uniformly in ±DriftPPM from
-// the run seed over nodes sorted by ID.
+// newTimingState builds the timing layer: one local clock per cluster
+// node, drift drawn uniformly in ±DriftPPM from the run seed over nodes
+// sorted by ID.
 func newTimingState(opts TimingOptions, e *engine) *timingState {
 	cfg := e.opts.Config
 	precision := max(cfg.StaticSlotLen/4, 1)
 	ts := &timingState{
-		opts:         opts,
-		cfg:          cfg,
-		seed:         e.opts.Seed,
-		precision:    precision,
-		nodes:        make(map[int]*nodeTiming, len(e.env.OrderedECUs())),
-		gauges:       e.col.SyncHealth(),
-		babbleTraced: make(map[int]map[frame.Channel]int64),
+		opts:      opts,
+		cfg:       cfg,
+		seed:      e.opts.Seed,
+		precision: precision,
+		nodes:     make(map[int]*nodeTiming, len(e.env.OrderedECUs())),
+		gauges:    e.col.SyncHealth(),
 	}
 	cycleUT := int64(cfg.MacroPerCycle) * clocksync.MicroPerMacro
 	driftRNG := fault.NewRNG(e.opts.Seed ^ seedClockDrift)
@@ -153,9 +151,7 @@ func newTimingState(opts TimingOptions, e *engine) *timingState {
 			state:         clocksync.POCNormalActive,
 			syncSender:    len(ecu.StaticFrameIDs()) > 0,
 			reintegrateAt: -1,
-		}
-		if opts.Guardians {
-			nt.guardian = node.NewGuardian(ecu.StaticFrameIDs())
+			babbleTraced:  [2]int64{-1, -1},
 		}
 		ts.nodes[id] = nt
 	}
@@ -321,7 +317,7 @@ func (ts *timingState) endOfDoubleCycle(e *engine, cycle int64, nit timebase.Mac
 				ts.gauges.Halt()
 				reSeed := ts.seed ^ seedReintegrate ^
 					uint64(id+1)*0x9E3779B97F4A7C15 ^ uint64(nt.halts)<<32
-				nt.reintegrateAt = cycle + int64(startup.ReintegrationCycles(reSeed))
+				nt.reintegrateAt = cycle + int64(clocksync.ReintegrationCycles(reSeed))
 				e.record(trace.Event{
 					Time: nit, Kind: trace.EventPOCState, Node: id,
 					Detail: nt.state.String(),
@@ -354,7 +350,9 @@ func (ts *timingState) endOfDoubleCycle(e *engine, cycle int64, nit timebase.Mac
 	}
 	precisionMT := float64(hiUT-loUT) / float64(clocksync.MicroPerMacro)
 	ts.gauges.ObserveOffset(precisionMT)
-	e.env.SyncLost = lossEvents > 0 || precisionMT > float64(ts.precision)
+	// With no live, un-halted node left there is no cluster to be in
+	// sync with (halted nodes raise no loss events).
+	e.env.SyncLost = first || lossEvents > 0 || precisionMT > float64(ts.precision)
 	if !first {
 		ts.refUT = (loUT + hiUT) / 2
 	}
@@ -380,9 +378,9 @@ func (ts *timingState) silenced(nodeID int) string {
 // against its local clock: with a drifted clock the node starts the frame
 // at slotStart + offset instead of the slot boundary.  Scheduler-granted
 // slots count as in-window (CoEfficient's cooperative slot multiplexing
-// flows through the CHI, so the guardian's schedule table follows the
-// scheduler's grants); only *alignment* is judged here, while slot
-// *ownership* gating applies to unscheduled traffic (babbleCollision).
+// flows through the CHI, so the guardian follows the scheduler's grants);
+// only *alignment* is judged here, while slot *ownership* gating applies
+// to unscheduled traffic (babbleCollision).
 // Returns (blocked, forced): blocked means the node's own guardian vetoed
 // the misaligned transmission (nothing reaches the wire); forced is a
 // non-empty fault detail when the transmission proceeds but is
@@ -402,17 +400,19 @@ func (ts *timingState) staticGate(nodeID int, slotStart timebase.Macrotick) (boo
 	if dev <= ts.precision {
 		return false, ""
 	}
-	if nt.guardian != nil {
+	if ts.opts.Guardians {
 		return true, ""
 	}
 	return false, "misaligned"
 }
 
 // babbleCollision reports whether a scripted babbling node collides with
-// the slot's legitimate transmission at slotStart on ch.  With guardians
-// enabled the babbler's own guardian contains the babble (counted, traced
+// the legitimate transmission of the slot starting at slotStart on ch.
+// The static schedule gives each slot one owner, ownerNode (-1 for an
+// unassigned slot), so every other babbler is outside its windows: with
+// guardians enabled its own guardian contains the babble (counted, traced
 // once per babbler/channel/cycle) and the slot stays clean.
-func (ts *timingState) babbleCollision(e *engine, cycle int64, slot int, ch frame.Channel, slotStart timebase.Macrotick, ownerNode int) bool {
+func (ts *timingState) babbleCollision(e *engine, cycle int64, ch frame.Channel, slotStart timebase.Macrotick, ownerNode int) bool {
 	if e.scn == nil {
 		return false
 	}
@@ -424,17 +424,11 @@ func (ts *timingState) babbleCollision(e *engine, cycle int64, slot int, ch fram
 		if n, ok := e.opts.Cluster.Node(b); !ok || !n.Attached(ch) {
 			continue
 		}
-		bt := ts.nodes[b]
-		if bt != nil && bt.guardian != nil && !bt.guardian.Owns(slot) {
+		if ts.opts.Guardians {
 			// Guardian contains the babble at the node boundary.
 			ts.gauges.GuardianBlock()
-			traced := ts.babbleTraced[b]
-			if traced == nil {
-				traced = make(map[frame.Channel]int64)
-				ts.babbleTraced[b] = traced
-			}
-			if last, ok := traced[ch]; !ok || last != cycle {
-				traced[ch] = cycle
+			if last := &ts.nodes[b].babbleTraced[ch-frame.ChannelA]; *last != cycle {
+				*last = cycle
 				e.record(trace.Event{
 					Time: slotStart, Kind: trace.EventGuardianBlock,
 					Node: b, Channel: ch, Detail: "babble",

@@ -187,7 +187,8 @@ func (p *syncProbe) CycleStart(cycle int64, now timebase.Macrotick) {
 
 // Env.SyncLost is how the timing layer reports sync health to the
 // scheduler: never set without the layer, set during a cluster-wide
-// sync-frame outage, and clear again once the nodes have resynchronized.
+// sync-frame outage (also while every node is halted), and clear again
+// once the nodes have resynchronized.
 func TestSyncLostFlag(t *testing.T) {
 	run := func(scn *scenario.Scenario) []bool {
 		t.Helper()
@@ -230,6 +231,13 @@ func TestSyncLostFlag(t *testing.T) {
 		t.Fatal("SyncLost never set during a cluster-wide sync outage")
 	case first < 30:
 		t.Errorf("SyncLost set at cycle %d, before the outage starts at 30 ms", first)
+	}
+	// Every node halts at 41.7 ms and node 1 is the first to reintegrate,
+	// at 47 ms: in between no node is left to be in sync with.
+	for c := 44; c <= 47; c++ {
+		if !lost[c] {
+			t.Errorf("cycle %d: SyncLost false while every node is halted", c)
+		}
 	}
 	if lost[len(lost)-1] {
 		t.Error("SyncLost still set at the end of the run, after resynchronization")

@@ -300,36 +300,3 @@ func (s *SyncSink) Record(e Event) {
 	s.dst.Record(e)
 	s.mu.Unlock()
 }
-
-// Summary aggregates a recorder's events for quick inspection — the bus
-// analyzer's dashboard view.
-type Summary struct {
-	// Events counts all recorded events.
-	Events int
-	// ByKind counts events per kind.
-	ByKind map[EventKind]int64
-	// Frames counts transmission starts per frame ID.
-	Frames map[int]int64
-	// FaultsByFrame counts corrupted transmissions per frame ID.
-	FaultsByFrame map[int]int64
-}
-
-// Summarize builds a Summary from the recorded events.
-func (r *FullRecorder) Summarize() Summary {
-	s := Summary{
-		ByKind:        make(map[EventKind]int64),
-		Frames:        make(map[int]int64),
-		FaultsByFrame: make(map[int]int64),
-	}
-	for _, e := range r.Events() {
-		s.Events++
-		s.ByKind[e.Kind]++
-		switch e.Kind {
-		case EventTxStart:
-			s.Frames[e.FrameID]++
-		case EventFault:
-			s.FaultsByFrame[e.FrameID]++
-		}
-	}
-	return s
-}

@@ -50,10 +50,13 @@ func TestNilAndZeroRecorderAreSafe(t *testing.T) {
 		t.Error("zero recorder stored an event")
 	}
 
-	for name, r := range map[string]*Recorder{"nil": nilRec, "zero": &zero} {
+	for _, c := range []struct {
+		name string
+		r    *Recorder
+	}{{"nil", nilRec}, {"zero", &zero}} {
 		var buf bytes.Buffer
-		if err := r.WriteJSON(&buf); err != nil || buf.String() != "null\n" {
-			t.Errorf("%s recorder WriteJSON = %q, %v; want \"null\\n\"", name, buf.String(), err)
+		if err := c.r.WriteJSON(&buf); err != nil || buf.String() != "null\n" {
+			t.Errorf("%s recorder WriteJSON = %q, %v; want \"null\\n\"", c.name, buf.String(), err)
 		}
 	}
 }
@@ -168,41 +171,17 @@ func TestFullRecorderOutOfRangeKind(t *testing.T) {
 }
 
 func TestEventKindString(t *testing.T) {
-	kinds := map[EventKind]string{
-		EventRelease: "release", EventTxStart: "tx-start", EventTxEnd: "tx-end",
-		EventFault: "fault", EventRetransmit: "retransmit", EventDrop: "drop",
-		EventDeadlineMiss: "deadline-miss", EventKind(99): "unknown",
+	kinds := []struct {
+		k    EventKind
+		want string
+	}{
+		{EventRelease, "release"}, {EventTxStart, "tx-start"}, {EventTxEnd, "tx-end"},
+		{EventFault, "fault"}, {EventRetransmit, "retransmit"}, {EventDrop, "drop"},
+		{EventDeadlineMiss, "deadline-miss"}, {EventKind(99), "unknown"},
 	}
-	for k, want := range kinds {
-		if got := k.String(); got != want {
-			t.Errorf("EventKind(%d).String() = %q, want %q", int(k), got, want)
+	for _, c := range kinds {
+		if got := c.k.String(); got != c.want {
+			t.Errorf("EventKind(%d).String() = %q, want %q", int(c.k), got, c.want)
 		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	r := New()
-	r.Record(Event{Kind: EventTxStart, FrameID: 3})
-	r.Record(Event{Kind: EventTxStart, FrameID: 3})
-	r.Record(Event{Kind: EventTxStart, FrameID: 7})
-	r.Record(Event{Kind: EventFault, FrameID: 3})
-	r.Record(Event{Kind: EventDrop, FrameID: 7})
-	s := r.Summarize()
-	if s.Events != 5 {
-		t.Errorf("Events = %d", s.Events)
-	}
-	if s.ByKind[EventTxStart] != 3 || s.ByKind[EventFault] != 1 {
-		t.Errorf("ByKind = %v", s.ByKind)
-	}
-	if s.Frames[3] != 2 || s.Frames[7] != 1 {
-		t.Errorf("Frames = %v", s.Frames)
-	}
-	if s.FaultsByFrame[3] != 1 {
-		t.Errorf("FaultsByFrame = %v", s.FaultsByFrame)
-	}
-	// Nil recorder summarizes to zeros.
-	var nilRec *Recorder
-	if got := nilRec.Summarize(); got.Events != 0 {
-		t.Errorf("nil Summarize = %+v", got)
 	}
 }
