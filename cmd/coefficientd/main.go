@@ -1,8 +1,8 @@
 // Command coefficientd is the fault-tolerant simulation daemon: it
 // serves scenario-simulation jobs over HTTP on the deterministic
-// experiment runner, with admission control, per-job deadlines,
-// deterministic retries, panic quarantine, and graceful drain on
-// SIGTERM (see internal/serve and DESIGN.md §11).
+// experiment runner, with admission control, per-job deadlines, one
+// attempt per job, panic quarantine, and graceful drain on SIGTERM (see
+// internal/serve and DESIGN.md §11).
 //
 // Usage:
 //
@@ -55,8 +55,6 @@ func run(ctx context.Context, args []string, logw io.Writer, onReady func(addr s
 		addr       = fs.String("addr", ":8077", "listen address")
 		workers    = fs.Int("workers", 2, "data-plane worker count")
 		queueCap   = fs.Int("queue", 16, "admission queue capacity")
-		retries    = fs.Int("retries", 3, "max attempts per job (transient failures)")
-		quarantine = fs.Int("quarantine-after", 3, "panics per scenario hash before quarantine")
 		drain      = fs.Duration("drain", 30*time.Second, "graceful drain deadline on SIGTERM")
 		retryAfter = fs.Duration("retry-after", 2*time.Second, "Retry-After hint on 503 rejections")
 		stateDir   = fs.String("state-dir", "", "durable state directory (write-ahead journal + persistent results); empty runs memory-only")
@@ -70,7 +68,7 @@ func run(ctx context.Context, args []string, logw io.Writer, onReady func(addr s
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"workers", *workers}, {"queue", *queueCap}, {"retries", *retries}, {"quarantine-after", *quarantine}} {
+	}{{"workers", *workers}, {"queue", *queueCap}} {
 		if f.v < 1 {
 			return fmt.Errorf("-%s %d: must be positive", f.name, f.v)
 		}
@@ -89,13 +87,11 @@ func run(ctx context.Context, args []string, logw io.Writer, onReady func(addr s
 	}
 
 	srv, err := serve.New(serve.Config{
-		Workers:         *workers,
-		QueueCapacity:   *queueCap,
-		Retry:           serve.RetryPolicy{MaxAttempts: *retries},
-		QuarantineAfter: *quarantine,
-		RetryAfter:      *retryAfter,
-		StateDir:        *stateDir,
-		DiskPolicy:      policy,
+		Workers:       *workers,
+		QueueCapacity: *queueCap,
+		RetryAfter:    *retryAfter,
+		StateDir:      *stateDir,
+		DiskPolicy:    policy,
 	})
 	if err != nil {
 		return err

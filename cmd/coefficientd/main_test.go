@@ -147,16 +147,17 @@ func TestDaemonSmokeJobAndCleanDrain(t *testing.T) {
 
 // TestDaemonRejectsBadFlags runs each bad flag on a context that is
 // already cancelled: a daemon that boots anyway drains at once, so only
-// an error naming the flag passes.
+// an error naming the flag passes.  The daemon runs each job once, so
+// the retry flags it once had are refused even at their old defaults.
 func TestDaemonRejectsBadFlags(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct{ flag, value string }{
 		{"no-such-flag", ""},
+		{"retries", "3"},
+		{"quarantine-after", "3"},
 		{"workers", "-3"},
 		{"queue", "0"},
-		{"retries", "-1"},
-		{"quarantine-after", "0"},
 		{"drain", "-5s"},
 		{"retry-after", "0s"},
 	} {

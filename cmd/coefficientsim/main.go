@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -84,8 +85,8 @@ func run(ctx context.Context, args []string) (retErr error) {
 	if *format != "table" && *format != "csv" && *format != "json" {
 		return fmt.Errorf("unknown format %q", *format)
 	}
-	if *drift <= 0 {
-		return fmt.Errorf("-drift %g: must be positive", *drift)
+	if !(*drift > 0) || math.IsInf(*drift, 1) {
+		return fmt.Errorf("-drift %g: must be finite and positive", *drift)
 	}
 	if *replicas < 0 {
 		return fmt.Errorf("-replicas %d: must be 0 (auto) or positive", *replicas)

@@ -81,6 +81,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-experiment", "timing", "-quick", "-drift", "0"},
 		{"-experiment", "timing", "-quick", "-drift", "-50"},
+		{"-experiment", "timing", "-quick", "-parallel", "1", "-drift", "NaN"},
+		{"-experiment", "timing", "-quick", "-parallel", "1", "-drift", "+Inf"},
 		{"-experiment", "fig5", "-quick", "-replicas", "-5"},
 		{"-experiment", "fig3", "-quick", "-parallel", "-3"},
 		{"-experiment", "fig3", "-quick", "-guardians", "bogus"},

@@ -87,4 +87,9 @@ func TestPlanBadFlags(t *testing.T) {
 	if err := run([]string{"-workload", "bbw", "-max-retx", "-3"}); err == nil || !strings.Contains(err.Error(), "-max-retx") {
 		t.Errorf("negative -max-retx: err = %v, want an error naming -max-retx", err)
 	}
+	for _, flag := range []string{"-ber", "-goal"} {
+		if _, err := capture(t, func() error { return run([]string{"-workload", "bbw", flag, "NaN"}) }); err == nil {
+			t.Errorf("%s NaN accepted", flag)
+		}
+	}
 }

@@ -80,13 +80,17 @@ type DegradationOptions struct {
 	Ctx context.Context
 }
 
-func (o *DegradationOptions) fill() {
+func (o *DegradationOptions) fill() error {
 	if o.Setting.Label == "" {
 		o.Setting = BER7()
 	}
-	if o.Minislots <= 0 {
+	switch {
+	case o.Minislots == 0:
 		o.Minislots = 50
+	case o.Minislots < 0:
+		return fmt.Errorf("%w: Minislots %d negative", ErrSetup, o.Minislots)
 	}
+	return nil
 }
 
 // Degradation runs the graceful-degradation comparison: the FSPEC baseline,
@@ -95,7 +99,9 @@ func (o *DegradationOptions) fill() {
 // scenario.  All three see byte-identical fault timelines — the scenario
 // injectors are derived from the seed, not from the policy.
 func Degradation(opts DegradationOptions) ([]DegradationRow, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	set, err := latencyWorkload(workload.BBW(), latencyStaticSlots, opts.Seed)
 	if err != nil {
 		return nil, err

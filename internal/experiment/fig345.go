@@ -391,16 +391,20 @@ type MissOptions struct {
 	Ctx context.Context
 }
 
-func (o *MissOptions) fill() {
+func (o *MissOptions) fill() error {
 	if len(o.Scenarios) == 0 {
 		o.Scenarios = []Scenario{BER7(), BER9()}
 	}
 	if len(o.Minislots) == 0 {
 		o.Minislots = []int{25, 50, 75, 100}
 	}
-	if o.Replicas <= 0 {
+	switch {
+	case o.Replicas == 0:
 		o.Replicas = 1
+	case o.Replicas < 0:
+		return fmt.Errorf("%w: Replicas %d negative", ErrSetup, o.Replicas)
 	}
+	return nil
 }
 
 // MissRatio reproduces Figure 5: deadline miss ratios on the BBW + SAE
@@ -414,7 +418,9 @@ func (o *MissOptions) fill() {
 // stddev independent of the parallelism degree and equal to
 // MissRatioNaive's one-engine-per-replica sweep.
 func MissRatio(opts MissOptions) ([]MissRow, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	set, err := latencyWorkload(workload.BBW(), latencyStaticSlots, opts.Seed)
 	if err != nil {
 		return nil, err

@@ -39,16 +39,22 @@ type FrameLatencyOptions struct {
 	Ctx context.Context
 }
 
-func (o *FrameLatencyOptions) fill() {
-	if o.Messages <= 0 {
+func (o *FrameLatencyOptions) fill() error {
+	switch {
+	case o.Messages == 0:
 		o.Messages = syntheticStaticSlots
+	case o.Messages < 0:
+		return fmt.Errorf("%w: Messages %d negative", ErrSetup, o.Messages)
 	}
+	return nil
 }
 
 // FrameLatency reproduces Figure 4(a)'s series: mean static-segment latency
 // per frame ID (1..Messages) on the synthetic workload, for both schedulers.
 func FrameLatency(opts FrameLatencyOptions) ([]FrameLatencyRow, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	staticSet, staticSlots, err := latencyStaticSet("synthetic", opts.Seed, opts.Messages)
 	if err != nil {
 		return nil, err

@@ -16,7 +16,9 @@ import (
 // parallelism degree, checked by TestMissRatioMatchesNaive and the
 // repository benchmark's fig5 output check.
 func MissRatioNaive(opts MissOptions) ([]MissRow, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	set, err := latencyWorkload(workload.BBW(), latencyStaticSlots, opts.Seed)
 	if err != nil {
 		return nil, err

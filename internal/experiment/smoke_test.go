@@ -289,6 +289,40 @@ func TestTimingFaultExperiment(t *testing.T) {
 	}
 }
 
+// TestNegativeOptionsRejected: zero selects a harness default, but a
+// negative size or drift is an error instead of running at the default.
+func TestNegativeOptionsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"MissOptions.Replicas", func() error {
+			_, err := MissRatio(MissOptions{Quick: true, Parallel: 1, Minislots: []int{50}, Scenarios: []Scenario{BER7()}, Replicas: -3})
+			return err
+		}},
+		{"DegradationOptions.Minislots", func() error {
+			_, err := Degradation(DegradationOptions{Quick: true, Parallel: 1, Minislots: -3})
+			return err
+		}},
+		{"FrameLatencyOptions.Messages", func() error {
+			_, err := FrameLatency(FrameLatencyOptions{Quick: true, Parallel: 1, Messages: -3})
+			return err
+		}},
+		{"TimingFaultOptions.DriftPPM", func() error {
+			_, err := TimingFault(TimingFaultOptions{Quick: true, Parallel: 1, DriftPPM: -50})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run()
+			field := tc.name[strings.IndexByte(tc.name, '.')+1:]
+			if !errors.Is(err, ErrSetup) || !strings.Contains(err.Error(), field) {
+				t.Fatalf("err = %v, want ErrSetup naming %s", err, field)
+			}
+		})
+	}
+}
+
 func TestLatencySetupRejectsInfeasibleDeadlines(t *testing.T) {
 	set := signal.Set{Name: "tight", Messages: []signal.Message{{
 		ID: 1, Name: "sub-cycle", Node: 0, Kind: signal.Periodic,
@@ -386,7 +420,9 @@ func TestOptionDefaultsFill(t *testing.T) {
 		t.Errorf("LatencyOptions defaults: %+v", lo)
 	}
 	var mo MissOptions
-	mo.fill()
+	if err := mo.fill(); err != nil {
+		t.Fatal(err)
+	}
 	if len(mo.Minislots) != 4 || mo.Replicas != 1 {
 		t.Errorf("MissOptions defaults: %+v", mo)
 	}

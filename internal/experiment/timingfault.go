@@ -50,7 +50,7 @@ type TimingFaultOptions struct {
 	Seed uint64
 	// Quick shrinks the horizon.
 	Quick bool
-	// DriftPPM bounds the per-node oscillator error (default 100).
+	// DriftPPM bounds the per-node oscillator error (0 selects 100).
 	DriftPPM float64
 	// Guardians selects the babbling-idiot variants: "both" (default),
 	// "on" or "off".
@@ -65,8 +65,11 @@ type TimingFaultOptions struct {
 }
 
 func (o *TimingFaultOptions) fill() error {
-	if o.DriftPPM <= 0 {
+	switch {
+	case o.DriftPPM == 0:
 		o.DriftPPM = 100
+	case o.DriftPPM < 0:
+		return fmt.Errorf("%w: DriftPPM %g negative", ErrSetup, o.DriftPPM)
 	}
 	switch o.Guardians {
 	case "":

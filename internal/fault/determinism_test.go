@@ -127,6 +127,12 @@ func TestProfileValidation(t *testing.T) {
 	if _, err := NewProfile(1.5, nil, nil, 1); err == nil {
 		t.Error("base BER 1.5 accepted")
 	}
+	if _, err := NewProfile(math.NaN(), nil, nil, 1); err == nil {
+		t.Error("base BER NaN accepted")
+	}
+	if _, err := NewProfile(0, []BERPhase{{Start: 0, End: 5, From: 0, To: math.NaN()}}, nil, 1); err == nil {
+		t.Error("phase BER NaN accepted")
+	}
 	if _, err := NewProfile(0, []BERPhase{{Start: -1, End: 5, From: 0, To: 0}}, nil, 1); err == nil {
 		t.Error("negative phase start accepted")
 	}

@@ -131,6 +131,9 @@ func TestFrameFailureProbErrors(t *testing.T) {
 	if _, err := FrameFailureProb(1, 10); !errors.Is(err, ErrBadBER) {
 		t.Errorf("BER=1: %v, want ErrBadBER", err)
 	}
+	if _, err := FrameFailureProb(math.NaN(), 10); !errors.Is(err, ErrBadBER) {
+		t.Errorf("BER=NaN: %v, want ErrBadBER", err)
+	}
 	if _, err := FrameFailureProb(0.1, 0); !errors.Is(err, ErrBadBits) {
 		t.Errorf("zero bits: %v, want ErrBadBits", err)
 	}
@@ -224,6 +227,9 @@ func TestBERInjectorRejectsBadBER(t *testing.T) {
 	if _, err := NewBERInjector(1.5, 1); !errors.Is(err, ErrBadBER) {
 		t.Errorf("NewBERInjector(1.5) = %v, want ErrBadBER", err)
 	}
+	if _, err := NewBERInjector(math.NaN(), 1); !errors.Is(err, ErrBadBER) {
+		t.Errorf("NewBERInjector(NaN) = %v, want ErrBadBER", err)
+	}
 }
 
 func TestBERInjectorDeterministic(t *testing.T) {
@@ -299,6 +305,12 @@ func TestGilbertElliottValidation(t *testing.T) {
 	}
 	if err := burst(GilbertElliottConfig{PGoodToBad: 2}); err == nil {
 		t.Error("transition probability 2 accepted")
+	}
+	if err := burst(GilbertElliottConfig{BERBad: math.NaN()}); !errors.Is(err, ErrBadBER) {
+		t.Errorf("NaN BERBad: err = %v, want ErrBadBER", err)
+	}
+	if err := burst(GilbertElliottConfig{PBadToGood: math.NaN()}); err == nil {
+		t.Error("NaN transition probability accepted")
 	}
 }
 

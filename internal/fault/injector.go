@@ -23,7 +23,7 @@ var (
 // Computed as -expm1(bits * log1p(-ber)) for numerical stability at the very
 // small BERs (1e-7, 1e-9) the paper uses.
 func FrameFailureProb(ber float64, bits int) (float64, error) {
-	if ber < 0 || ber >= 1 {
+	if !(ber >= 0 && ber < 1) { // the negated range test also rejects NaN
 		return 0, fmt.Errorf("%w: %g", ErrBadBER, ber)
 	}
 	if bits <= 0 {
@@ -123,7 +123,7 @@ var _ Injector = (*BERInjector)(nil)
 
 // NewBERInjector returns an injector for the given bit error rate and seed.
 func NewBERInjector(ber float64, seed uint64) (*BERInjector, error) {
-	if ber < 0 || ber >= 1 {
+	if !(ber >= 0 && ber < 1) {
 		return nil, fmt.Errorf("%w: %g", ErrBadBER, ber)
 	}
 	return &BERInjector{ber: ber, rng: NewRNG(seed)}, nil

@@ -128,12 +128,12 @@ var _ TimeVarying = (*Profile)(nil)
 
 func checkGEConfig(cfg GilbertElliottConfig) error {
 	for _, ber := range []float64{cfg.BERGood, cfg.BERBad} {
-		if ber < 0 || ber >= 1 {
+		if !(ber >= 0 && ber < 1) { // the negated range tests also reject NaN
 			return fmt.Errorf("%w: %g", ErrBadBER, ber)
 		}
 	}
 	for _, p := range []float64{cfg.PGoodToBad, cfg.PBadToGood} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("fault: transition probability %g outside [0,1]", p)
 		}
 	}
@@ -145,7 +145,7 @@ func checkGEConfig(cfg GilbertElliottConfig) error {
 // overlap each other, and burst windows must not overlap each other; a
 // burst window may overlap a phase (the burst model wins while active).
 func NewProfile(base float64, phases []BERPhase, bursts []BurstWindow, seed uint64) (*Profile, error) {
-	if base < 0 || base >= 1 {
+	if !(base >= 0 && base < 1) {
 		return nil, fmt.Errorf("%w: base %g", ErrBadBER, base)
 	}
 	ph := make([]phaseState, 0, len(phases))
@@ -161,7 +161,7 @@ func NewProfile(base float64, phases []BERPhase, bursts []BurstWindow, seed uint
 			return nil, fmt.Errorf("fault: phase [%d, %d) empty", p.Start, p.End)
 		}
 		for _, ber := range []float64{p.From, p.To} {
-			if ber < 0 || ber >= 1 {
+			if !(ber >= 0 && ber < 1) {
 				return nil, fmt.Errorf("%w: phase BER %g", ErrBadBER, ber)
 			}
 		}

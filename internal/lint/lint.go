@@ -18,7 +18,8 @@
 //     order-independent, in determinism-critical packages.
 //   - wallclock: forbids time.Now/Since/Until and the global math/rand
 //     source in simulation, experiment, and serving code (the daemon's
-//     retry jitter must be seeded, never wall-clock derived).
+//     job seeds and the chaos harness's fault draws must be seeded,
+//     never wall-clock derived).
 //   - errdrop: flags discarded errors from Close, Flush, Write,
 //     WriteString, Encode and Sync on error-returning writers.
 //   - goroutineleak: flags goroutines launched without a completion
@@ -141,6 +142,7 @@ var criticalScope = map[string][]string{
 		"internal/sim", "internal/runner",
 		"internal/experiment", "internal/scenario", "internal/fault",
 		"internal/core", "internal/serve", "internal/serve/journal",
+		"internal/serve/chaostest",
 		"internal/corpus", "internal/adapt", "internal/node",
 		"internal/fspec", "internal/clocksync", "internal/metrics",
 		"internal/trace", "internal/frame", "internal/timebase",
@@ -149,7 +151,9 @@ var criticalScope = map[string][]string{
 	// The durability layer (internal/serve/journal) is listed explicitly:
 	// suffix matching does not descend into subpackages, and journal
 	// replay must be a pure function of the bytes on disk — no wall-clock
-	// reads, no map-order leaks into record sequences.  internal/corpus
+	// reads, no map-order leaks into record sequences.  The chaos harness
+	// (internal/serve/chaostest) is listed for the same reason: its fault
+	// draws come from a seeded stream, so a failing chaos run replays.  internal/corpus
 	// is in scope for the same reason: corpus generation and the golden
 	// store must be pure functions of the corpus seed.  The packages
 	// after internal/corpus run inside every simulated cycle, like
@@ -158,6 +162,7 @@ var criticalScope = map[string][]string{
 		"internal/sim", "internal/runner",
 		"internal/experiment", "internal/scenario", "internal/fault",
 		"internal/core", "internal/serve", "internal/serve/journal",
+		"internal/serve/chaostest",
 		"internal/corpus", "internal/adapt", "internal/node",
 		"internal/fspec", "internal/clocksync", "internal/metrics",
 		"internal/trace", "internal/frame", "internal/timebase",
@@ -175,14 +180,14 @@ var criticalScope = map[string][]string{
 	},
 	// seedtaint guards the seed-derivation contract where seeds are
 	// minted and consumed: the derivation core, the experiment grid, the
-	// daemon (retry jitter), corpus generation, and every binary and
-	// example that hands seeds in from the outside (the "/..." entries
-	// match whole subtrees).  internal/sim is deliberately out of scope:
+	// daemon (job seeds) and its chaos harness (fault draws), corpus
+	// generation, and every binary and example that hands seeds in from
+	// the outside (the "/..." entries match whole subtrees).  internal/sim is deliberately out of scope:
 	// the engine's frozen XOR-salt convention (opts.Seed ^ seedCRC) is
 	// pinned by byte-identical trace goldens and predates the contract.
 	"seedtaint": {
 		"internal/runner", "internal/experiment", "internal/corpus",
-		"internal/serve", "internal/serve/journal",
+		"internal/serve", "internal/serve/journal", "internal/serve/chaostest",
 		"cmd/...", "examples/...",
 	},
 	// ctxflow covers the cancellation chains: the daemon and its

@@ -125,6 +125,7 @@ func TestApplies(t *testing.T) {
 		{"mapiter", mod + "/internal/plot", false},
 		{"mapiter", mod + "/internal/serve", true},
 		{"mapiter", mod + "/internal/serve/journal", true}, // record sequences must not leak map order
+		{"mapiter", mod + "/internal/serve/chaostest", true},
 		{"wallclock", mod + "/internal/sim", true},
 		{"wallclock", mod + "/internal/adapt", true},
 		{"wallclock", mod + "/internal/node", true},
@@ -138,9 +139,10 @@ func TestApplies(t *testing.T) {
 		{"wallclock", mod + "/internal/topology", true},
 		{"wallclock", mod + "/internal/reliability", true},
 		{"wallclock", mod + "/internal/plot", false},
-		{"wallclock", mod + "/internal/serve", true},         // retry jitter must be seeded, not wall-clock
-		{"wallclock", mod + "/internal/serve/journal", true}, // recovery is a pure function of bytes on disk
-		{"wallclock", mod + "/cmd/coefficientsim", false},    // bench timing is legitimate there
+		{"wallclock", mod + "/internal/serve", true},           // runs are seeded from the job spec, never the clock
+		{"wallclock", mod + "/internal/serve/journal", true},   // recovery is a pure function of bytes on disk
+		{"wallclock", mod + "/internal/serve/chaostest", true}, // fault draws replay from the plan seed
+		{"wallclock", mod + "/cmd/coefficientsim", false},      // bench timing is legitimate there
 		{"errdrop", mod + "/internal/plot", true},
 		{"errdrop", mod + "/internal/serve/journal", true},
 		{"errdrop", mod + "/cmd/coefficientsim", true},
@@ -161,6 +163,7 @@ func TestApplies(t *testing.T) {
 		{"seedtaint", mod + "/internal/corpus", true},
 		{"seedtaint", mod + "/internal/serve", true},
 		{"seedtaint", mod + "/internal/serve/journal", true},
+		{"seedtaint", mod + "/internal/serve/chaostest", true},
 		{"seedtaint", mod + "/cmd/coefficientsim", true},   // "cmd/..." covers every binary
 		{"seedtaint", mod + "/examples/brakebywire", true}, // the PR 8 shapes lived here too
 		{"seedtaint", mod + "/internal/sim", false},        // frozen XOR-salt convention, goldens pin it

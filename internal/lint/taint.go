@@ -30,8 +30,8 @@ import (
 //   - Violation: deriving with arithmetic.  +, -, *, /, ^, << and >>
 //     (and their assignment/IncDec forms) on a tainted operand are
 //     diagnostics.  %, &, | and &^ are NOT: they project a bounded draw
-//     out of a stream (retry jitter does `CellSeed(...) % span`), they
-//     do not mint a new stream — and their result is deliberately
+//     out of a stream (the chaos harness draws `CellSeed(...) % 100`),
+//     they do not mint a new stream — and their result is deliberately
 //     untainted for the same reason.
 //   - Blessing: the splitmix64 core itself must do arithmetic; bodies
 //     of functions named CellSeed / DeriveSeed / deriveSeed / mix64 /

@@ -96,8 +96,8 @@ func shifted(opts Opts) uint64 {
 }
 
 // draw projects a bounded draw out of the stream with %: the projection
-// launders the taint (this is the retry-jitter shape), so the follow-on
-// arithmetic is clean.
+// launders the taint (this is the chaos harness's fault-draw shape), so
+// the follow-on arithmetic is clean.
 func draw(seed, span uint64) uint64 {
 	d := CellSeed(seed, 9) % span
 	return d + 3

@@ -356,7 +356,7 @@ func checkPlanArgs(msgs []Message, u time.Duration, goal float64) error {
 	if u <= 0 {
 		return fmt.Errorf("%w: %v", ErrBadUnit, u)
 	}
-	if goal <= 0 || goal >= 1 {
+	if !(goal > 0 && goal < 1) { // the negated range test also rejects NaN
 		return fmt.Errorf("%w: %g", ErrBadGoal, goal)
 	}
 	return nil

@@ -194,7 +194,7 @@ func TestPlanArgErrors(t *testing.T) {
 	if _, err := PlanUniform(ms, 1e-7, 0, 0.99, 0); !errors.Is(err, ErrBadUnit) {
 		t.Errorf("zero unit: %v", err)
 	}
-	for _, goal := range []float64{0, 1, -0.5, 1.5} {
+	for _, goal := range []float64{0, 1, -0.5, 1.5, math.NaN()} {
 		if _, err := PlanDifferentiated(ms, 1e-7, time.Second, goal, 0); !errors.Is(err, ErrBadGoal) {
 			t.Errorf("goal %g: %v, want ErrBadGoal", goal, err)
 		}

@@ -253,15 +253,16 @@ func checkSpan(what string, start, end Duration, open bool) (span, error) {
 	return span{start: start.Std(), end: end.Std()}, nil
 }
 
+// checkBER and checkProb negate their range tests so NaN fails them too.
 func checkBER(what string, ber float64) error {
-	if ber < 0 || ber >= 1 {
+	if !(ber >= 0 && ber < 1) {
 		return fmt.Errorf("%w: %s BER %g outside [0, 1)", ErrInvalid, what, ber)
 	}
 	return nil
 }
 
 func checkProb(what string, p float64) error {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return fmt.Errorf("%w: %s probability %g outside [0, 1]", ErrInvalid, what, p)
 	}
 	return nil

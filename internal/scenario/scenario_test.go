@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -150,6 +151,34 @@ func TestParseErrors(t *testing.T) {
 			_, err := Parse([]byte(tt.doc))
 			if !errors.Is(err, tt.want) {
 				t.Fatalf("Parse = %v, want %v", err, tt.want)
+			}
+		})
+	}
+}
+
+// TestValidateRejectsNaN builds NaN rates in Go, since JSON cannot
+// carry NaN: a NaN passes a range check written as x < 0 || x >= 1.
+func TestValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	burst := func(ber, p float64) *Channel {
+		return &Channel{Bursts: []Burst{{
+			Start: Duration(10 * time.Millisecond), End: Duration(20 * time.Millisecond),
+			BERBad: ber, PGoodToBad: p,
+		}}}
+	}
+	for _, tc := range []struct {
+		name string
+		ch   *Channel
+	}{
+		{"base BER", &Channel{BaseBER: nan}},
+		{"step BER", &Channel{Steps: []Step{{Start: Duration(time.Millisecond), BER: nan}}}},
+		{"burst BER", burst(nan, 0.1)},
+		{"burst probability", burst(1e-3, nan)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &Scenario{Channels: map[string]*Channel{"A": tc.ch}}
+			if err := s.Validate(); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("Validate = %v, want ErrInvalid", err)
 			}
 		})
 	}

@@ -1,6 +1,6 @@
 // Package chaostest stresses the simulation daemon with injected worker
-// panics, transient faults, slow cells, and deadline storms, and checks
-// the fault-tolerance invariants the daemon promises (DESIGN.md §11):
+// panics, slow cells, and deadline storms, and checks the
+// fault-tolerance invariants the daemon promises (DESIGN.md §11):
 //
 //   - no job lost: every admitted job reaches exactly one terminal state;
 //   - no double-report: no job transitions terminal→terminal, and the
@@ -12,7 +12,8 @@
 // The harness is deliberately deterministic: fault decisions are drawn
 // from a splitmix64 stream keyed by (plan seed, scenario hash, attempt),
 // never from wall-clock time or the global rand source, so a failing
-// chaos run replays exactly.
+// chaos run replays exactly.  The daemon runs each job once, so the
+// attempt the stream is keyed by is always 1.
 package chaostest
 
 import (
@@ -30,8 +31,6 @@ type Fault int
 const (
 	// FaultNone lets the attempt run normally.
 	FaultNone Fault = iota
-	// FaultTransient makes the attempt fail with a retryable error.
-	FaultTransient
 	// FaultPanic makes the worker panic mid-attempt.
 	FaultPanic
 	// FaultSlow wedges the attempt until its context is cancelled — a
@@ -42,8 +41,6 @@ const (
 // String names the fault for test diagnostics.
 func (f Fault) String() string {
 	switch f {
-	case FaultTransient:
-		return "transient"
 	case FaultPanic:
 		return "panic"
 	case FaultSlow:
@@ -58,9 +55,9 @@ type Plan struct {
 	// Seed keys the fault stream.  The same seed over the same job set
 	// replays the same faults.
 	Seed uint64
-	// TransientPct, PanicPct and SlowPct are percentage weights for each
-	// fault mode; the remainder of the 100-point scale is FaultNone.
-	TransientPct, PanicPct, SlowPct uint64
+	// PanicPct and SlowPct are percentage weights for each fault mode;
+	// the remainder of the 100-point scale is FaultNone.
+	PanicPct, SlowPct uint64
 	// Poisoned marks scenario hashes that panic on every attempt,
 	// regardless of the weights — the quarantine trigger.
 	Poisoned map[string]bool
@@ -73,11 +70,9 @@ func (p Plan) fault(hash string, attempt int) Fault {
 	}
 	draw := runner.CellSeed(p.Seed, foldHash(hash), uint64(attempt)) % 100
 	switch {
-	case draw < p.TransientPct:
-		return FaultTransient
-	case draw < p.TransientPct+p.PanicPct:
+	case draw < p.PanicPct:
 		return FaultPanic
-	case draw < p.TransientPct+p.PanicPct+p.SlowPct:
+	case draw < p.PanicPct+p.SlowPct:
 		return FaultSlow
 	}
 	return FaultNone
@@ -115,8 +110,6 @@ func New(cfg serve.Config, plan Plan) (*Harness, error) {
 		f := plan.fault(hash, attempt)
 		h.note(f)
 		switch f {
-		case FaultTransient:
-			return serve.Transient(fmt.Errorf("chaos: injected transient fault (%s attempt %d)", hash[:8], attempt))
 		case FaultPanic:
 			panic(fmt.Sprintf("chaos: injected panic (%s attempt %d)", hash[:8], attempt))
 		case FaultSlow:

@@ -12,16 +12,8 @@ import (
 	"github.com/flexray-go/coefficient/internal/serve"
 )
 
-func instantSleep(ctx context.Context, d time.Duration) error { return ctx.Err() }
-
 func baseConfig() serve.Config {
-	return serve.Config{
-		Workers:         4,
-		QueueCapacity:   32,
-		Retry:           serve.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond},
-		QuarantineAfter: 3,
-		Sleep:           instantSleep,
-	}
+	return serve.Config{Workers: 4, QueueCapacity: 32}
 }
 
 func quickSpec(seed uint64) serve.JobSpec {
@@ -37,11 +29,11 @@ func drain(t *testing.T, s *serve.Server, timeout time.Duration) error {
 
 // TestChaosMixedFaultsPreserveInvariants is the headline chaos run:
 // a batch of mixed-criticality jobs under randomized (but seeded)
-// transient faults and worker panics.  Whatever the fault schedule does,
-// no job may be lost or double-reported, and every job that still
-// completes must produce the exact bytes of a serial offline run.
+// worker panics.  Whatever the fault schedule does, no job may be lost
+// or double-reported, and every job that still completes must produce
+// the exact bytes of a serial offline run.
 func TestChaosMixedFaultsPreserveInvariants(t *testing.T) {
-	h, err := New(baseConfig(), Plan{Seed: 42, TransientPct: 30, PanicPct: 10})
+	h, err := New(baseConfig(), Plan{Seed: 42, PanicPct: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +57,8 @@ func TestChaosMixedFaultsPreserveInvariants(t *testing.T) {
 	for _, v := range h.CheckInvariants() {
 		t.Error(v)
 	}
-	if h.Injected(FaultTransient) == 0 || h.Injected(FaultPanic) == 0 {
-		t.Fatalf("chaos plan injected nothing: %d transient, %d panic",
-			h.Injected(FaultTransient), h.Injected(FaultPanic))
+	if h.Injected(FaultPanic) == 0 {
+		t.Fatal("chaos plan injected no panic")
 	}
 
 	// Surviving results are byte-identical to a serial offline run.
@@ -136,19 +127,16 @@ func TestChaosDeadlineStormForcedDrainTerminates(t *testing.T) {
 	}
 }
 
-// TestChaosPoisonedScenarioQuarantined drives one scenario that panics
-// on every attempt: the daemon must quarantine it after the configured
-// panic count, refuse resubmission, and leave healthy jobs untouched.
+// TestChaosPoisonedScenarioQuarantined drives one scenario that panics:
+// the daemon must quarantine it on its first panic, refuse
+// resubmission, and leave healthy jobs untouched.
 func TestChaosPoisonedScenarioQuarantined(t *testing.T) {
 	poisoned := quickSpec(300)
 	hash, err := poisoned.CanonicalHash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := baseConfig()
-	cfg.QuarantineAfter = 2
-	cfg.Retry.MaxAttempts = 10
-	h, err := New(cfg, Plan{Seed: 1, Poisoned: map[string]bool{hash: true}})
+	h, err := New(baseConfig(), Plan{Seed: 1, Poisoned: map[string]bool{hash: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +158,11 @@ func TestChaosPoisonedScenarioQuarantined(t *testing.T) {
 		t.Error(v)
 	}
 	badSt := h.Server.Status(bad)
-	if badSt.State != "quarantined" || len(badSt.Attempts) != 2 {
-		t.Fatalf("poisoned job: state %s, %d attempts; want quarantined after 2",
-			badSt.State, len(badSt.Attempts))
+	if badSt.State != "quarantined" {
+		t.Fatalf("poisoned job: state %s, want quarantined", badSt.State)
 	}
-	if !strings.Contains(badSt.Attempts[0].Error, "chaos: injected panic") {
-		t.Errorf("attempt error %q missing injected panic value", badSt.Attempts[0].Error)
+	if !strings.Contains(badSt.Error, "chaos: injected panic") {
+		t.Errorf("error %q missing injected panic value", badSt.Error)
 	}
 	if st := h.Server.Status(good); st.State != "done" {
 		t.Errorf("healthy job caught in quarantine: state %s (err %q)", st.State, st.Error)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -66,7 +67,7 @@ func TestCrashAtEveryJournalPrefixRecovers(t *testing.T) {
 	state := filepath.Join(t.TempDir(), "state")
 	cfg := baseConfig()
 	cfg.StateDir = state
-	h, err := New(cfg, Plan{Seed: 42, TransientPct: 30, PanicPct: 10})
+	h, err := New(cfg, Plan{Seed: 42, PanicPct: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +105,14 @@ func TestCrashAtEveryJournalPrefixRecovers(t *testing.T) {
 	}
 
 	// One deterministic offline reference table per scenario hash.
-	offline := make(map[string]string, len(hashToSpec))
-	for hash, spec := range hashToSpec {
+	hashes := make([]string, 0, len(hashToSpec))
+	for hash := range hashToSpec {
+		hashes = append(hashes, hash)
+	}
+	sort.Strings(hashes)
+	offline := make(map[string]string, len(hashes))
+	for _, hash := range hashes {
+		spec := hashToSpec[hash]
 		rows, err := experiment.Degradation(experiment.DegradationOptions{
 			Seed: spec.Seed, Quick: spec.Quick, Parallel: 1,
 		})

@@ -136,13 +136,6 @@ func (s *Server) recoverRecords(recs []journal.Record) {
 			if job, ok := byID[rec.JobID]; ok && !job.state.Terminal() {
 				job.state = StateRunning
 			}
-		case journal.KindAttempt:
-			if job, ok := byID[rec.JobID]; ok {
-				var a Attempt
-				if err := json.Unmarshal(rec.Attempt, &a); err == nil {
-					job.attempts = append(job.attempts, a)
-				}
-			}
 		default:
 			if st, ok := parseState(rec.Kind); ok && st.Terminal() {
 				if job, jok := byID[rec.JobID]; jok && !job.state.Terminal() {
@@ -177,11 +170,9 @@ func (s *Server) recoverRecords(recs []journal.Record) {
 			}
 			continue
 		}
-		// Interrupted: re-enqueue with a fresh retry budget.  order is
-		// admission order, so per-tier FIFO positions are reconstructed
-		// exactly.
+		// Interrupted: re-enqueue.  order is admission order, so per-tier
+		// FIFO positions are reconstructed exactly.
 		job.state = StateQueued
-		job.attempts = nil
 		s.counts[StateQueued]++
 		s.q.forceEnqueue(job)
 		s.recovered++
@@ -254,7 +245,7 @@ func (s *Server) compactLocked() error {
 
 // snapshotLocked renders the jobs map as the minimal record sequence
 // that replays to the current state: per job (in admission order) one
-// admitted record, its attempts, and its terminal record if it has one.
+// admitted record and its terminal record if it has one.
 // A running job snapshots as admitted — on replay that re-enqueues it,
 // which is exactly what a crash at this instant should do.
 func (s *Server) snapshotLocked() ([]journal.Record, error) {
@@ -270,13 +261,6 @@ func (s *Server) snapshotLocked() ([]journal.Record, error) {
 			return nil, err
 		}
 		recs = append(recs, adm)
-		for _, a := range job.attempts {
-			ar, err := attemptRecord(job, a)
-			if err != nil {
-				return nil, err
-			}
-			recs = append(recs, ar)
-		}
 		if job.state.Terminal() {
 			recs = append(recs, journal.Record{Kind: job.state.String(), JobID: job.ID, Error: job.errMsg})
 		}
@@ -299,15 +283,6 @@ func admittedRecord(job *Job) (journal.Record, error) {
 		Crit:  job.Crit.String(),
 		Spec:  spec,
 	}, nil
-}
-
-// attemptRecord renders one retry-timeline entry.
-func attemptRecord(job *Job, a Attempt) (journal.Record, error) {
-	data, err := json.Marshal(a)
-	if err != nil {
-		return journal.Record{}, fmt.Errorf("encode attempt of %s: %w", job.ID, err)
-	}
-	return journal.Record{Kind: journal.KindAttempt, JobID: job.ID, Attempt: data}, nil
 }
 
 // persistResult writes res to the persistent result store, before the

@@ -19,7 +19,7 @@ type JobSpec struct {
 	// Scenario is the fault timeline to simulate; nil selects the
 	// built-in BER-step-plus-blackout degradation scenario.
 	Scenario *scenario.Scenario `json:"scenario,omitempty"`
-	// Seed drives arrivals, fault injection, and retry jitter.
+	// Seed drives arrivals and fault injection.
 	Seed uint64 `json:"seed"`
 	// Quick shrinks the simulated horizon for smoke jobs.
 	Quick bool `json:"quick,omitempty"`
@@ -108,18 +108,18 @@ type State uint8
 const (
 	// StateQueued: admitted, waiting for a worker.
 	StateQueued State = iota
-	// StateRunning: a worker is executing (or retrying) the job.
+	// StateRunning: a worker is executing the job.
 	StateRunning
 	// StateDone: the result is in the store.
 	StateDone
-	// StateFailed: permanent error, retries exhausted, or deadline
-	// exceeded.
+	// StateFailed: the run returned an error, its deadline expired, or
+	// a forced drain cancelled it.
 	StateFailed
 	// StateShed: evicted from the queue by a higher-criticality
 	// admission.
 	StateShed
-	// StateQuarantined: the job's scenario hash panicked once too often
-	// and is now refused.
+	// StateQuarantined: the job's run panicked; its scenario hash is
+	// now refused.
 	StateQuarantined
 	stateCount
 )
@@ -148,22 +148,6 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateShed || s == StateQuarantined
 }
 
-// Attempt records one failed execution attempt and the deterministic
-// backoff slept before the next one; together they form the job's retry
-// timeline, which is byte-identical for a given (seed, scenario hash,
-// failure schedule) at every worker count and parallelism degree.
-type Attempt struct {
-	// Attempt is the 1-based attempt number.
-	Attempt int `json:"attempt"`
-	// Error describes the failure.
-	Error string `json:"error"`
-	// Panic marks a recovered worker panic.
-	Panic bool `json:"panic,omitempty"`
-	// Backoff is the jittered wait before the next attempt; zero when no
-	// retry followed.
-	Backoff scenario.Duration `json:"backoff,omitempty"`
-}
-
 // Job is one admitted submission.  All mutable fields are guarded by the
 // owning Server's mutex; workers and handlers never touch them directly.
 type Job struct {
@@ -183,10 +167,9 @@ type Job struct {
 	// deterministic re-enqueue order after a crash.
 	seq int
 
-	// state, attempts and errMsg are guarded by the Server's mutex.
-	state    State
-	attempts []Attempt
-	errMsg   string
+	// state and errMsg are guarded by the Server's mutex.
+	state  State
+	errMsg string
 }
 
 // parseState maps a wire name back to a State, the inverse of String

@@ -9,13 +9,12 @@ import (
 
 // Record is one journaled event.  Kind names the event; the remaining
 // fields are populated per kind (admitted records carry the full spec,
-// attempt records one retry-timeline entry, terminal records the error
-// message).  The journal itself does not interpret records beyond
-// framing them — the recovery state machine in internal/serve does.
+// terminal records the error message).  The journal itself does not
+// interpret records beyond framing them — the recovery state machine in
+// internal/serve does.
 type Record struct {
-	// Kind is the event name: "admitted", "rejected", "running",
-	// "attempt", or a terminal state ("done", "failed", "shed",
-	// "quarantined").
+	// Kind is the event name: "admitted", "rejected", "running", or a
+	// terminal state ("done", "failed", "shed", "quarantined").
 	Kind string `json:"kind"`
 	// Seq is the admission sequence number (admitted records only); it
 	// defines the deterministic re-enqueue order after a crash.
@@ -28,8 +27,6 @@ type Record struct {
 	Crit string `json:"crit,omitempty"`
 	// Spec is the canonical JSON of the submitted spec (admitted only).
 	Spec json.RawMessage `json:"spec,omitempty"`
-	// Attempt is the JSON of one retry-timeline entry (attempt only).
-	Attempt json.RawMessage `json:"attempt,omitempty"`
 	// Error is the terminal error message, when there is one.
 	Error string `json:"error,omitempty"`
 }
@@ -40,7 +37,6 @@ const (
 	KindAdmitted = "admitted"
 	KindRejected = "rejected"
 	KindRunning  = "running"
-	KindAttempt  = "attempt"
 )
 
 // Frame layout: a fixed header of payload length and CRC, both uint32

@@ -5,41 +5,22 @@ import (
 	"sync"
 )
 
-// quarantine tracks worker panics per scenario hash and poisons a hash
-// after `limit` of them: further submissions are refused and the job
-// that crossed the limit ends in StateQuarantined instead of being
-// retried forever.  Panics — unlike transient errors — indicate the
-// scenario itself drives the engine into a broken state, so replaying
-// it buys nothing and costs a worker each time.
+// quarantine is the set of poisoned scenario hashes: a hash whose run
+// panicked once.  Further submissions of it are refused.  A run is a
+// pure function of its spec, so a scenario that drove the engine into a
+// panic would do so again; replaying it buys nothing and costs a
+// worker each time.
 type quarantine struct {
 	mu       sync.Mutex
-	limit    int
-	failures map[string]int
 	poisoned map[string]bool
 }
 
-func newQuarantine(limit int) *quarantine {
-	return &quarantine{
-		limit:    limit,
-		failures: make(map[string]int),
-		poisoned: make(map[string]bool),
-	}
+func newQuarantine() *quarantine {
+	return &quarantine{poisoned: make(map[string]bool)}
 }
 
-// noteFailure records one panic for hash and reports the running count
-// and whether the hash just became (or already was) quarantined.
-func (q *quarantine) noteFailure(hash string) (count int, quarantined bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.failures[hash]++
-	if q.failures[hash] >= q.limit {
-		q.poisoned[hash] = true
-	}
-	return q.failures[hash], q.poisoned[hash]
-}
-
-// poison marks hash quarantined directly — the recovery path restoring
-// a quarantined terminal state from the journal.
+// poison marks hash quarantined: after a panic, or when recovery
+// restores a quarantined terminal state from the journal.
 func (q *quarantine) poison(hash string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -256,6 +259,100 @@ func TestBootSurvivesTornTailAndCorruptResults(t *testing.T) {
 	res, _ := s.Store().Get(hash)
 	if want := offlineTable(t, spec); res == nil || res.Table != want {
 		t.Error("re-executed result differs from offline run")
+	}
+}
+
+// TestBootDropsLegacyAttemptRecords boots from a journal written by a
+// daemon that still retried jobs: besides the admitted, running and
+// terminal records, each job carries two "attempt" records with a
+// retry-timeline payload.  The records are framed by hand (length ‖
+// CRC-32C ‖ JSON), since journal.Record no longer has that payload.
+// Boot must skip them, keep both terminal jobs with their errors,
+// re-poison the quarantined hash, and compact them out of the journal.
+func TestBootDropsLegacyAttemptRecords(t *testing.T) {
+	cfg := durableConfig(t)
+	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	var wal []byte
+	frame := func(payload string) {
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum([]byte(payload), castagnoli))
+		wal = append(append(wal, hdr[:]...), payload...)
+	}
+	type legacyJob struct {
+		spec         JobSpec
+		hash, id     string
+		state, error string
+	}
+	jobs := []*legacyJob{
+		{spec: quickSpec(570), state: "quarantined", error: "scenario quarantined after repeated panics: boom"},
+		{spec: quickSpec(571), state: "failed", error: "retries exhausted after 2 attempts: transient: flap"},
+	}
+	for i, j := range jobs {
+		hash, err := j.spec.CanonicalHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := json.Marshal(j.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.hash, j.id = hash, fmt.Sprintf("j%d-%s", i+1, hash[:8])
+		frame(fmt.Sprintf(`{"kind":"admitted","seq":%d,"jobId":%q,"hash":%q,"crit":"normal","spec":%s}`, i+1, j.id, hash, spec))
+		frame(fmt.Sprintf(`{"kind":"running","jobId":%q}`, j.id))
+		frame(fmt.Sprintf(`{"kind":"attempt","jobId":%q,"attempt":{"attempt":1,"error":"boom","panic":true,"backoff":"10.5ms"}}`, j.id))
+		frame(fmt.Sprintf(`{"kind":"attempt","jobId":%q,"attempt":{"attempt":2,"error":"boom","panic":true}}`, j.id))
+		frame(fmt.Sprintf(`{"kind":%q,"jobId":%q,"error":%q}`, j.state, j.id, j.error))
+	}
+	walPath := filepath.Join(cfg.StateDir, "journal.wal")
+	if err := os.WriteFile(walPath, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := mustNew(t, cfg)
+	if st := s.Stats(); st.CorruptFiles != 0 || st.JournalTruncatedBytes != 0 || st.RecoveredJobs != 0 {
+		t.Fatalf("legacy journal booted as damaged: %+v", st)
+	}
+	for _, j := range jobs {
+		job, ok := s.Job(j.id)
+		if !ok {
+			t.Fatalf("job %s lost across boot", j.id)
+		}
+		if st := s.Status(job); st.State != j.state || st.Error != j.error {
+			t.Errorf("job %s restored as %s (%q), want %s (%q)", j.id, st.State, st.Error, j.state, j.error)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := httpPost(ts.URL+"/jobs", `{"seed": 570, "quick": true, "parallel": 1}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.status != http.StatusConflict {
+		t.Errorf("resubmit of the quarantined scenario: status %d body %s, want 409", resp.status, resp.body)
+	}
+	if hashes := s.Stats().QuarantinedHashes; len(hashes) != 1 || hashes[0] != jobs[0].hash {
+		t.Errorf("quarantined hashes = %v, want [%s]", hashes, jobs[0].hash)
+	}
+
+	s.Start()
+	drainAll(t, s)
+	jrn, replay, err := journal.Open(journal.OS(), cfg.StateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jrn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kinds := make([]string, len(replay.Records))
+	for i, rec := range replay.Records {
+		kinds[i] = rec.Kind
+	}
+	if got, want := strings.Join(kinds, ","), "admitted,quarantined,admitted,failed"; got != want {
+		t.Errorf("journal kinds after drain = %s, want %s", got, want)
 	}
 }
 

@@ -18,14 +18,12 @@
 //   - Deadlines.  Each job may carry a deadline, enforced through
 //     context cancellation threaded into the runner: the sweep stops at
 //     the next cell boundary once the deadline passes.
-//   - Retries.  Transient failures are retried with exponential backoff
-//     plus deterministic splitmix64-derived jitter (never wall-clock or
-//     global-rand derived), so a retry timeline is a pure function of
-//     (seed, scenario hash, failure schedule).
-//   - Quarantine.  A worker panic is isolated per attempt; a scenario
-//     hash that keeps panicking is quarantined after a configurable
-//     number of failures instead of being retried forever, and further
-//     submissions of that scenario are refused.
+//   - One attempt.  A job's run is a pure function of its spec, so a
+//     job runs once: any error fails it, since a rerun would fail the
+//     same way.
+//   - Quarantine.  A worker panic is isolated to its job; the panicking
+//     scenario hash is quarantined at once, and further submissions of
+//     that scenario are refused.
 //   - Graceful drain.  On SIGTERM the daemon stops admitting, finishes
 //     queued and in-flight jobs under a drain deadline, hard-cancels
 //     whatever outruns it, and closes the journal.
@@ -86,13 +84,14 @@ func ParseCriticality(s string) (Criticality, error) {
 	return CritNormal, fmt.Errorf("unknown criticality %q (want low, normal or high)", s)
 }
 
-// Hooks are chaos-injection points used by the chaostest harness.  Both
-// are nil in production.
+// Hooks are chaos-injection points used by the chaostest harness and
+// the benchmark's stage probes.  They are nil in production.
 type Hooks struct {
-	// BeforeAttempt runs at the start of every execution attempt, before
-	// the simulation.  Returning an error fails the attempt (wrap it in
-	// Transient to trigger a retry); panicking exercises the worker's
-	// panic isolation; blocking until ctx is done models a slow cell.
+	// BeforeAttempt runs at the start of a job's one execution attempt,
+	// before the simulation; attempt is always 1.  Returning an error
+	// fails the job; panicking exercises the worker's panic isolation
+	// and quarantines the scenario; blocking until ctx is done models a
+	// slow cell.
 	BeforeAttempt func(ctx context.Context, hash string, attempt int) error
 }
 
@@ -141,11 +140,6 @@ type Config struct {
 	Workers int
 	// QueueCapacity bounds the admission queue (default 16).
 	QueueCapacity int
-	// Retry is the transient-failure retry policy.
-	Retry RetryPolicy
-	// QuarantineAfter is the number of panics a scenario hash may cause
-	// before it is quarantined (default 3).
-	QuarantineAfter int
 	// RetryAfter is the hint returned with a 503 rejection (default 2s),
 	// sent rounded up to whole seconds.
 	RetryAfter time.Duration
@@ -164,10 +158,6 @@ type Config struct {
 	// nil selects the real one.  The chaos suite injects journal.FaultFS
 	// here.
 	FS journal.FS
-	// Sleep waits between retry attempts; nil selects a timer-based wait
-	// that aborts when ctx is done.  Tests substitute an instant,
-	// recording sleeper.
-	Sleep func(ctx context.Context, d time.Duration) error
 	// Hooks are the chaos-injection points (nil in production).
 	Hooks Hooks
 }
@@ -180,31 +170,7 @@ func (c *Config) fill() {
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 16
 	}
-	c.Retry.fill()
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = 3
-	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 2 * time.Second
-	}
-	if c.Sleep == nil {
-		c.Sleep = sleepCtx
-	}
-}
-
-// sleepCtx waits d on a timer, aborting early when ctx is done.  The
-// duration comes from the deterministic retry policy; no wall-clock
-// reads are involved.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
 	}
 }

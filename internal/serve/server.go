@@ -67,7 +67,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		q:           newQueue(cfg.QueueCapacity),
 		store:       NewStore(),
-		quar:        newQuarantine(cfg.QuarantineAfter),
+		quar:        newQuarantine(),
 		retryAfter:  strconv.Itoa(int(math.Ceil(cfg.RetryAfter.Seconds()))),
 		runCtx:      ctx,
 		runCancel:   cancel,
@@ -118,10 +118,10 @@ func (s *Server) Start() {
 
 // Drain performs the graceful shutdown: stop admitting, let the workers
 // finish every queued and in-flight job, and close the journal.  When
-// ctx expires first, in-flight attempts are hard-cancelled (they stop at
-// the next cell boundary or retry sleep) and the remaining queued jobs
-// fail fast, so the drain still terminates; the journal is closed
-// either way and ctx's error is returned to signal the forced stop.
+// ctx expires first, in-flight jobs are hard-cancelled (they stop at
+// the next cell boundary) and the remaining queued jobs fail fast, so
+// the drain still terminates; the journal is closed either way and
+// ctx's error is returned to signal the forced stop.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	alreadyDraining := s.draining
@@ -289,16 +289,6 @@ func (s *Server) journalAfterTheFact(rec journal.Record) {
 	}
 }
 
-// recordAttempt appends one entry to the job's retry timeline.
-func (s *Server) recordAttempt(job *Job, a Attempt) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	job.attempts = append(job.attempts, a)
-	if rec, err := attemptRecord(job, a); err == nil {
-		s.journalAfterTheFact(rec)
-	}
-}
-
 // Submit admits a spec programmatically (the HTTP handler and tests
 // share this path).  Exactly one of the returns is meaningful:
 // a cached *Result, an admitted *Job, or an error classified by the
@@ -405,7 +395,7 @@ var (
 //
 //	POST /jobs            submit a JobSpec; 202 queued, 200 cached,
 //	                      400 invalid, 409 quarantined, 503 full/draining
-//	GET  /jobs/{id}       job status incl. retry timeline
+//	GET  /jobs/{id}       job status: state, error, result when done
 //	GET  /results/{hash}  cached result by canonical scenario hash
 //	GET  /healthz         liveness + stats (always 200 while serving)
 //	GET  /readyz          200 accepting; 503 draining
@@ -468,7 +458,6 @@ type jobStatus struct {
 	State       string            `json:"state"`
 	Criticality string            `json:"criticality"`
 	Deadline    scenario.Duration `json:"deadline,omitempty"`
-	Attempts    []Attempt         `json:"attempts,omitempty"`
 	Error       string            `json:"error,omitempty"`
 	Result      *Result           `json:"result,omitempty"`
 }
@@ -482,7 +471,6 @@ func (s *Server) Status(job *Job) jobStatus {
 		State:       job.state.String(),
 		Criticality: job.Crit.String(),
 		Deadline:    scenario.Duration(job.Deadline),
-		Attempts:    append([]Attempt(nil), job.attempts...),
 		Error:       job.errMsg,
 	}
 	done := job.state == StateDone

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,17 +19,8 @@ import (
 	"github.com/flexray-go/coefficient/internal/serve/journal"
 )
 
-// instantSleep makes retry backoffs free in tests while preserving the
-// cancellation semantics of the real sleeper.
-func instantSleep(ctx context.Context, d time.Duration) error { return ctx.Err() }
-
 func testConfig() Config {
-	return Config{
-		Workers:       2,
-		QueueCapacity: 8,
-		Retry:         RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond},
-		Sleep:         instantSleep,
-	}
+	return Config{Workers: 2, QueueCapacity: 8}
 }
 
 func quickSpec(seed uint64) JobSpec {
@@ -254,11 +246,11 @@ func TestJobDeadlineFailsSlowJob(t *testing.T) {
 	}
 }
 
-func TestQuarantineAfterRepeatedPanics(t *testing.T) {
+func TestOnePanicQuarantines(t *testing.T) {
 	cfg := testConfig()
-	cfg.Retry = RetryPolicy{MaxAttempts: 10, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
-	cfg.QuarantineAfter = 3
+	var calls atomic.Int32
 	cfg.Hooks.BeforeAttempt = func(ctx context.Context, hash string, attempt int) error {
+		calls.Add(1)
 		panic(fmt.Sprintf("poisoned scenario, attempt %d", attempt))
 	}
 	s := mustNew(t, cfg)
@@ -274,19 +266,14 @@ func TestQuarantineAfterRepeatedPanics(t *testing.T) {
 	if st.State != "quarantined" {
 		t.Fatalf("state = %s, want quarantined", st.State)
 	}
-	if len(st.Attempts) != 3 {
-		t.Errorf("attempts = %d, want 3 (quarantined after the third panic)", len(st.Attempts))
+	if n := calls.Load(); n != 1 {
+		t.Errorf("BeforeAttempt ran %d times, want 1 (one panic quarantines)", n)
 	}
-	for _, a := range st.Attempts {
-		if !a.Panic {
-			t.Errorf("attempt %d not marked as panic", a.Attempt)
-		}
-		if !strings.Contains(a.Error, "poisoned scenario") {
-			t.Errorf("attempt %d error %q missing panic value", a.Attempt, a.Error)
-		}
-		if !strings.Contains(a.Error, "serve.(*Server).attempt") && !strings.Contains(a.Error, "goroutine") {
-			t.Errorf("attempt %d error missing stack trace:\n%s", a.Attempt, a.Error)
-		}
+	if !strings.Contains(st.Error, "poisoned scenario, attempt 1") {
+		t.Errorf("error %q missing panic value", st.Error)
+	}
+	if !strings.Contains(st.Error, "serve.(*Server).attempt") {
+		t.Errorf("error missing stack trace:\n%s", st.Error)
 	}
 
 	// Further submissions of the poisoned scenario are refused.
@@ -327,30 +314,13 @@ func TestForcedDrainTerminatesWithNoJobLost(t *testing.T) {
 	}
 }
 
-// TestRetryTimelineDeterministic is the retry/backoff determinism
-// contract: the same seeds and the same injected transient-failure
-// schedule produce byte-identical retry timelines and final results at
-// worker count 1 / sweep parallelism 1 and worker count 8 / sweep
-// parallelism 8.
-func TestRetryTimelineDeterministic(t *testing.T) {
-	runOnce := func(workers, specParallel int) (map[string]string, map[string]string) {
-		cfg := Config{
-			Workers:       workers,
-			QueueCapacity: 16,
-			Retry:         RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond},
-			Sleep:         instantSleep,
-			Hooks: Hooks{
-				// The injected schedule: every job's first two attempts
-				// fail transiently, the third succeeds.
-				BeforeAttempt: func(ctx context.Context, hash string, attempt int) error {
-					if attempt <= 2 {
-						return Transient(fmt.Errorf("injected fault %d for %s", attempt, hash[:8]))
-					}
-					return nil
-				},
-			},
-		}
-		s := mustNew(t, cfg)
+// TestResultsIdenticalAcrossWorkerCounts is the daemon's determinism
+// contract: the same seeds produce byte-identical results at worker
+// count 1 / sweep parallelism 1 and worker count 8 / sweep parallelism
+// 8.
+func TestResultsIdenticalAcrossWorkerCounts(t *testing.T) {
+	runOnce := func(workers, specParallel int) map[string]string {
+		s := mustNew(t, Config{Workers: workers, QueueCapacity: 16})
 		s.Start()
 		jobs := make([]*Job, 0, 3)
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -363,42 +333,29 @@ func TestRetryTimelineDeterministic(t *testing.T) {
 			jobs = append(jobs, job)
 		}
 		drainAll(t, s)
-		timelines := make(map[string]string, len(jobs))
 		tables := make(map[string]string, len(jobs))
 		for _, job := range jobs {
 			st := s.Status(job)
 			if st.State != "done" {
 				t.Fatalf("job %s state %s (err %q)", job.ID, st.State, st.Error)
 			}
-			tl, err := json.Marshal(st.Attempts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			timelines[job.Hash] = string(tl)
 			res, _ := s.Store().Get(job.Hash)
 			tables[job.Hash] = res.Table
 		}
-		return timelines, tables
+		return tables
 	}
 
-	serialTL, serialTables := runOnce(1, 1)
-	parTL, parTables := runOnce(8, 8)
-	if len(serialTL) != 3 {
-		t.Fatalf("expected 3 distinct scenario hashes, got %d", len(serialTL))
+	serialTables := runOnce(1, 1)
+	parTables := runOnce(8, 8)
+	if len(serialTables) != 3 {
+		t.Fatalf("expected 3 distinct scenario hashes, got %d", len(serialTables))
 	}
-	hashes := make([]string, 0, len(serialTL))
-	for hash := range serialTL {
+	hashes := make([]string, 0, len(serialTables))
+	for hash := range serialTables {
 		hashes = append(hashes, hash)
 	}
 	sort.Strings(hashes)
 	for _, hash := range hashes {
-		tl := serialTL[hash]
-		if got := parTL[hash]; got != tl {
-			t.Errorf("retry timeline for %s differs:\nserial: %s\nparallel: %s", hash[:8], tl, got)
-		}
-		if !strings.Contains(tl, `"backoff"`) {
-			t.Errorf("timeline for %s records no backoffs: %s", hash[:8], tl)
-		}
 		if serialTables[hash] != parTables[hash] {
 			t.Errorf("final result for %s differs between parallelism degrees", hash[:8])
 		}

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 
 	"github.com/flexray-go/coefficient/internal/experiment"
-	"github.com/flexray-go/coefficient/internal/scenario"
 )
 
 // workerLoop is one data-plane worker: pop, run, repeat until the queue
@@ -22,11 +21,11 @@ func (s *Server) workerLoop() {
 	}
 }
 
-// runJob drives one job through the retry state machine until it
-// reaches a terminal state.  Every attempt is panic-isolated; transient
-// failures retry with the deterministic backoff schedule; panics count
-// toward the scenario's quarantine budget; everything else — including
-// deadline expiry and drain cancellation — fails the job permanently.
+// runJob runs the job's one panic-isolated attempt and moves it to its
+// terminal state.  A run is a pure function of the spec, so a failed
+// attempt would fail the same way again: any error — spec or setup
+// errors, deadline expiry, drain cancellation — fails the job, and a
+// recovered panic quarantines the scenario hash on the spot.
 func (s *Server) runJob(job *Job) {
 	ctx := s.runCtx
 	if job.Deadline > 0 {
@@ -36,84 +35,51 @@ func (s *Server) runJob(job *Job) {
 	}
 	s.transition(job, StateRunning, "")
 
-	for attempt := 1; ; attempt++ {
-		rows, err := s.attempt(ctx, job, attempt)
-		if err == nil {
-			res := &Result{
-				Hash:  job.Hash,
-				JobID: job.ID,
-				Rows:  rows,
-				Table: experiment.DegradationTable(rows).String(),
-			}
-			if perr := s.store.Put(res); perr != nil {
-				// A conflicting result is a determinism violation, not a
-				// transient fault; surface it on the job.
-				s.recordAttempt(job, Attempt{Attempt: attempt, Error: perr.Error()})
-				s.transition(job, StateFailed, perr.Error())
-				return
-			}
-			// Persist the result BEFORE the done record: a done in the
-			// journal must imply the result file exists (recovery downgrades
-			// a done without a result to a re-enqueue).
-			s.persistResult(res)
-			s.transition(job, StateDone, "")
-			return
-		}
-
-		var pe *panicError
-		if errors.As(err, &pe) {
-			_, poisoned := s.quar.noteFailure(job.Hash)
-			if poisoned {
-				s.recordAttempt(job, Attempt{Attempt: attempt, Error: err.Error(), Panic: true})
-				s.transition(job, StateQuarantined,
-					fmt.Sprintf("scenario quarantined after repeated panics: %s", pe.value))
-				return
-			}
-			// A panic below the quarantine budget is treated like a
-			// transient failure: retried on the schedule below.
-		} else if !IsTransient(err) {
-			// Permanent: spec/setup errors, deadline expiry, drain
-			// cancellation.
-			s.recordAttempt(job, Attempt{Attempt: attempt, Error: err.Error()})
-			s.transition(job, StateFailed, err.Error())
-			return
-		}
-
-		if attempt >= s.cfg.Retry.MaxAttempts {
-			msg := fmt.Sprintf("retries exhausted after %d attempts: %v", attempt, err)
-			s.recordAttempt(job, Attempt{Attempt: attempt, Error: err.Error(), Panic: pe != nil})
-			s.transition(job, StateFailed, msg)
-			return
-		}
-		backoff := s.cfg.Retry.Backoff(job.Spec.Seed, job.Hash, attempt)
-		s.recordAttempt(job, Attempt{
-			Attempt: attempt,
-			Error:   err.Error(),
-			Panic:   pe != nil,
-			Backoff: scenario.Duration(backoff),
-		})
-		if serr := s.cfg.Sleep(ctx, backoff); serr != nil {
-			s.transition(job, StateFailed, fmt.Sprintf("retry wait: %v", serr))
-			return
-		}
+	rows, err := s.attempt(ctx, job)
+	var pe *panicError
+	switch {
+	case errors.As(err, &pe):
+		s.quar.poison(job.Hash)
+		s.transition(job, StateQuarantined, "scenario quarantined: "+err.Error())
+		return
+	case err != nil:
+		s.transition(job, StateFailed, err.Error())
+		return
 	}
+	res := &Result{
+		Hash:  job.Hash,
+		JobID: job.ID,
+		Rows:  rows,
+		Table: experiment.DegradationTable(rows).String(),
+	}
+	if perr := s.store.Put(res); perr != nil {
+		// A conflicting result is a determinism violation; surface it on
+		// the job.
+		s.transition(job, StateFailed, perr.Error())
+		return
+	}
+	// Persist the result BEFORE the done record: a done in the journal
+	// must imply the result file exists (recovery downgrades a done
+	// without a result to a re-enqueue).
+	s.persistResult(res)
+	s.transition(job, StateDone, "")
 }
 
-// attempt executes one panic-isolated attempt: the chaos hook first (so
-// injected panics, slow cells, and transient failures exercise the same
-// recovery paths real ones would), then the degradation harness on the
-// deterministic runner with the job's context threaded through.
-func (s *Server) attempt(ctx context.Context, job *Job, attempt int) (rows []experiment.DegradationRow, err error) {
+// attempt executes the job's panic-isolated run: the chaos hook first
+// (so injected panics and slow cells exercise the same recovery paths
+// real ones would), then the degradation harness on the deterministic
+// runner with the job's context threaded through.
+func (s *Server) attempt(ctx context.Context, job *Job) (rows []experiment.DegradationRow, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &panicError{value: fmt.Sprint(r), stack: debug.Stack()}
 		}
 	}()
 	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("job %s attempt %d: %w", job.ID, attempt, cerr)
+		return nil, fmt.Errorf("job %s: %w", job.ID, cerr)
 	}
 	if h := s.cfg.Hooks.BeforeAttempt; h != nil {
-		if herr := h(ctx, job.Hash, attempt); herr != nil {
+		if herr := h(ctx, job.Hash, 1); herr != nil {
 			return nil, herr
 		}
 	}
@@ -126,4 +92,17 @@ func (s *Server) attempt(ctx context.Context, job *Job, attempt int) (rows []exp
 		Parallel:  job.Spec.Parallel,
 		Ctx:       ctx,
 	})
+}
+
+// panicError is the error form of a recovered worker panic: the panic
+// value plus the panicking goroutine's stack, so a poisoned scenario is
+// diagnosable from the job status alone.
+type panicError struct {
+	value string
+	stack []byte
+}
+
+// Error implements error.
+func (e *panicError) Error() string {
+	return fmt.Sprintf("worker panicked: %s\n%s", e.value, e.stack)
 }

@@ -48,7 +48,7 @@ func Compile(opts Options) (*Compiled, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if opts.BitRate <= 0 {
+	if opts.BitRate == 0 {
 		opts.BitRate = frame.DefaultBitRate
 	}
 	if len(opts.Cluster.Nodes) == 0 {

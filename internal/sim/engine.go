@@ -41,7 +41,7 @@ type Options struct {
 	Cluster topology.Cluster
 	// Workload is the validated message set.
 	Workload signal.Set
-	// BitRate is the bus speed in bits/s (defaults to frame.DefaultBitRate).
+	// BitRate is the bus speed in bits/s (0 selects frame.DefaultBitRate).
 	BitRate int64
 	// InjectorA and InjectorB inject transient faults per channel.  Nil
 	// means fault-free.
@@ -90,6 +90,9 @@ func (o *Options) validate() error {
 		if err := o.Timing.validate(); err != nil {
 			return err
 		}
+	}
+	if o.BitRate < 0 {
+		return fmt.Errorf("%w: negative BitRate %d", ErrBadOptions, o.BitRate)
 	}
 	switch o.Mode {
 	case Streaming:

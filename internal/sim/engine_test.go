@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -233,6 +234,9 @@ func TestOptionValidation(t *testing.T) {
 			o.Workload.Messages[0].Node = -1
 		}},
 		{"negative drift", func(o *sim.Options) { o.Timing = &sim.TimingOptions{DriftPPM: -1} }},
+		{"NaN drift", func(o *sim.Options) { o.Timing = &sim.TimingOptions{DriftPPM: math.NaN()} }},
+		{"infinite drift", func(o *sim.Options) { o.Timing = &sim.TimingOptions{DriftPPM: math.Inf(1)} }},
+		{"negative bit rate", func(o *sim.Options) { o.BitRate = -5 }},
 		{"negative sync jitter", func(o *sim.Options) { o.Timing = &sim.TimingOptions{JitterMicroticks: -1} }},
 	}
 	for _, tt := range tests {

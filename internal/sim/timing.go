@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/flexray-go/coefficient/internal/clocksync"
 	"github.com/flexray-go/coefficient/internal/fault"
@@ -38,6 +39,9 @@ type TimingOptions struct {
 }
 
 func (t *TimingOptions) validate() error {
+	if math.IsNaN(t.DriftPPM) || math.IsInf(t.DriftPPM, 0) {
+		return fmt.Errorf("%w: DriftPPM %g not finite", ErrBadOptions, t.DriftPPM)
+	}
 	if t.DriftPPM < 0 {
 		return fmt.Errorf("%w: negative DriftPPM %g", ErrBadOptions, t.DriftPPM)
 	}
