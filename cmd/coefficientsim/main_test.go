@@ -83,6 +83,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-experiment", "timing", "-quick", "-drift", "-50"},
 		{"-experiment", "timing", "-quick", "-parallel", "1", "-drift", "NaN"},
 		{"-experiment", "timing", "-quick", "-parallel", "1", "-drift", "+Inf"},
+		{"-experiment", "timing", "-quick", "-parallel", "1", "-drift", "1e7"},
+		{"-experiment", "timing", "-quick", "-parallel", "1", "-drift", "1e20"},
+		{"-experiment", "timing", "-quick", "-parallel", "1", "-drift", "1e300"},
 		{"-experiment", "fig5", "-quick", "-replicas", "-5"},
 		{"-experiment", "fig3", "-quick", "-parallel", "-3"},
 		{"-experiment", "fig3", "-quick", "-guardians", "bogus"},
@@ -90,6 +93,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if err := run(context.Background(), args); err == nil {
 			t.Errorf("%v accepted", args)
 		}
+	}
+	// The drift bound itself is accepted.
+	if _, err := capture(t, func() error {
+		return run(context.Background(), []string{"-experiment", "timing", "-quick", "-parallel", "1", "-drift", "1e6"})
+	}); err != nil {
+		t.Errorf("-drift 1e6 rejected: %v", err)
 	}
 	// A bad name anywhere in the list fails before the first experiment
 	// runs, so no partial output file is written.

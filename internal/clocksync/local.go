@@ -17,6 +17,13 @@ import (
 	"github.com/flexray-go/coefficient/internal/timebase"
 )
 
+// MaxDriftPPM bounds an oscillator's rate error in parts per million: at
+// ±1e6 ppm a clock stops or runs at double speed, and beyond it the
+// per-cycle drift SetDriftPPM converts to microticks leaves int64's range
+// for large enough values.  The engine's timing options and the scenario
+// DSL's drift steps reject errors beyond it.
+const MaxDriftPPM = 1e6
+
 // MicroPerMacro is the number of microticks per macrotick (25ns microticks
 // against the paper's 1µs macrotick).
 const MicroPerMacro int64 = 40
@@ -100,7 +107,8 @@ func NewLocalClock(ppm float64, cycleUT, jitterUT int64, rng *fault.RNG) *LocalC
 }
 
 // SetDriftPPM changes the oscillator error (a scenario drift step: EMI or
-// thermal runaway knocking the crystal off its nominal rate).
+// thermal runaway knocking the crystal off its nominal rate).  |ppm| must
+// not exceed MaxDriftPPM.
 func (c *LocalClock) SetDriftPPM(ppm float64) {
 	c.driftPerCycleUT = int64(math.Round(ppm * float64(c.cycleUT) / 1e6))
 }

@@ -60,7 +60,7 @@ func (s *Scheduler) initAdaptive() {
 	s.ctl = adapt.NewController(s.opts.BER, replanCooldownCycles*s.env.Cfg.MacroPerCycle)
 	// Sized like the plan table (frame IDs are dense); probeCycles is a
 	// fixed array and needs no allocation.
-	s.shed = make([]bool, len(s.plan))
+	s.shed = make([]bool, len(s.frames))
 }
 
 // probeIdx maps a channel to its probeCycles index.
@@ -201,7 +201,7 @@ func (s *Scheduler) replan(ber float64, now timebase.Macrotick) {
 				continue
 			}
 			msgs = append(msgs, e.msg)
-			prev = append(prev, s.plan[e.id])
+			prev = append(prev, s.frames[e.id].k)
 		}
 		if len(msgs) == 0 {
 			break
@@ -226,17 +226,17 @@ func (s *Scheduler) replan(ber float64, now timebase.Macrotick) {
 		i := 0
 		for _, e := range s.planMeta {
 			if shedNow[e.id] {
-				s.plan[e.id] = 0
+				s.frames[e.id].k = 0
 				continue
 			}
-			s.plan[e.id] = plan.Retransmissions[i]
+			s.frames[e.id].k = plan.Retransmissions[i]
 			i++
 		}
 		s.stats.PlannedRetx = plan.Total()
 	} else {
 		for _, e := range s.planMeta {
 			if shedNow[e.id] {
-				s.plan[e.id] = 0
+				s.frames[e.id].k = 0
 			}
 		}
 	}

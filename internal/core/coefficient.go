@@ -24,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/flexray-go/coefficient/internal/adapt"
@@ -91,11 +92,13 @@ type Scheduler struct {
 	opts Options
 	env  *sim.Env
 
-	// plan holds k_z indexed densely by frame ID (planFor reads it).
-	plan []int
-	// plan0 snapshots the freshly built plan (and plannedRetx0 its Σ k_z)
-	// at Init so ResetReplica can restore it after adaptive replans
-	// without re-running the reliability planner.
+	// frames holds the per-frame-ID state, indexed densely by frame ID:
+	// the plan's k_z (planFor reads it), the copy-spawn watermark and the
+	// queued-job count.
+	frames []frameState
+	// plan0 snapshots the freshly built k_z per frame ID (and
+	// plannedRetx0 its Σ k_z) at Init so ResetReplica can restore it
+	// after adaptive replans without re-running the reliability planner.
 	plan0        []int
 	plannedRetx0 int
 
@@ -104,9 +107,6 @@ type Scheduler struct {
 	retx     jobQueue
 	nextSeq  int64
 	jobArena retxArena
-	// spawned marks instances whose proactive copies were already
-	// enqueued.
-	spawned map[*node.Instance]bool
 
 	// Adaptive-mode state (nil / zero when Options.Adaptive is off).
 	ctl *adapt.Controller
@@ -130,6 +130,20 @@ type Scheduler struct {
 	tx sim.Transmission
 
 	stats Stats
+}
+
+// frameState is the scheduler's state for one frame ID.
+type frameState struct {
+	// spawnedSeq is the spawn watermark: the highest instance Seq whose
+	// copies were enqueued.  Every peek hands out a frame's instances
+	// FIFO in Seq, and a delivered or dropped instance is never handed
+	// out again, so an instance's copies were spawned exactly when its
+	// Seq ≤ spawnedSeq.
+	spawnedSeq int64
+	// k is the retransmission budget k_z of the frame's message.
+	k int
+	// jobs counts the frame's queued retransmission jobs.
+	jobs int
 }
 
 // retxArenaBlock is the job allocation granularity of retxArena.
@@ -185,10 +199,20 @@ func (s *Scheduler) emit(tx sim.Transmission) *sim.Transmission {
 
 // planFor returns the retransmission budget k_z for a frame ID.
 func (s *Scheduler) planFor(id int) int {
-	if id >= 0 && id < len(s.plan) {
-		return s.plan[id]
+	if f := s.frame(id); f != nil {
+		return f.k
 	}
 	return 0
+}
+
+// frame returns the state of a frame ID, or nil outside the workload.
+//
+//perf:hotpath
+func (s *Scheduler) frame(id int) *frameState {
+	if id >= 0 && id < len(s.frames) {
+		return &s.frames[id]
+	}
+	return nil
 }
 
 // isShed reports whether the frame ID is currently shed.
@@ -207,10 +231,7 @@ func New(opts Options) *Scheduler {
 	if opts.Goal == 0 {
 		opts.Goal = reliability.SIL3.Goal(opts.Unit)
 	}
-	return &Scheduler{
-		opts:    opts,
-		spawned: make(map[*node.Instance]bool),
-	}
+	return &Scheduler{opts: opts}
 }
 
 // Name implements sim.Scheduler.
@@ -232,7 +253,10 @@ func (s *Scheduler) Init(env *sim.Env) error {
 	if err := s.buildPlan(); err != nil {
 		return fmt.Errorf("core: retransmission plan: %w", err)
 	}
-	s.plan0 = append(s.plan0[:0], s.plan...)
+	s.plan0 = slices.Grow(s.plan0[:0], len(s.frames))
+	for _, f := range s.frames {
+		s.plan0 = append(s.plan0, f.k)
+	}
 	s.plannedRetx0 = s.stats.PlannedRetx
 	s.initAdaptive()
 	return nil
@@ -257,17 +281,19 @@ func (o *Options) validate() error {
 
 // ResetReplica implements sim.ReplicaResettable: the scheduler returns
 // to its just-Init state without re-running the reliability planner, a
-// pure function of the workload and options.  The queue, the spawned set
-// and the job arena are emptied in place; the plan is restored from the
-// Init snapshot (adaptive replans mutate it); adaptive mode rebuilds its
-// controller, which is cheap and not allocation-gated.
+// pure function of the workload and options.  The queue and the job
+// arena are emptied in place; the per-frame state is restored from the
+// Init snapshot of the plan (adaptive replans mutate it) with no copies
+// spawned or queued; adaptive mode rebuilds its controller, which is
+// cheap and not allocation-gated.
 //
 //perf:hotpath
 func (s *Scheduler) ResetReplica() error {
-	copy(s.plan, s.plan0)
+	for id, k := range s.plan0 {
+		s.frames[id] = frameState{k: k}
+	}
 	s.stats = Stats{PlannedRetx: s.plannedRetx0}
 	s.retx.reset()
-	clear(s.spawned)
 	s.nextSeq = 0
 	s.jobArena.rewind()
 	if s.opts.Adaptive {
@@ -287,7 +313,7 @@ func (s *Scheduler) buildPlan() error {
 			maxID = id
 		}
 	}
-	s.plan = make([]int, maxID+1)
+	s.frames = make([]frameState, maxID+1)
 	s.planMeta = s.planMeta[:0]
 	for i := range s.env.Set.Messages {
 		m := &s.env.Set.Messages[i]
@@ -322,8 +348,8 @@ func (s *Scheduler) buildPlan() error {
 		return err
 	}
 	for i, e := range s.planMeta {
-		if e.id >= 0 && e.id < len(s.plan) {
-			s.plan[e.id] = plan.Retransmissions[i]
+		if f := s.frame(e.id); f != nil {
+			f.k = plan.Retransmissions[i]
 		}
 	}
 	s.stats.PlannedRetx = plan.Total()
@@ -337,12 +363,20 @@ func (s *Scheduler) CycleStart(_ int64, now timebase.Macrotick) {
 }
 
 // purgeExpired discards retransmission jobs whose deadline has passed.
-// The instance never left its home queue, so the engine's expiry sweep
-// counts its drop.
+// The queue is in deadline order, so they are its head.  The instance
+// never left its home queue, so the engine's expiry sweep counts its
+// drop.
+//
+//perf:hotpath
 func (s *Scheduler) purgeExpired(now timebase.Macrotick) {
-	s.retx.removeIf(func(j *retxJob) bool {
-		return j.deadline != node.NoDeadline && now > j.deadline
-	})
+	for queued := s.retx.items(); len(queued) > 0; queued = s.retx.items() {
+		j := queued[0]
+		if j.deadline == node.NoDeadline || now <= j.deadline {
+			return
+		}
+		s.retx.remove(0)
+		s.frames[j.in.Msg.ID].jobs--
+	}
 }
 
 // StaticSlot implements sim.Scheduler.
@@ -524,6 +558,9 @@ func (s *Scheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _, remai
 		})
 	}
 	// Retransmission job for this frame ID, if any fits the window.
+	if s.frames[slotCounter].jobs == 0 {
+		return nil
+	}
 	for _, j := range s.retx.items() {
 		if j.in.Msg.ID != slotCounter {
 			continue
@@ -547,14 +584,15 @@ func (s *Scheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _, remai
 }
 
 // maybeSpawnCopies enqueues the k_z blind copy jobs of an instance the
-// first time its primary transmission is scheduled.
+// first time its primary transmission is scheduled, as the frame's spawn
+// watermark tells.
 func (s *Scheduler) maybeSpawnCopies(in *node.Instance) {
-	k := s.planFor(in.Msg.ID)
-	if k <= 0 || s.spawned[in] {
+	f := s.frame(in.Msg.ID)
+	if f == nil || f.k <= 0 || in.Seq <= f.spawnedSeq {
 		return
 	}
-	s.spawned[in] = true
-	for range k {
+	f.spawnedSeq = in.Seq
+	for range f.k {
 		s.enqueueJob(in)
 	}
 }
@@ -573,13 +611,10 @@ func (s *Scheduler) Result(tx *sim.Transmission, ok bool, _ timebase.Macrotick) 
 	}
 }
 
-// finish clears the scheduler state of a delivered instance.  Any
+// finish takes a delivered instance out of its home queue.  Any
 // not-yet-sent copies stay queued: without acknowledgements the protocol
 // cannot cancel them, and their bandwidth cost is part of the scheme.
 func (s *Scheduler) finish(in *node.Instance) {
-	if len(s.spawned) != 0 {
-		delete(s.spawned, in)
-	}
 	ecu := s.env.ECU(in.Msg.Node)
 	if in.Msg.Kind == signal.Periodic {
 		ecu.RemoveStatic(in)
@@ -603,38 +638,34 @@ func (s *Scheduler) enqueueJob(in *node.Instance) {
 	// increasing, so the order is total and the queue position matches
 	// what append + sort.SliceStable produced: among equal deadlines the
 	// new job (largest seq) lands last.
-	queued := s.retx.items()
-	lo, hi := 0, len(queued)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		q := queued[mid]
-		if q.deadline < j.deadline || (q.deadline == j.deadline && q.seq < j.seq) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s.retx.insert(lo, j)
+	s.retx.insert(s.retx.search(j), j)
+	s.frames[in.Msg.ID].jobs++
 	s.stats.JobsCreated++
 }
 
-// removeJob deletes a job from the queue.
+// removeJob deletes a job from the queue.  The queue is sorted by the
+// total (deadline, seq) order, so the job's position is the binary
+// search's.
+//
+//perf:hotpath
 func (s *Scheduler) removeJob(j *retxJob) {
-	for i, q := range s.retx.items() {
-		if q == j {
-			s.retx.remove(i)
-			break
-		}
+	i := s.retx.search(j)
+	if queued := s.retx.items(); i < len(queued) && queued[i] == j {
+		s.retx.remove(i)
+		s.frames[j.in.Msg.ID].jobs--
 	}
 }
 
 // InstanceDropped implements sim.Scheduler.
 func (s *Scheduler) InstanceDropped(in *node.Instance, _ timebase.Macrotick) {
-	if len(s.spawned) != 0 {
-		delete(s.spawned, in)
-	}
 	// Copies of a dropped instance are pointless: discard them.
-	s.retx.removeIf(func(j *retxJob) bool { return j.in == in })
+	s.retx.removeIf(func(j *retxJob) bool {
+		if j.in != in {
+			return false
+		}
+		s.frames[in.Msg.ID].jobs--
+		return true
+	})
 }
 
 // RetxQueueLen returns the number of pending retransmission jobs (for
@@ -655,6 +686,24 @@ type jobQueue struct {
 // items returns the queued jobs in order; the slice aliases the queue and
 // is valid until its next change.
 func (q *jobQueue) items() []*retxJob { return q.buf[q.head:] }
+
+// search returns the number of queued jobs ordered before j by (deadline,
+// seq): j's position when queued, its insertion point otherwise.
+//
+//perf:hotpath
+func (q *jobQueue) search(j *retxJob) int {
+	items := q.items()
+	lo, hi := 0, len(items)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if o := items[mid]; o.deadline < j.deadline || (o.deadline == j.deadline && o.seq < j.seq) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
 
 // insert puts j at position i of items().
 func (q *jobQueue) insert(i int, j *retxJob) {
@@ -693,9 +742,10 @@ func (q *jobQueue) remove(i int) {
 	}
 }
 
-// removeIf removes every job drop selects, keeping the others in order.
-// It scans to the first such job before rewriting anything: most calls
-// remove nothing, and the untouched prefix needs no pointer writes.
+// removeIf removes every job drop selects, keeping the others in order;
+// drop sees each job once, in queue order.  It scans to the first such
+// job before rewriting anything: most calls remove nothing, and the
+// untouched prefix needs no pointer writes.
 func (q *jobQueue) removeIf(drop func(*retxJob) bool) {
 	items := q.items()
 	i := 0
@@ -706,7 +756,7 @@ func (q *jobQueue) removeIf(drop func(*retxJob) bool) {
 		return
 	}
 	keep := items[:i]
-	for _, j := range items[i:] {
+	for _, j := range items[i+1:] {
 		if !drop(j) {
 			keep = append(keep, j)
 		}

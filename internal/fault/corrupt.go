@@ -1,5 +1,7 @@
 package fault
 
+import "slices"
+
 // FlipBits flips n distinct random bits of buf in place, modelling the
 // physical effect of a transient fault on the wire image: the simulator
 // uses it to corrupt a real encoded frame so the receiver's CRC check —
@@ -13,13 +15,16 @@ func FlipBits(buf []byte, rng *RNG, n int) {
 	if n > total {
 		n = total
 	}
-	flipped := make(map[int]bool, n)
+	// The chosen bits live on the stack for the simulator's 1–3 flips.
+	// A bit drawn again is rejected, so n distinct bits flip.
+	var small [8]int
+	flipped := small[:0]
 	for len(flipped) < n {
 		bit := rng.Intn(total)
-		if flipped[bit] {
+		if slices.Contains(flipped, bit) {
 			continue
 		}
-		flipped[bit] = true
+		flipped = append(flipped, bit)
 		buf[bit/8] ^= 1 << uint(bit%8)
 	}
 }

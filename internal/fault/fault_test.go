@@ -160,35 +160,6 @@ func TestFrameFailureProbMonotoneProperty(t *testing.T) {
 	}
 }
 
-// The Profile's per-source size table returns the exact float
-// FrameFailureProb returns, for random sizes and BERs, including sizes
-// that collide in the direct-mapped table and evict each other.
-func TestSizeTableMatchesFrameFailureProb(t *testing.T) {
-	rng := NewRNG(20260601)
-	for trial := 0; trial < 50; trial++ {
-		ber := 5e-3 * math.Pow(10, -6*rng.Float64())
-		if trial == 0 {
-			ber = 0
-		}
-		var tbl sizeTable
-		base := 1 + rng.Intn(400)
-		for q := 0; q < 2000; q++ {
-			bits := 1 + rng.Intn(3000)
-			if rng.Intn(2) == 0 {
-				bits = base + sizeTableSlots*rng.Intn(4) // same slot
-			}
-			got, err := tbl.prob(ber, bits)
-			want, wantErr := FrameFailureProb(ber, bits)
-			if err != nil || wantErr != nil {
-				t.Fatalf("prob(%g, %d): %v, FrameFailureProb: %v", ber, bits, err, wantErr)
-			}
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("prob(%g, %d) = %v, FrameFailureProb %v", ber, bits, got, want)
-			}
-		}
-	}
-}
-
 func TestBERInjectorRate(t *testing.T) {
 	// At BER 1e-4 and 1000-bit frames, p ≈ 0.0952.  Check the empirical
 	// rate over many draws.

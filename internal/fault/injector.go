@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Common errors.
@@ -35,46 +34,13 @@ func FrameFailureProb(ber float64, bits int) (float64, error) {
 	return -math.Expm1(float64(bits) * math.Log1p(-ber)), nil
 }
 
-// probCacheMaxBits bounds the frame sizes memoized by probCache; larger
-// frames fall back to computing the probability directly.
-const probCacheMaxBits = 1 << 14
-
-// probCache memoizes FrameFailureProb for one fixed BER, indexed densely by
-// frame size.  A workload uses only a handful of distinct wire sizes, so the
-// expm1/log1p evaluation — which dominated the simulation hot path — runs
-// once per size instead of once per transmission.  The cached value is the
-// exact float FrameFailureProb returns, so the injector's Bernoulli draw
-// stream is bit-identical with and without the cache.
-type probCache struct {
-	p    []float64
-	seen []bool
-}
-
-func (c *probCache) prob(ber float64, bits int) (float64, error) {
-	if bits >= probCacheMaxBits {
-		return FrameFailureProb(ber, bits)
-	}
-	if bits >= len(c.p) {
-		np := make([]float64, bits+1)
-		ns := make([]bool, bits+1)
-		copy(np, c.p)
-		copy(ns, c.seen)
-		c.p, c.seen = np, ns
-	}
-	if c.seen[bits] {
-		return c.p[bits], nil
-	}
-	p, err := FrameFailureProb(ber, bits)
-	if err != nil {
-		return 0, err
-	}
-	c.p[bits] = p
-	c.seen[bits] = true
-	return p, nil
-}
-
 // Injector decides, per transmission, whether a transient fault corrupts the
-// frame.  Implementations must be deterministic given their seed.
+// frame.  Implementations must be deterministic given their seed.  An
+// injector belongs to one simulation replica and is not safe for
+// concurrent use: the engine draws from it on one goroutine, and draws
+// from several goroutines would interleave nondeterministically even
+// under a lock, breaking the determinism contract (DESIGN.md §8), so the
+// injectors hold no lock.
 type Injector interface {
 	// Corrupts reports whether a transmission of `bits` bits is corrupted.
 	Corrupts(bits int) bool
@@ -86,7 +52,7 @@ type Injector interface {
 // just-constructed state under a new seed without reallocating.  After
 // Reseed(s) the injector's draw stream and statistics are
 // indistinguishable from a freshly constructed injector with the same
-// configuration and seed s; memoized failure-probability caches are
+// configuration and seed s; memoized failure-probability tables are
 // retained, which is exactly why batched replica runs prefer reseeding
 // an existing injector over building a new one per replica.
 type Reseeder interface {
@@ -112,11 +78,10 @@ func (s Stats) Rate() float64 {
 // BERInjector injects independent transient faults with the paper's
 // per-frame probability 1-(1-BER)^bits.
 type BERInjector struct {
-	mu    sync.Mutex
 	ber   float64
 	rng   *RNG
 	stats Stats
-	cache probCache
+	probs sizeTable
 }
 
 var _ Injector = (*BERInjector)(nil)
@@ -134,9 +99,7 @@ func (b *BERInjector) Corrupts(bits int) bool {
 	if bits <= 0 {
 		return false
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	p, err := b.cache.prob(b.ber, bits)
+	p, err := b.probs.prob(b.ber, bits)
 	if err != nil {
 		return false
 	}
@@ -149,21 +112,15 @@ func (b *BERInjector) Corrupts(bits int) bool {
 }
 
 // Stats implements Injector.
-func (b *BERInjector) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stats
-}
+func (b *BERInjector) Stats() Stats { return b.stats }
 
 // BER returns the configured bit error rate.
 func (b *BERInjector) BER() float64 { return b.ber }
 
 // Reseed implements Reseeder: statistics reset, RNG re-seeded in place,
-// probability cache retained (cached values are the exact floats
+// probability table retained (its values are the exact floats
 // FrameFailureProb returns, so retention cannot perturb the draws).
 func (b *BERInjector) Reseed(seed uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.rng.Seed(seed)
 	b.stats = Stats{}
 }
@@ -172,7 +129,6 @@ var _ Reseeder = (*BERInjector)(nil)
 
 // None is an injector that never corrupts anything (a fault-free bus).
 type None struct {
-	mu    sync.Mutex
 	stats Stats
 }
 
@@ -180,25 +136,15 @@ var _ Injector = (*None)(nil)
 
 // Corrupts implements Injector.
 func (n *None) Corrupts(bits int) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.stats.Transmissions++
 	return false
 }
 
 // Stats implements Injector.
-func (n *None) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
-}
+func (n *None) Stats() Stats { return n.stats }
 
 // Reseed implements Reseeder.  A fault-free bus has no random state;
 // only the transmission counter is cleared.
-func (n *None) Reseed(uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.stats = Stats{}
-}
+func (n *None) Reseed(uint64) { n.stats = Stats{} }
 
 var _ Reseeder = (*None)(nil)

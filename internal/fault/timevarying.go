@@ -2,8 +2,8 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"sync"
 
 	"github.com/flexray-go/coefficient/internal/timebase"
 )
@@ -62,7 +62,6 @@ type GilbertElliottConfig struct {
 // with step/ramp phases and Gilbert–Elliott burst episodes.  It is the
 // fault model the scenario engine compiles channel timelines into.
 type Profile struct {
-	mu     sync.Mutex
 	base   float64
 	phases []phaseState
 	bursts []burstState
@@ -93,35 +92,56 @@ type burstState struct {
 	goodProbs, badProbs sizeTable
 }
 
-// sizeTableSlots is the number of frame sizes a sizeTable holds; a
-// workload uses a few dozen distinct wire sizes.
-const sizeTableSlots = 32
+// sizeTableSlots is the number of frame sizes a sizeTable holds.  A
+// workload has one wire size per distinct payload length: BBW+SAE has 34,
+// Figure 4's synthetic-80+SAE 66 at seed 1, and a corpus case at most one
+// per message, 90.
+const sizeTableSlots = 96
 
-// sizeTable memoizes FrameFailureProb for one constant BER in a fixed,
-// direct-mapped table keyed by frame size.  Colliding sizes evict each
-// other, and every hit is the exact float FrameFailureProb returns, so the
-// Bernoulli draw stream is bit-identical with and without it.  Unlike
-// BERInjector's dense probCache it does not grow to the largest frame
-// size, which matters because a Profile keeps one table per constant-BER
-// source (the base BER, each step phase, each burst state).
+// sizeTable memoizes FrameFailureProb for one constant BER in a fixed
+// open-addressing table keyed by frame size: a multiplicative hash picks
+// a size's home slot and linear probing resolves collisions, so every
+// size keeps its slot once it has one.  (Wire sizes step 20 bits per
+// 2-byte payload word, so a plain bits-modulo-slots index would reach a
+// fraction of the slots and make sizes evict each other.)  A hit returns
+// the exact float FrameFailureProb returned, and a size that finds the
+// table full is computed directly, so the Bernoulli draw stream is
+// bit-identical with and without the table.  The table is fixed rather
+// than grown to the largest frame size, which matters because a Profile
+// keeps one per constant-BER source (the base BER, each step phase, each
+// burst state); BERInjector keeps one for its BER.
 type sizeTable struct {
-	bits  [sizeTableSlots]int
+	bits  [sizeTableSlots]uint16 // 0 marks a free slot
 	probs [sizeTableSlots]float64
 }
 
-// prob returns FrameFailureProb(ber, bits) for positive bits; ber must be
-// the table's BER.
+// prob returns FrameFailureProb(ber, bits); ber must be the table's BER.
+//
+//perf:hotpath
 func (t *sizeTable) prob(ber float64, bits int) (float64, error) {
-	i := bits % sizeTableSlots
-	if t.bits[i] == bits {
-		return t.probs[i], nil
+	if bits <= 0 || bits > math.MaxUint16 {
+		return FrameFailureProb(ber, bits)
 	}
-	p, err := FrameFailureProb(ber, bits)
-	if err != nil {
-		return 0, err
+	key := uint16(bits)
+	// Fibonacci hashing, reduced to a slot by multiply-shift.
+	i := uint64(uint32(key)*0x9E3779B9) * sizeTableSlots >> 32
+	for range sizeTableSlots {
+		switch t.bits[i] {
+		case key:
+			return t.probs[i], nil
+		case 0:
+			p, err := FrameFailureProb(ber, bits)
+			if err != nil {
+				return 0, err
+			}
+			t.bits[i], t.probs[i] = key, p
+			return p, nil
+		}
+		if i++; i == sizeTableSlots {
+			i = 0
+		}
 	}
-	t.bits[i], t.probs[i] = bits, p
-	return p, nil
+	return FrameFailureProb(ber, bits)
 }
 
 var _ TimeVarying = (*Profile)(nil)
@@ -225,8 +245,6 @@ func (p *Profile) CorruptsAt(bits int, at timebase.Macrotick) bool {
 	if bits <= 0 {
 		return false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.lastAt = at
 	ber, probs := p.berAt(at)
 	for i := range p.bursts {
@@ -272,15 +290,8 @@ func (p *Profile) CorruptsAt(bits int, at timebase.Macrotick) bool {
 // Corrupts implements Injector using the most recently observed time (the
 // engine always calls CorruptsAt; this is a compatibility fallback).
 func (p *Profile) Corrupts(bits int) bool {
-	p.mu.Lock()
-	last := p.lastAt
-	p.mu.Unlock()
-	return p.CorruptsAt(bits, last)
+	return p.CorruptsAt(bits, p.lastAt)
 }
 
 // Stats implements Injector.
-func (p *Profile) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
+func (p *Profile) Stats() Stats { return p.stats }

@@ -176,7 +176,7 @@ var criticalScope = map[string][]string{
 	"hotpath": {
 		"internal/sim", "internal/core",
 		"internal/fspec", "internal/node", "internal/trace",
-		"internal/fault",
+		"internal/fault", "internal/metrics",
 	},
 	// seedtaint guards the seed-derivation contract where seeds are
 	// minted and consumed: the derivation core, the experiment grid, the

@@ -157,6 +157,7 @@ func TestApplies(t *testing.T) {
 		{"hotpath", mod + "/internal/fspec", true},
 		{"hotpath", mod + "/internal/node", true},
 		{"hotpath", mod + "/internal/trace", true},
+		{"hotpath", mod + "/internal/metrics", true},
 		{"hotpath", mod + "/internal/plot", false},
 		{"seedtaint", mod + "/internal/runner", true},
 		{"seedtaint", mod + "/internal/experiment", true},

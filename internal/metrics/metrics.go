@@ -5,28 +5,46 @@ package metrics
 
 import (
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"time"
 
 	"github.com/flexray-go/coefficient/internal/timebase"
 )
 
 // Series accumulates scalar samples and answers summary statistics.
+// Samples must not be NaN.
 type Series struct {
 	samples []float64
-	sorted  bool
 	sum     float64
+	max     float64
 }
 
-// Add appends a sample.  The first append reserves a chunk so long series
-// skip the small growth steps of append's doubling schedule.
+// Add appends a sample and keeps the running sum and maximum.
+//
+//perf:hotpath
 func (s *Series) Add(v float64) {
-	if s.samples == nil {
-		s.samples = make([]float64, 0, 64)
+	if len(s.samples) == cap(s.samples) {
+		s.grow()
 	}
-	s.samples = append(s.samples, v)
-	s.sorted = false
+	n := len(s.samples)
+	s.samples = s.samples[:n+1]
+	s.samples[n] = v
 	s.sum += v
+	if n == 0 || v > s.max {
+		s.max = v
+	}
+}
+
+// grow makes room for one more sample on append's growth schedule.
+func (s *Series) grow() {
+	s.samples = append(s.samples, 0)[:len(s.samples)]
+}
+
+// Reserve makes room for n more samples, so a caller that knows how many
+// it may add allocates the buffer once.
+func (s *Series) Reserve(n int) {
+	s.samples = slices.Grow(s.samples, n)
 }
 
 // Reset empties the series in place, keeping the sample buffer so the
@@ -35,8 +53,8 @@ func (s *Series) Add(v float64) {
 //perf:hotpath
 func (s *Series) Reset() {
 	s.samples = s.samples[:0]
-	s.sorted = false
 	s.sum = 0
+	s.max = 0
 }
 
 // N returns the number of samples.
@@ -55,21 +73,15 @@ func (s *Series) Min() float64 {
 	if len(s.samples) == 0 {
 		return 0
 	}
-	s.ensureSorted()
-	return s.samples[0]
+	return slices.Min(s.samples)
 }
 
 // Max returns the largest sample, or 0 for an empty series.
-func (s *Series) Max() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.samples[len(s.samples)-1]
-}
+func (s *Series) Max() float64 { return s.max }
 
 // Percentile returns the p-th percentile (0 < p ≤ 100) by nearest-rank, or
-// 0 for an empty series.
+// 0 for an empty series.  It selects the rank's sample in O(n) without
+// sorting, and may reorder the samples.
 func (s *Series) Percentile(p float64) float64 {
 	if len(s.samples) == 0 || p <= 0 {
 		return 0
@@ -77,12 +89,11 @@ func (s *Series) Percentile(p float64) float64 {
 	if p > 100 {
 		p = 100
 	}
-	s.ensureSorted()
 	rank := int(math.Ceil(p / 100 * float64(len(s.samples))))
 	if rank < 1 {
 		rank = 1
 	}
-	return s.samples[rank-1]
+	return selectNth(s.samples, rank-1)
 }
 
 // StdDev returns the population standard deviation, or 0 for fewer than two
@@ -101,11 +112,58 @@ func (s *Series) StdDev() float64 {
 	return math.Sqrt(ss / float64(n))
 }
 
-func (s *Series) ensureSorted() {
-	if !s.sorted {
-		sort.Float64s(s.samples)
-		s.sorted = true
+// selectNth reorders x so that x[k] holds the value sorting x would put
+// there, and returns it: quickselect with median-of-three pivots and
+// three-way partitioning, since latency series repeat values a lot.  A
+// window that fails to shrink within 2·log2(n) partitions is sorted
+// instead, which bounds the worst case at O(n log n).
+//
+//perf:hotpath
+func selectNth(x []float64, k int) float64 {
+	lo, hi := 0, len(x) // the window [lo, hi) holds position k
+	for budget := 2 * bits.Len(uint(len(x))); hi-lo > 1; budget-- {
+		if budget == 0 {
+			slices.Sort(x[lo:hi])
+			break
+		}
+		pivot := median3(x[lo], x[lo+(hi-lo)/2], x[hi-1])
+		// Partition into [lo, lt) < pivot, [lt, gt) == pivot and
+		// [gt, hi) > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := x[i]; {
+			case v < pivot:
+				x[lt], x[i] = v, x[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				x[i], x[gt] = x[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return pivot
+		}
 	}
+	return x[k]
+}
+
+// median3 returns the median of three values.
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	return max(a, b)
 }
 
 // SegmentKind distinguishes static- and dynamic-segment traffic in reports.
@@ -360,6 +418,12 @@ func NewCollector(cfg timebase.Config) *Collector {
 	c.latency[Static] = &Series{}
 	c.latency[Dynamic] = &Series{}
 	return c
+}
+
+// ReserveLatencies makes room for n more latency samples of the kind, for
+// runs that can bound their delivery count up front.
+func (c *Collector) ReserveLatencies(kind SegmentKind, n int) {
+	c.latency[kind].Reserve(n)
 }
 
 // Reset returns the collector to its just-constructed state while

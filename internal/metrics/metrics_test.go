@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -52,7 +54,7 @@ func TestSeriesAddAfterQuery(t *testing.T) {
 	if s.Max() != 5 {
 		t.Fatal("Max before second add")
 	}
-	s.Add(10) // must re-sort lazily
+	s.Add(10) // the running maximum follows late adds
 	if s.Max() != 10 {
 		t.Errorf("Max() = %g after late add, want 10", s.Max())
 	}
@@ -81,6 +83,49 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPercentileMatchesSortedNearestRank holds the selection-based
+// Percentile and the running Max to the sorted form they replaced: over
+// random series, heavy with duplicates like latencies in macroticks, each
+// equals the nearest-rank element of the sorted samples — including n = 1
+// and p = 100 — and a query that reorders the samples changes no later
+// answer.
+func TestPercentileMatchesSortedNearestRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261020))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(300)
+		if trial%10 == 0 {
+			n = 1
+		}
+		distinct := 1 + rng.Intn(n+3)
+		var s Series
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64(rng.Intn(distinct)) - float64(distinct/3)
+			if trial%7 == 0 {
+				vals[i] = float64(i) // already sorted
+			}
+			s.Add(vals[i])
+		}
+		sorted := slices.Clone(vals)
+		slices.Sort(sorted)
+		if got, want := s.Max(), sorted[n-1]; got != want {
+			t.Fatalf("trial %d: Max = %g, sorted max %g", trial, got, want)
+		}
+		for _, p := range []float64{100, 99, 50, 1, 0.5, 100 * rng.Float64(), 25, 99.9} {
+			if p <= 0 {
+				continue
+			}
+			rank := max(int(math.Ceil(p/100*float64(n))), 1)
+			if got, want := s.Percentile(p), sorted[rank-1]; got != want {
+				t.Fatalf("trial %d (n=%d): P%g = %g, sorted nearest rank %d = %g", trial, n, p, got, rank, want)
+			}
+		}
+		if got, want := s.Min(), sorted[0]; got != want {
+			t.Fatalf("trial %d: Min = %g, sorted min %g", trial, got, want)
+		}
 	}
 }
 

@@ -50,6 +50,8 @@ import (
 	"os"
 	"sort"
 	"time"
+
+	"github.com/flexray-go/coefficient/internal/clocksync"
 )
 
 // Errors returned by the parser and validator.
@@ -120,7 +122,7 @@ type TimingFaults struct {
 }
 
 // DriftStep sets a node's oscillator error to PPM (parts per million,
-// absolute — not a delta) from At onwards.
+// absolute — not a delta, within ±clocksync.MaxDriftPPM) from At onwards.
 type DriftStep struct {
 	Node int      `json:"node"`
 	At   Duration `json:"at"`
@@ -320,6 +322,9 @@ func (s *Scenario) validateTiming() error {
 		}
 		if math.IsNaN(st.PPM) || math.IsInf(st.PPM, 0) {
 			return fmt.Errorf("%w: drift step ppm %v not finite", ErrInvalid, st.PPM)
+		}
+		if math.Abs(st.PPM) > clocksync.MaxDriftPPM {
+			return fmt.Errorf("%w: drift step ppm %g beyond ±%g", ErrInvalid, st.PPM, clocksync.MaxDriftPPM)
 		}
 	}
 	for _, group := range []struct {

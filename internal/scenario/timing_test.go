@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -126,6 +127,26 @@ func TestValidateTimingRejects(t *testing.T) {
 			"",
 		},
 		{
+			"ppm 1e7",
+			`{"timing": {"driftSteps": [{"node": 0, "at": "1ms", "ppm": 1e7}]}}`,
+			"beyond",
+		},
+		{
+			"ppm -1e7",
+			`{"timing": {"driftSteps": [{"node": 0, "at": "1ms", "ppm": -1e7}]}}`,
+			"beyond",
+		},
+		{
+			"ppm 1e20",
+			`{"timing": {"driftSteps": [{"node": 0, "at": "1ms", "ppm": 1e20}]}}`,
+			"beyond",
+		},
+		{
+			"ppm 1e300",
+			`{"timing": {"driftSteps": [{"node": 0, "at": "1ms", "ppm": 1e300}]}}`,
+			"beyond",
+		},
+		{
 			"overlapping babble windows",
 			`{"timing": {"babble": [
 				{"node": 1, "start": "10ms", "end": "30ms"},
@@ -148,8 +169,17 @@ func TestValidateTimingRejects(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: want error", tc.name)
 		}
+		if !errors.Is(err, ErrInvalid) && !errors.Is(err, ErrParse) {
+			t.Fatalf("%s: error %q is neither ErrInvalid nor ErrParse", tc.name, err)
+		}
 		if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+	for _, ppm := range []string{"1e6", "-1e6"} {
+		doc := `{"timing": {"driftSteps": [{"node": 0, "at": "1ms", "ppm": ` + ppm + `}]}}`
+		if _, err := Parse([]byte(doc)); err != nil {
+			t.Fatalf("ppm %s: %v, want the drift bound accepted", ppm, err)
 		}
 	}
 }

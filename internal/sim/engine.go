@@ -215,6 +215,11 @@ func (e *engine) run() (Result, error) {
 		endCycle = maxBatchCycles
 		e.total = e.rel.enqueueBatch()
 	}
+	// An instance is delivered at most once, so latency series sized for
+	// every release never regrow mid-run.
+	static, dynamic := e.rel.releaseBound(endCycle)
+	e.col.ReserveLatencies(metrics.Static, static)
+	e.col.ReserveLatencies(metrics.Dynamic, dynamic)
 
 	lastProgress := int64(0)
 	doneAtLastProgress := int64(-1)
@@ -361,47 +366,55 @@ func (e *engine) checkStaticTx(tx *Transmission, ch frame.Channel) error {
 	return nil
 }
 
-// runDynamicSegment walks the FTDMA minislots of one cycle, per channel.
+// runDynamicSegment walks the FTDMA dynamic segment of one cycle, per
+// channel.  A dynamic frame may start only in the slot whose counter
+// equals its frame ID, so only slot counters that own a dynamic message
+// can carry a frame; every other counter passes in exactly one minislot.
+// The walk therefore visits only the owned counters of Env's compiled
+// dynamicByID table: counter c starts at minislot c − StaticSlots plus
+// the need − 1 extra minislots of every frame sent before it, which is
+// where a minislot-by-minislot walk reaches it, and the walk stops once
+// that minislot passes pLatestTx (or the segment's end).
 //
 //perf:hotpath
 func (e *engine) runDynamicSegment(cycle int64) {
 	cfg := e.opts.Config
-	if cfg.Minislots == 0 {
+	last := min(cfg.Minislots, e.latestTx) // the last minislot a frame may start in
+	if last < 1 {
 		return
 	}
 	segStart := cfg.DynamicSegmentStart(cycle)
+	owners := e.env.dynamicByID
 	for _, ch := range bothChannels {
-		minislot := 1
-		slotCounter := cfg.StaticSlots + 1
-		for minislot <= cfg.Minislots {
+		extra := 0 // Σ(need − 1) over the frames sent so far
+		for counter := cfg.StaticSlots + 1; counter < len(owners) && counter-cfg.StaticSlots+extra <= last; counter++ {
+			if owners[counter] == nil {
+				continue
+			}
+			minislot := counter - cfg.StaticSlots + extra
 			now := segStart + timebase.Macrotick(minislot-1)*cfg.MinislotLen
 			remaining := cfg.Minislots - minislot + 1
-			var tx *Transmission
-			if minislot <= e.latestTx {
-				tx = e.sched.DynamicSlot(ch, cycle, slotCounter, minislot, remaining, now)
-			}
+			tx := e.sched.DynamicSlot(ch, cycle, counter, minislot, remaining, now)
 			if tx == nil {
-				minislot++
-				slotCounter++
 				continue
 			}
 			need := cfg.MinislotsForFrame(tx.Duration)
-			if err := e.checkDynamicTx(tx, ch, need, remaining); err != nil {
+			if err := e.checkDynamicTx(tx, ch, counter, need, remaining); err != nil {
 				e.recordInvalid(tx, ch, now, err)
-				minislot++
-				slotCounter++
 				continue
 			}
 			e.transmit(tx, ch, now+cfg.MinislotActionPointOffset, "")
-			minislot += need
-			slotCounter++
+			extra += need - 1
 		}
 	}
 }
 
-func (e *engine) checkDynamicTx(tx *Transmission, ch frame.Channel, need, remaining int) error {
+func (e *engine) checkDynamicTx(tx *Transmission, ch frame.Channel, slotCounter, need, remaining int) error {
 	if err := tx.validate(e.env); err != nil {
 		return err
+	}
+	if id := tx.Instance.Msg.ID; id != slotCounter {
+		return fmt.Errorf("%w: frame %d in dynamic slot %d", ErrBadTransmission, id, slotCounter)
 	}
 	if need > remaining {
 		return fmt.Errorf("%w: needs %d minislots, %d remain", ErrBadTransmission, need, remaining)

@@ -236,6 +236,12 @@ func TestOptionValidation(t *testing.T) {
 		{"negative drift", func(o *sim.Options) { o.Timing = &sim.TimingOptions{DriftPPM: -1} }},
 		{"NaN drift", func(o *sim.Options) { o.Timing = &sim.TimingOptions{DriftPPM: math.NaN()} }},
 		{"infinite drift", func(o *sim.Options) { o.Timing = &sim.TimingOptions{DriftPPM: math.Inf(1)} }},
+		// Beyond ±1e6 ppm a clock runs backwards or faster than double
+		// speed; far beyond it the per-cycle drift left int64's range and
+		// the run went on with a wrapped or zero drift.
+		{"drift 1e7", func(o *sim.Options) { o.Timing = &sim.TimingOptions{DriftPPM: 1e7} }},
+		{"drift 1e20", func(o *sim.Options) { o.Timing = &sim.TimingOptions{DriftPPM: 1e20} }},
+		{"drift 1e300", func(o *sim.Options) { o.Timing = &sim.TimingOptions{DriftPPM: 1e300} }},
 		{"negative bit rate", func(o *sim.Options) { o.BitRate = -5 }},
 		{"negative sync jitter", func(o *sim.Options) { o.Timing = &sim.TimingOptions{JitterMicroticks: -1} }},
 	}
@@ -249,6 +255,13 @@ func TestOptionValidation(t *testing.T) {
 			}
 		})
 	}
+	t.Run("drift 1e6 accepted", func(t *testing.T) {
+		o := base
+		o.Timing = &sim.TimingOptions{DriftPPM: 1e6}
+		if _, err := sim.Run(o, fspec.New(fspec.Options{})); err != nil {
+			t.Fatalf("Run = %v, want the largest drift bound accepted", err)
+		}
+	})
 }
 
 func TestDynamicFrameIDInsideStaticRangeRejected(t *testing.T) {
@@ -427,7 +440,7 @@ func (b *brokenScheduler) CycleStart(int64, timebase.Macrotick) {}
 
 func (b *brokenScheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now timebase.Macrotick) *sim.Transmission {
 	m := b.env.StaticMsg(slot)
-	if m == nil {
+	if m == nil || b.mode == 3 {
 		return nil
 	}
 	in := b.env.ECU(m.Node).PeekStatic(slot, now)
@@ -450,6 +463,19 @@ func (b *brokenScheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _,
 	if m == nil {
 		return nil
 	}
+	if b.mode == 3 {
+		// mixedWorkload's dynamic frames 20 and 25 each claim the other's
+		// slot, with a duration that fits.
+		other := b.env.DynamicMsg(20)
+		if slotCounter == 20 {
+			other = b.env.DynamicMsg(25)
+		}
+		in := b.env.ECU(other.Node).PeekDynamicFor(other.ID, now)
+		if in == nil {
+			return nil
+		}
+		return &sim.Transmission{Instance: in, Channel: ch, Duration: b.env.FrameDuration(other)}
+	}
 	in := b.env.ECU(m.Node).PeekDynamicFor(slotCounter, now)
 	if in == nil {
 		return nil
@@ -465,7 +491,7 @@ func (b *brokenScheduler) InstanceDropped(*node.Instance, timebase.Macrotick) {}
 // The engine must reject protocol-violating transmissions without
 // panicking, recording them as invalid drops in the trace.
 func TestEngineRejectsProtocolViolations(t *testing.T) {
-	for mode := 0; mode < 3; mode++ {
+	for mode := 0; mode < 4; mode++ {
 		rec := trace.New()
 		res, err := sim.Run(sim.Options{
 			Config:   testConfig(),
@@ -488,6 +514,15 @@ func TestEngineRejectsProtocolViolations(t *testing.T) {
 		if mode != 1 && res.Report.Delivered[metrics.Static] != 0 {
 			t.Errorf("mode %d: %d deliveries from invalid transmissions",
 				mode, res.Report.Delivered[metrics.Static])
+		}
+		// A dynamic frame goes out only in the slot its ID names.
+		if mode == 3 {
+			if got := res.Report.Delivered[metrics.Dynamic]; got != 0 {
+				t.Errorf("mode 3: %d dynamic frames delivered in another frame's slot", got)
+			}
+			if !strings.Contains(invalid[0].Detail, "in dynamic slot") {
+				t.Errorf("mode 3: invalid drop %q does not name the slot", invalid[0].Detail)
+			}
 		}
 	}
 }

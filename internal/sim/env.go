@@ -23,7 +23,8 @@ import (
 var (
 	// ErrBadTransmission is returned when a scheduler returns a
 	// transmission that violates protocol constraints (frame too long for
-	// the slot, node not attached to the channel, FTDMA window exceeded).
+	// the slot, node not attached to the channel, FTDMA window exceeded,
+	// dynamic frame outside its own slot).
 	ErrBadTransmission = errors.New("sim: invalid transmission")
 	// ErrBadOptions is returned for inconsistent run options.
 	ErrBadOptions = errors.New("sim: invalid options")
@@ -281,7 +282,7 @@ func (tx *Transmission) validate(env *Env) error {
 // invoked at a time; implementations need no locking.
 //
 // Call order within a cycle: CycleStart; then for each static slot, channel
-// A's StaticSlot (and its Result) before channel B's; then the full dynamic
+// A's StaticSlot (and its Result) before channel B's; then the dynamic
 // FTDMA walk of channel A followed by channel B's.  Schedulers may rely on
 // this ordering, e.g. to duplicate a static frame on channel B.
 type Scheduler interface {
@@ -299,7 +300,12 @@ type Scheduler interface {
 	// slot counter is `slotCounter`, the current minislot index is
 	// `minislot` (1-based) and `remaining` minislots are left in the
 	// segment.  Return the transmission for this dynamic slot or nil to
-	// let the slot pass in one minislot.
+	// let the slot pass in one minislot.  A dynamic frame may start only
+	// in the slot whose counter equals its frame ID, so the engine
+	// consults the scheduler only at slot counters that own a dynamic
+	// message, and only up to pLatestTx; every other counter passes in one
+	// minislot without a call.  A transmission of another frame ID is
+	// rejected as invalid.
 	DynamicSlot(ch frame.Channel, cycle int64, slotCounter, minislot, remaining int, now timebase.Macrotick) *Transmission
 	// Result reports the outcome of a transmission: ok is false when a
 	// transient fault corrupted the frame.  now is the wire end time.

@@ -168,6 +168,27 @@ func (r *releaser) enqueueBatch() int64 {
 	return total
 }
 
+// releaseBound returns, per segment kind, an upper bound on the instances
+// a run releases: the batch size per message, or in a streaming run of
+// endCycle cycles every stream's releases at its earliest phase.  It
+// depends on neither the seed nor the sporadic phases, so every replica
+// of a compiled run gets the same bound.
+func (r *releaser) releaseBound(endCycle int64) (static, dynamic int) {
+	horizon := timebase.Macrotick(endCycle) * r.opts.Config.MacroPerCycle
+	for _, s := range r.streams {
+		n := r.opts.BatchInstances
+		if r.opts.Mode == Streaming {
+			n = int((horizon + s.period - 1) / s.period)
+		}
+		if s.msg.Kind == signal.Periodic {
+			static += n
+		} else {
+			dynamic += n
+		}
+	}
+	return static, dynamic
+}
+
 func (r *releaser) release(s *stream, rel, deadline timebase.Macrotick) {
 	in := r.arena.new()
 	*in = node.Instance{

@@ -24,7 +24,7 @@ import (
 type TimingOptions struct {
 	// DriftPPM bounds each node's oscillator error: per-node drift is
 	// drawn uniformly in ±DriftPPM from the run seed (scenario drift
-	// steps override it per node).
+	// steps override it per node).  At most clocksync.MaxDriftPPM.
 	DriftPPM float64
 	// JitterMicroticks bounds the ± measurement noise of sync-frame
 	// deviation measurements (0 = noise-free measurements).
@@ -44,6 +44,9 @@ func (t *TimingOptions) validate() error {
 	}
 	if t.DriftPPM < 0 {
 		return fmt.Errorf("%w: negative DriftPPM %g", ErrBadOptions, t.DriftPPM)
+	}
+	if t.DriftPPM > clocksync.MaxDriftPPM {
+		return fmt.Errorf("%w: DriftPPM %g exceeds %g", ErrBadOptions, t.DriftPPM, clocksync.MaxDriftPPM)
 	}
 	if t.JitterMicroticks < 0 {
 		return fmt.Errorf("%w: negative JitterMicroticks %d", ErrBadOptions, t.JitterMicroticks)
