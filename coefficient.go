@@ -115,9 +115,6 @@ type (
 	CountingTraceSink = trace.CountingSink
 	// NullTraceSink discards every event.
 	NullTraceSink = trace.NullSink
-	// SyncTraceSink serializes concurrent Record calls onto a shared
-	// sink.
-	SyncTraceSink = trace.SyncSink
 	// FaultInjector decides which transmissions are corrupted.
 	FaultInjector = fault.Injector
 	// FaultStats summarizes an injector's history.
@@ -261,9 +258,6 @@ func Simulate(opts SimOptions, sched Scheduler) (SimResult, error) { return sim.
 
 // NewTraceRecorder returns an enabled bus trace recorder.
 func NewTraceRecorder() *TraceRecorder { return trace.New() }
-
-// NewSyncTraceSink wraps dst so several goroutines can share it.
-func NewSyncTraceSink(dst TraceSink) *SyncTraceSink { return trace.NewSync(dst) }
 
 // NewBERInjector returns a deterministic transient-fault injector for the
 // given bit error rate and seed.

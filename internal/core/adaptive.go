@@ -115,10 +115,8 @@ func (s *Scheduler) adaptTick(now timebase.Macrotick) {
 	if s.ctl == nil {
 		return
 	}
-	if g := s.env.Gauges; g != nil {
-		g.SetFER("A", s.ctl.FER(frame.ChannelA))
-		g.SetFER("B", s.ctl.FER(frame.ChannelB))
-	}
+	s.env.Gauges.SetFER("A", s.ctl.FER(frame.ChannelA))
+	s.env.Gauges.SetFER("B", s.ctl.FER(frame.ChannelB))
 	for _, ch := range adaptChannels {
 		if s.ctl.Suspect(ch) {
 			s.probeCycles[probeIdx(ch)]++
@@ -326,7 +324,7 @@ func sortedIDs(set map[int]bool) []int {
 // the B copy delivers it within the same slot.
 func (s *Scheduler) failoverStatic(slot int, now timebase.Macrotick) *sim.Transmission {
 	m := s.env.StaticMsg(slot)
-	if m == nil || !s.env.Attached(m.Node, frame.ChannelB) {
+	if m == nil {
 		return nil
 	}
 	ecu := s.env.ECU(m.Node)

@@ -398,7 +398,7 @@ func (s *Scheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now timebase
 	}
 
 	// Channel A: the owner first.
-	if m := s.env.StaticMsg(slot); m != nil && s.env.Attached(m.Node, ch) {
+	if m := s.env.StaticMsg(slot); m != nil {
 		ecu := s.env.ECU(m.Node)
 		if in := ecu.PeekStatic(slot, now); in != nil {
 			s.maybeSpawnCopies(in)
@@ -440,9 +440,6 @@ func (s *Scheduler) stealRetx(ch frame.Channel, now timebase.Macrotick) *sim.Tra
 	}
 	capacity := s.env.Cfg.StaticSlotLen
 	for _, j := range s.retx.items() {
-		if !s.env.Attached(j.in.Msg.Node, ch) {
-			continue
-		}
 		fits := j.duration <= capacity &&
 			(j.deadline == node.NoDeadline || now+j.duration <= j.deadline)
 		if fits {
@@ -484,7 +481,7 @@ func (s *Scheduler) stealSoft(ch frame.Channel, now timebase.Macrotick) *sim.Tra
 			continue
 		}
 		in := ecu.PeekDynamicAny(now)
-		if in == nil || !s.env.Attached(in.Msg.Node, ch) {
+		if in == nil {
 			continue
 		}
 		if s.isShed(in.Msg.ID) {
@@ -537,7 +534,7 @@ func (s *Scheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _, remai
 		return nil
 	}
 	m := s.env.DynamicMsg(slotCounter)
-	if m == nil || !s.env.Attached(m.Node, ch) {
+	if m == nil {
 		return nil
 	}
 	if s.isShed(slotCounter) {

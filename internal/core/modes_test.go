@@ -163,11 +163,9 @@ func TestSelectiveSlackSkipsOversizedFrames(t *testing.T) {
 	// The big frame exceeds a static slot: it must never appear as a
 	// stolen static transmission.  The engine would record an invalid
 	// drop; deliveries prove it used the dynamic segment instead.
-	env := &sim.Env{Cfg: testConfig(), BitRate: 10_000_000}
-	big := &set.Messages[1]
-	if env.FitsStaticSlot(big) {
-		t.Fatalf("test premise broken: big frame fits a static slot (%d MT)",
-			env.FrameDuration(big))
+	cfg := testConfig()
+	if d := frame.Duration(set.Messages[1].Bytes(), frame.DefaultBitRate, cfg); d <= cfg.StaticSlotLen {
+		t.Fatalf("test premise broken: big frame fits a static slot (%d MT)", d)
 	}
 	// Head-of-line blocking hurts the small message's latency.
 	if selRes.Report.MeanLatency[metrics.Dynamic] > blkRes.Report.MeanLatency[metrics.Dynamic] {

@@ -137,9 +137,6 @@ func (s *Scheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now timebase
 	if m == nil {
 		return nil
 	}
-	if !s.env.Attached(m.Node, ch) {
-		return nil
-	}
 	ecu := s.env.ECU(m.Node)
 	if ch == frame.ChannelA {
 		in := s.pickStatic(ecu, slot, now)
@@ -178,9 +175,6 @@ func (s *Scheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _, remai
 		return nil
 	}
 	if s.env.MinislotsFor(m) > remaining {
-		return nil
-	}
-	if !s.env.Attached(m.Node, ch) {
 		return nil
 	}
 	ecu := s.env.ECU(m.Node)

@@ -131,43 +131,38 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
+// determinismScope lists the packages bound by the determinism contract
+// (the simulation/experiment pipeline), which mapiter and wallclock both
+// guard.  The durability layer (internal/serve/journal) is listed
+// explicitly: suffix matching does not descend into subpackages, and
+// journal replay must be a pure function of the bytes on disk — no
+// wall-clock reads, no map-order leaks into record sequences.  The chaos
+// harness (internal/serve/chaostest) is listed for the same reason: its
+// fault draws come from a seeded stream, so a failing chaos run replays.
+// internal/corpus is in scope for the same reason: corpus generation and
+// the golden store must be pure functions of the corpus seed.  The
+// packages after internal/corpus run inside every simulated cycle, like
+// internal/core (internal/reliability in every adaptive replan).
+var determinismScope = []string{
+	"internal/sim", "internal/runner",
+	"internal/experiment", "internal/scenario", "internal/fault",
+	"internal/core", "internal/serve", "internal/serve/journal",
+	"internal/serve/chaostest",
+	"internal/corpus", "internal/adapt", "internal/node",
+	"internal/fspec", "internal/clocksync", "internal/metrics",
+	"internal/trace", "internal/frame", "internal/timebase",
+	"internal/signal", "internal/topology", "internal/reliability",
+}
+
 // criticalScope maps an analyzer name to the import-path suffixes of the
 // packages it applies to.  An empty entry (or a missing one) means the
 // analyzer runs everywhere.  mapiter and wallclock guard the determinism
-// contract, which binds the simulation/experiment pipeline; errdrop is a
-// correctness property of the whole repository; goroutineleak is scoped
-// to the packages that are allowed to start goroutines at all.
+// contract (determinismScope); errdrop is a correctness property of the
+// whole repository; goroutineleak is scoped to the packages that are
+// allowed to start goroutines at all.
 var criticalScope = map[string][]string{
-	"mapiter": {
-		"internal/sim", "internal/runner",
-		"internal/experiment", "internal/scenario", "internal/fault",
-		"internal/core", "internal/serve", "internal/serve/journal",
-		"internal/serve/chaostest",
-		"internal/corpus", "internal/adapt", "internal/node",
-		"internal/fspec", "internal/clocksync", "internal/metrics",
-		"internal/trace", "internal/frame", "internal/timebase",
-		"internal/signal", "internal/topology", "internal/reliability",
-	},
-	// The durability layer (internal/serve/journal) is listed explicitly:
-	// suffix matching does not descend into subpackages, and journal
-	// replay must be a pure function of the bytes on disk — no wall-clock
-	// reads, no map-order leaks into record sequences.  The chaos harness
-	// (internal/serve/chaostest) is listed for the same reason: its fault
-	// draws come from a seeded stream, so a failing chaos run replays.  internal/corpus
-	// is in scope for the same reason: corpus generation and the golden
-	// store must be pure functions of the corpus seed.  The packages
-	// after internal/corpus run inside every simulated cycle, like
-	// internal/core (internal/reliability in every adaptive replan).
-	"wallclock": {
-		"internal/sim", "internal/runner",
-		"internal/experiment", "internal/scenario", "internal/fault",
-		"internal/core", "internal/serve", "internal/serve/journal",
-		"internal/serve/chaostest",
-		"internal/corpus", "internal/adapt", "internal/node",
-		"internal/fspec", "internal/clocksync", "internal/metrics",
-		"internal/trace", "internal/frame", "internal/timebase",
-		"internal/signal", "internal/topology", "internal/reliability",
-	},
+	"mapiter":       determinismScope,
+	"wallclock":     determinismScope,
 	"goroutineleak": {"internal/runner", "internal/sim", "internal/serve", "internal/serve/journal"},
 	"errdrop":       nil, // whole repository
 	// hotpath only fires inside functions that opt in with a

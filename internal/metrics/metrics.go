@@ -57,23 +57,12 @@ func (s *Series) Reset() {
 	s.max = 0
 }
 
-// N returns the number of samples.
-func (s *Series) N() int { return len(s.samples) }
-
 // Mean returns the arithmetic mean, or 0 for an empty series.
 func (s *Series) Mean() float64 {
 	if len(s.samples) == 0 {
 		return 0
 	}
 	return s.sum / float64(len(s.samples))
-}
-
-// Min returns the smallest sample, or 0 for an empty series.
-func (s *Series) Min() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return slices.Min(s.samples)
 }
 
 // Max returns the largest sample, or 0 for an empty series.
@@ -94,22 +83,6 @@ func (s *Series) Percentile(p float64) float64 {
 		rank = 1
 	}
 	return selectNth(s.samples, rank-1)
-}
-
-// StdDev returns the population standard deviation, or 0 for fewer than two
-// samples.
-func (s *Series) StdDev() float64 {
-	n := len(s.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, v := range s.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 // selectNth reorders x so that x[k] holds the value sorting x would put
@@ -251,25 +224,16 @@ type AdaptiveGauges struct {
 
 // Replan counts one runtime replan.
 func (g *AdaptiveGauges) Replan() {
-	if g == nil {
-		return
-	}
 	g.Replans++
 }
 
 // Failover counts one failover activation.
 func (g *AdaptiveGauges) Failover() {
-	if g == nil {
-		return
-	}
 	g.Failovers++
 }
 
 // Shed counts n messages shed (n < 0 counts -n messages restored).
 func (g *AdaptiveGauges) Shed(n int) {
-	if g == nil {
-		return
-	}
 	if n >= 0 {
 		g.ShedMessages += int64(n)
 	} else {
@@ -279,9 +243,6 @@ func (g *AdaptiveGauges) Shed(n int) {
 
 // SetFER records the estimator's frame-error-rate reading for a channel.
 func (g *AdaptiveGauges) SetFER(channel string, fer float64) {
-	if g == nil {
-		return
-	}
 	if g.ObservedFER == nil {
 		g.ObservedFER = make(map[string]float64, 2)
 	}
@@ -334,18 +295,12 @@ type SyncGauges struct {
 
 // SyncFrame counts n sync-frame deviation measurements.
 func (g *SyncGauges) SyncFrame(n int) {
-	if g == nil {
-		return
-	}
 	g.SyncFrames += int64(n)
 }
 
 // Correction records one applied offset correction of the given magnitude
 // in macroticks.
 func (g *SyncGauges) Correction(magnitudeMT float64) {
-	if g == nil {
-		return
-	}
 	g.Corrections++
 	if magnitudeMT < 0 {
 		magnitudeMT = -magnitudeMT
@@ -357,9 +312,6 @@ func (g *SyncGauges) Correction(magnitudeMT float64) {
 
 // ObserveOffset records an inter-node clock offset reading in macroticks.
 func (g *SyncGauges) ObserveOffset(offsetMT float64) {
-	if g == nil {
-		return
-	}
 	if offsetMT < 0 {
 		offsetMT = -offsetMT
 	}
@@ -370,41 +322,26 @@ func (g *SyncGauges) ObserveOffset(offsetMT float64) {
 
 // GuardianBlock counts one bus-guardian veto.
 func (g *SyncGauges) GuardianBlock() {
-	if g == nil {
-		return
-	}
 	g.GuardianBlocks++
 }
 
 // SyncLoss counts one precision-bound violation.
 func (g *SyncGauges) SyncLoss() {
-	if g == nil {
-		return
-	}
 	g.SyncLossEvents++
 }
 
 // Passive counts one demotion to normal-passive.
 func (g *SyncGauges) Passive() {
-	if g == nil {
-		return
-	}
 	g.PassiveTransitions++
 }
 
 // Halt counts one transition to the halt state.
 func (g *SyncGauges) Halt() {
-	if g == nil {
-		return
-	}
 	g.Halts++
 }
 
 // Reintegration counts one halted node rejoining the cluster.
 func (g *SyncGauges) Reintegration() {
-	if g == nil {
-		return
-	}
 	g.Reintegrations++
 }
 
@@ -453,14 +390,9 @@ func (c *Collector) Reset() {
 	c.sync = SyncGauges{}
 }
 
-// Delivered records a successful delivery: release-to-completion latency and
-// whether the deadline was met.
-func (c *Collector) Delivered(kind SegmentKind, release, completion, deadline timebase.Macrotick) {
-	c.DeliveredFrame(kind, 0, release, completion, deadline)
-}
-
-// DeliveredFrame is Delivered with per-frame-ID latency attribution
-// (frameID 0 skips the per-frame series).
+// DeliveredFrame records a successful delivery: release-to-completion
+// latency, whether the deadline was met, and per-frame-ID latency
+// attribution (frameID 0 skips the per-frame series).
 func (c *Collector) DeliveredFrame(kind SegmentKind, frameID int, release, completion, deadline timebase.Macrotick) {
 	c.latency[kind].Add(float64(completion - release))
 	if frameID > 0 {

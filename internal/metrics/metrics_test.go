@@ -13,8 +13,7 @@ import (
 
 func TestSeriesEmpty(t *testing.T) {
 	var s Series
-	if s.N() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 ||
-		s.Percentile(50) != 0 || s.StdDev() != 0 {
+	if s.Mean() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
 		t.Error("empty series should report zeros")
 	}
 }
@@ -24,14 +23,11 @@ func TestSeriesStats(t *testing.T) {
 	for _, v := range []float64{4, 1, 3, 2, 5} {
 		s.Add(v)
 	}
-	if s.N() != 5 {
-		t.Errorf("N() = %d", s.N())
-	}
 	if s.Mean() != 3 {
 		t.Errorf("Mean() = %g, want 3", s.Mean())
 	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("Min/Max = %g/%g", s.Min(), s.Max())
+	if s.Max() != 5 {
+		t.Errorf("Max() = %g, want 5", s.Max())
 	}
 	if got := s.Percentile(50); got != 3 {
 		t.Errorf("P50 = %g, want 3", got)
@@ -41,10 +37,6 @@ func TestSeriesStats(t *testing.T) {
 	}
 	if got := s.Percentile(200); got != 5 {
 		t.Errorf("P200 = %g, want 5 (clamped)", got)
-	}
-	// Population stddev of 1..5 = sqrt(2).
-	if got := s.StdDev(); math.Abs(got-math.Sqrt2) > 1e-12 {
-		t.Errorf("StdDev() = %g, want sqrt(2)", got)
 	}
 }
 
@@ -60,7 +52,7 @@ func TestSeriesAddAfterQuery(t *testing.T) {
 	}
 }
 
-// Property: Min ≤ Percentile(p) ≤ Max, and percentiles are monotone in p.
+// Property: min ≤ Percentile(p) ≤ Max, and percentiles are monotone in p.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(vals []float64, p1, p2 uint8) bool {
 		if len(vals) == 0 {
@@ -79,7 +71,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 			a, b = b, a
 		}
 		pa, pb := s.Percentile(a), s.Percentile(b)
-		return s.Min() <= pa && pa <= pb && pb <= s.Max()
+		return slices.Min(vals) <= pa && pa <= pb && pb <= s.Max()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -123,9 +115,6 @@ func TestPercentileMatchesSortedNearestRank(t *testing.T) {
 				t.Fatalf("trial %d (n=%d): P%g = %g, sorted nearest rank %d = %g", trial, n, p, got, rank, want)
 			}
 		}
-		if got, want := s.Min(), sorted[0]; got != want {
-			t.Fatalf("trial %d: Min = %g, sorted min %g", trial, got, want)
-		}
 	}
 }
 
@@ -137,9 +126,9 @@ func testCollector() *Collector {
 func TestCollectorReport(t *testing.T) {
 	c := testCollector()
 	// Two static deliveries (one late), one dynamic, one dynamic drop.
-	c.Delivered(Static, 0, 500, 1000)
-	c.Delivered(Static, 100, 1500, 1200) // late
-	c.Delivered(Dynamic, 0, 2000, 50000)
+	c.DeliveredFrame(Static, 0, 0, 500, 1000)
+	c.DeliveredFrame(Static, 0, 100, 1500, 1200) // late
+	c.DeliveredFrame(Dynamic, 0, 0, 2000, 50000)
 	c.Dropped(Dynamic)
 	c.BusBusy(300)
 	c.ChannelTime(2000)
@@ -195,7 +184,7 @@ func TestPerFrameMean(t *testing.T) {
 	c.DeliveredFrame(Static, 3, 0, 100, 1000)
 	c.DeliveredFrame(Static, 3, 0, 300, 1000)
 	c.DeliveredFrame(Static, 7, 0, 500, 1000)
-	c.Delivered(Dynamic, 0, 50, 1000) // frame 0: not attributed
+	c.DeliveredFrame(Dynamic, 0, 0, 50, 1000) // frame 0: not attributed
 	r := c.Report()
 	if got := r.PerFrameMean[3]; got != 200*time.Microsecond {
 		t.Errorf("PerFrameMean[3] = %v, want 200µs", got)

@@ -15,12 +15,12 @@ import (
 
 // Compiled is the immutable, replica-independent half of a simulation:
 // validated options with defaults applied, the compiled dispatch tables
-// (slot→message, per-message wire timing, channel attachment) and the
-// resolved pLatestTx — everything that depends only on (config, cluster,
-// workload), not on the seed.  Build it once with Compile, then derive
-// any number of RunStates from it; a Compiled is safe for concurrent use
-// by NewState on multiple goroutines because every field is read-only
-// after Compile returns.
+// (slot→message, per-message wire timing) and the resolved pLatestTx —
+// everything that depends only on (config, cluster, workload), not on
+// the seed.  Build it once with Compile, then derive any number of
+// RunStates from it; a Compiled is safe for concurrent use by NewState
+// on multiple goroutines because every field is read-only after Compile
+// returns.
 type Compiled struct {
 	opts Options
 	// tables is an environment without ECUs: the dispatch tables every
@@ -60,11 +60,10 @@ func Compile(opts Options) (*Compiled, error) {
 
 	cfg := opts.Config
 	env := &Env{
-		Cfg:     cfg,
-		BitRate: opts.BitRate,
-		Set:     opts.Workload,
-		Cluster: opts.Cluster,
+		Cfg: cfg,
+		Set: opts.Workload,
 	}
+	env.compile(opts.BitRate)
 	staticByNode := make(map[int][]int)
 	var maxDyn timebase.Macrotick
 	for i := range opts.Workload.Messages {
@@ -76,7 +75,7 @@ func Compile(opts Options) (*Compiled, error) {
 		switch m.Kind {
 		case signal.Periodic:
 			staticByNode[m.Node] = append(staticByNode[m.Node], m.ID)
-			if !env.FitsStaticSlot(m) {
+			if env.FrameDuration(m) > cfg.StaticSlotLen {
 				return nil, fmt.Errorf("%w: static message %q (%d bits) does not fit a %d-macrotick slot at %d bit/s",
 					ErrBadOptions, m.Name, m.Bits, cfg.StaticSlotLen, opts.BitRate)
 			}
@@ -90,7 +89,6 @@ func Compile(opts Options) (*Compiled, error) {
 	if env.LatestTx == 0 {
 		env.LatestTx = cfg.DeriveLatestTx(maxDyn)
 	}
-	env.compile()
 	return &Compiled{opts: opts, tables: env, staticByNode: staticByNode}, nil
 }
 
@@ -152,7 +150,11 @@ type RunState struct {
 func (c *Compiled) NewState(sched Scheduler) (*RunState, error) {
 	env := new(Env)
 	*env = *c.tables
-	env.ecuByID = make([]*node.ECU, len(c.tables.attachedA))
+	maxNode := 0
+	for _, n := range c.opts.Cluster.Nodes {
+		maxNode = max(maxNode, n.ID)
+	}
+	env.ecuByID = make([]*node.ECU, maxNode+1)
 	for _, n := range c.opts.Cluster.Nodes {
 		env.ecuByID[n.ID] = node.NewECU(n.ID, c.staticByNode[n.ID])
 	}

@@ -27,7 +27,7 @@ func (s *spinScheduler) CycleStart(int64, timebase.Macrotick) {}
 
 func (s *spinScheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now timebase.Macrotick) *Transmission {
 	m := s.env.StaticMsg(slot)
-	if m == nil || !s.env.Attached(m.Node, ch) {
+	if m == nil {
 		return nil
 	}
 	in := s.env.ECU(m.Node).PeekStaticBlind(slot, now, 1<<30)
@@ -40,7 +40,7 @@ func (s *spinScheduler) StaticSlot(ch frame.Channel, _ int64, slot int, now time
 
 func (s *spinScheduler) DynamicSlot(ch frame.Channel, _ int64, slotCounter, _, remaining int, now timebase.Macrotick) *Transmission {
 	m := s.env.DynamicMsg(slotCounter)
-	if m == nil || !s.env.Attached(m.Node, ch) {
+	if m == nil {
 		return nil
 	}
 	if s.env.MinislotsFor(m) > remaining {

@@ -37,7 +37,8 @@ const (
 type Options struct {
 	// Config is the cluster timing configuration.
 	Config timebase.Config
-	// Cluster is the topology (defaults to a 10-node dual-channel bus).
+	// Cluster is the topology.  It defaults to a dual-channel bus of
+	// nodes 0 up to the workload's highest message node.
 	Cluster topology.Cluster
 	// Workload is the validated message set.
 	Workload signal.Set
@@ -321,7 +322,7 @@ func (e *engine) runStaticSegment(cycle int64) {
 			if tx == nil {
 				continue
 			}
-			if err := e.checkStaticTx(tx, ch); err != nil {
+			if err := e.checkStaticTx(tx); err != nil {
 				// Protocol violation by the scheduler is a
 				// programming error; drop the transmission and
 				// record it so tests catch it.
@@ -351,17 +352,13 @@ func (e *engine) runStaticSegment(cycle int64) {
 	}
 }
 
-func (e *engine) checkStaticTx(tx *Transmission, ch frame.Channel) error {
+func (e *engine) checkStaticTx(tx *Transmission) error {
 	if err := tx.validate(e.env); err != nil {
 		return err
 	}
 	if tx.Duration > e.opts.Config.StaticSlotLen {
 		return fmt.Errorf("%w: frame %d macroticks exceeds static slot %d",
 			ErrBadTransmission, tx.Duration, e.opts.Config.StaticSlotLen)
-	}
-	if !e.env.Attached(tx.Instance.Msg.Node, ch) {
-		return fmt.Errorf("%w: node %d not attached to channel %v",
-			ErrBadTransmission, tx.Instance.Msg.Node, ch)
 	}
 	return nil
 }
@@ -399,7 +396,7 @@ func (e *engine) runDynamicSegment(cycle int64) {
 				continue
 			}
 			need := cfg.MinislotsForFrame(tx.Duration)
-			if err := e.checkDynamicTx(tx, ch, counter, need, remaining); err != nil {
+			if err := e.checkDynamicTx(tx, counter, need, remaining); err != nil {
 				e.recordInvalid(tx, ch, now, err)
 				continue
 			}
@@ -409,7 +406,7 @@ func (e *engine) runDynamicSegment(cycle int64) {
 	}
 }
 
-func (e *engine) checkDynamicTx(tx *Transmission, ch frame.Channel, slotCounter, need, remaining int) error {
+func (e *engine) checkDynamicTx(tx *Transmission, slotCounter, need, remaining int) error {
 	if err := tx.validate(e.env); err != nil {
 		return err
 	}
@@ -418,10 +415,6 @@ func (e *engine) checkDynamicTx(tx *Transmission, ch frame.Channel, slotCounter,
 	}
 	if need > remaining {
 		return fmt.Errorf("%w: needs %d minislots, %d remain", ErrBadTransmission, need, remaining)
-	}
-	if !e.env.Attached(tx.Instance.Msg.Node, ch) {
-		return fmt.Errorf("%w: node %d not attached to channel %v",
-			ErrBadTransmission, tx.Instance.Msg.Node, ch)
 	}
 	return nil
 }

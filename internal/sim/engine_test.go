@@ -312,50 +312,6 @@ func TestDynamicLatencyBoundedFaultFree(t *testing.T) {
 	}
 }
 
-func TestPartialTopologyNoInvalidTransmissions(t *testing.T) {
-	cluster := topology.Cluster{
-		Name: "partial",
-		Nodes: []topology.Node{
-			{ID: 0, Name: "a-only", ChannelA: true},
-			{ID: 1, Name: "dual-1", ChannelA: true, ChannelB: true},
-			{ID: 2, Name: "dual-2", ChannelA: true, ChannelB: true},
-			{ID: 3, Name: "dual-3", ChannelA: true, ChannelB: true},
-			{ID: 4, Name: "dual-4", ChannelA: true, ChannelB: true},
-		},
-	}
-	rec := trace.New()
-	res, err := sim.Run(sim.Options{
-		Config:   testConfig(),
-		Cluster:  cluster,
-		Workload: mixedWorkload(),
-		Mode:     sim.Streaming,
-		Duration: 50 * time.Millisecond,
-		Seed:     1,
-		Sink:     rec,
-	}, fspec.New(fspec.Options{Copies: 2}))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Report.Delivered[metrics.Static] == 0 {
-		t.Fatal("nothing delivered on partial topology")
-	}
-	invalid := rec.Filter(func(e trace.Event) bool {
-		return e.Kind == trace.EventDrop && strings.HasPrefix(e.Detail, "invalid")
-	})
-	if len(invalid) != 0 {
-		t.Errorf("%d invalid transmissions recorded, first: %+v", len(invalid), invalid[0])
-	}
-	// Node 0 owns frame 1 and is not attached to channel B: every frame-1
-	// transmission must be on channel A.
-	for _, ev := range rec.Filter(func(e trace.Event) bool {
-		return e.Kind == trace.EventTxStart && e.FrameID == 1
-	}) {
-		if ev.Channel != frame.ChannelA {
-			t.Fatalf("frame 1 transmitted on channel %v by B-unattached node", ev.Channel)
-		}
-	}
-}
-
 func TestPermanentNodeFailure(t *testing.T) {
 	// Node 2 (owner of s5, the 1ms-period message) dies at 20ms.
 	res, err := sim.Run(sim.Options{
@@ -524,27 +480,6 @@ func TestEngineRejectsProtocolViolations(t *testing.T) {
 				t.Errorf("mode 3: invalid drop %q does not name the slot", invalid[0].Detail)
 			}
 		}
-	}
-}
-
-func TestOwnerOfStaticSlot(t *testing.T) {
-	var captured *sim.Env
-	sched := fspec.New(fspec.Options{})
-	_, err := sim.Run(sim.Options{
-		Config:   testConfig(),
-		Workload: mixedWorkload(),
-		Mode:     sim.Streaming,
-		Duration: time.Millisecond,
-		Seed:     1,
-	}, &envCapture{inner: sched, out: &captured})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if owner := captured.OwnerOfStaticSlot(1); owner == nil || owner.ID != 0 {
-		t.Errorf("OwnerOfStaticSlot(1) = %+v, want node 0", owner)
-	}
-	if owner := captured.OwnerOfStaticSlot(9); owner != nil {
-		t.Errorf("OwnerOfStaticSlot(unassigned) = %+v", owner)
 	}
 }
 

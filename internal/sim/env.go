@@ -15,7 +15,6 @@ import (
 	"github.com/flexray-go/coefficient/internal/node"
 	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/timebase"
-	"github.com/flexray-go/coefficient/internal/topology"
 	"github.com/flexray-go/coefficient/internal/trace"
 )
 
@@ -23,8 +22,8 @@ import (
 var (
 	// ErrBadTransmission is returned when a scheduler returns a
 	// transmission that violates protocol constraints (frame too long for
-	// the slot, node not attached to the channel, FTDMA window exceeded,
-	// dynamic frame outside its own slot).
+	// the slot, FTDMA window exceeded, dynamic frame outside its own
+	// slot).
 	ErrBadTransmission = errors.New("sim: invalid transmission")
 	// ErrBadOptions is returned for inconsistent run options.
 	ErrBadOptions = errors.New("sim: invalid options")
@@ -34,30 +33,24 @@ var (
 
 // Env is the read-mostly world handed to a Scheduler at Init: cluster
 // timing, the workload, the ECUs with their CHI buffers, and frame timing
-// helpers.  Schedulers reach messages and ECUs through the accessors
-// (StaticMsg, DynamicMsg, ECU, OrderedECUs) and manipulate the ECU queues
-// directly (peek, remove) — the engine owns time, the wire, fault
-// injection and bookkeeping.
+// helpers.  Only Compile and NewState build one, and every node of the
+// cluster sits on both channels.  Schedulers reach messages and ECUs
+// through the accessors (StaticMsg, DynamicMsg, ECU, OrderedECUs) and
+// manipulate the ECU queues directly (peek, remove) — the engine owns
+// time, the wire, fault injection and bookkeeping.
 type Env struct {
 	// Cfg is the cluster timing configuration.
 	Cfg timebase.Config
-	// BitRate is the bus speed in bits/s.
-	BitRate int64
 	// Set is the workload.
 	Set signal.Set
 	// LatestTx is the resolved pLatestTx for the dynamic segment.
 	LatestTx int
-	// Cluster is the validated topology; schedulers consult it before
-	// placing a frame on a channel the node may not be attached to.
-	Cluster topology.Cluster
 	// Trace is the run's event sink; schedulers may record policy events
-	// (replans, failovers, shedding).  The engine always installs a
-	// non-nil sink (NullSink when tracing is off), but hand-built Envs
-	// may leave it nil — record through Env.Record, which tolerates
-	// that.
+	// (replans, failovers, shedding) through Env.Record.  Reset installs
+	// it (NullSink when tracing is off) before the scheduler's Init runs.
 	Trace trace.Sink
 	// Gauges exposes the metrics collector's adaptive-controller gauges
-	// for schedulers to update.  Nil-safe via the gauge methods.
+	// for schedulers to update.
 	Gauges *metrics.AdaptiveGauges
 	// SyncLost reports whether the timing layer's most recent
 	// double-cycle check found the cluster out of sync: a node raised a
@@ -68,13 +61,8 @@ type Env struct {
 	SyncLost bool
 
 	// Dispatch tables, built once by Compile (ecuByID and ecuOrder by
-	// NewState) so the per-slot walk indexes slices.  All are nil on
-	// hand-built Envs, which therefore own no messages or ECUs.  msgByID
-	// guards the per-message caches: a fast path is taken only when the
-	// *signal.Message pointer matches the one the table was compiled
-	// from, so foreign Message values never read stale timing and fall
-	// back to computing it.
-	msgByID       []*signal.Message
+	// NewState) so the per-slot walk indexes slices.  The per-message
+	// tables are indexed by frame ID and cover every workload message.
 	staticBySlot  []*signal.Message
 	dynamicByID   []*signal.Message
 	ecuByID       []*node.ECU
@@ -82,35 +70,24 @@ type Env struct {
 	durByID       []timebase.Macrotick
 	minislotsByID []int
 	wireBitsByID  []int
-	attachedA     []bool
-	attachedB     []bool
 }
 
-// Record forwards an event to the trace sink, tolerating hand-built
-// environments that never installed one.
+// Record forwards an event to the trace sink.
 func (e *Env) Record(ev trace.Event) {
-	if e.Trace != nil {
-		e.Trace.Record(ev)
-	}
+	e.Trace.Record(ev)
 }
 
-// compile precomputes the slot→message, per-message timing and channel
-// attachment tables the cycle loop indexes.  Called once by Compile on a
-// validated workload and cluster; the node→ECU tables are per state
+// compile precomputes the slot→message and per-message timing tables the
+// cycle loop indexes, with frames timed at bitRate.  Called once by
+// Compile on a validated workload; the node→ECU tables are per state
 // (NewState).
-func (e *Env) compile() {
-	maxID, maxNode := e.Cfg.StaticSlots, 0
+func (e *Env) compile(bitRate int64) {
+	maxID := e.Cfg.StaticSlots
 	for i := range e.Set.Messages {
 		if id := e.Set.Messages[i].ID; id > maxID {
 			maxID = id
 		}
 	}
-	for _, n := range e.Cluster.Nodes {
-		if n.ID > maxNode {
-			maxNode = n.ID
-		}
-	}
-	e.msgByID = make([]*signal.Message, maxID+1)
 	e.staticBySlot = make([]*signal.Message, e.Cfg.StaticSlots+1)
 	e.dynamicByID = make([]*signal.Message, maxID+1)
 	e.durByID = make([]timebase.Macrotick, maxID+1)
@@ -118,41 +95,16 @@ func (e *Env) compile() {
 	e.wireBitsByID = make([]int, maxID+1)
 	for i := range e.Set.Messages {
 		m := &e.Set.Messages[i]
-		switch m.Kind {
-		case signal.Periodic:
-			if m.ID >= 0 && m.ID < len(e.staticBySlot) {
-				e.staticBySlot[m.ID] = m
-			}
-		case signal.Aperiodic:
-			if m.ID >= 0 && m.ID < len(e.dynamicByID) {
-				e.dynamicByID[m.ID] = m
-			}
+		if m.Kind == signal.Periodic {
+			e.staticBySlot[m.ID] = m
+		} else {
+			e.dynamicByID[m.ID] = m
 		}
-		e.compileMsg(m)
+		d := frame.Duration(m.Bytes(), bitRate, e.Cfg)
+		e.durByID[m.ID] = d
+		e.minislotsByID[m.ID] = e.Cfg.MinislotsForFrame(d)
+		e.wireBitsByID[m.ID] = frame.WireBits(m.Bytes())
 	}
-	e.attachedA = make([]bool, maxNode+1)
-	e.attachedB = make([]bool, maxNode+1)
-	for _, n := range e.Cluster.Nodes {
-		e.attachedA[n.ID] = n.Attached(frame.ChannelA)
-		e.attachedB[n.ID] = n.Attached(frame.ChannelB)
-	}
-}
-
-func (e *Env) compileMsg(m *signal.Message) {
-	if m == nil || m.ID < 0 || m.ID >= len(e.msgByID) {
-		return
-	}
-	e.msgByID[m.ID] = m
-	d := frame.Duration(m.Bytes(), e.BitRate, e.Cfg)
-	e.durByID[m.ID] = d
-	e.minislotsByID[m.ID] = e.Cfg.MinislotsForFrame(d)
-	e.wireBitsByID[m.ID] = frame.WireBits(m.Bytes())
-}
-
-// compiledFor reports whether the per-message caches were built from
-// exactly this message value.
-func (e *Env) compiledFor(m *signal.Message) bool {
-	return m != nil && m.ID >= 0 && m.ID < len(e.msgByID) && e.msgByID[m.ID] == m
 }
 
 // StaticMsg returns the message owning static slot `slot`, or nil.
@@ -181,10 +133,7 @@ func (e *Env) ECU(nodeID int) *node.ECU {
 
 // WireBits returns the wire image size of the message's frame in bits.
 func (e *Env) WireBits(m *signal.Message) int {
-	if e.compiledFor(m) {
-		return e.wireBitsByID[m.ID]
-	}
-	return frame.WireBits(m.Bytes())
+	return e.wireBitsByID[m.ID]
 }
 
 // OrderedECUs returns the ECUs in ascending node-ID order.  Every
@@ -195,50 +144,15 @@ func (e *Env) OrderedECUs() []*node.ECU {
 	return e.ecuOrder
 }
 
-// Attached reports whether the node is attached to the channel.
-func (e *Env) Attached(nodeID int, ch frame.Channel) bool {
-	if nodeID < 0 || nodeID >= len(e.attachedA) {
-		return false
-	}
-	switch ch {
-	case frame.ChannelA:
-		return e.attachedA[nodeID]
-	case frame.ChannelB:
-		return e.attachedB[nodeID]
-	}
-	return false
-}
-
 // FrameDuration returns the wire time of a message's frame in macroticks.
 func (e *Env) FrameDuration(m *signal.Message) timebase.Macrotick {
-	if e.compiledFor(m) {
-		return e.durByID[m.ID]
-	}
-	return frame.Duration(m.Bytes(), e.BitRate, e.Cfg)
-}
-
-// FitsStaticSlot reports whether the message's frame fits one static slot.
-func (e *Env) FitsStaticSlot(m *signal.Message) bool {
-	return e.FrameDuration(m) <= e.Cfg.StaticSlotLen
+	return e.durByID[m.ID]
 }
 
 // MinislotsFor returns the number of minislots a dynamic transmission of the
 // message consumes.
 func (e *Env) MinislotsFor(m *signal.Message) int {
-	if e.compiledFor(m) {
-		return e.minislotsByID[m.ID]
-	}
-	return e.Cfg.MinislotsForFrame(e.FrameDuration(m))
-}
-
-// OwnerOfStaticSlot returns the ECU owning static slot `slot` (= frame ID),
-// or nil when the slot is unassigned.
-func (e *Env) OwnerOfStaticSlot(slot int) *node.ECU {
-	m := e.StaticMsg(slot)
-	if m == nil {
-		return nil
-	}
-	return e.ECU(m.Node)
+	return e.minislotsByID[m.ID]
 }
 
 // Transmission is one frame a scheduler puts on a channel.

@@ -84,10 +84,8 @@ func TestWireInvariants(t *testing.T) {
 
 		// Frame durations per frame ID from the workload.
 		durations := make(map[int]timebase.Macrotick)
-		env := &sim.Env{Cfg: cfg, BitRate: frame.DefaultBitRate}
-		for i := range set.Messages {
-			m := &set.Messages[i]
-			durations[m.ID] = env.FrameDuration(m)
+		for _, m := range set.Messages {
+			durations[m.ID] = frame.Duration(m.Bytes(), frame.DefaultBitRate, cfg)
 		}
 		spans := collectSpans(t, rec, cfg, func(id int) timebase.Macrotick {
 			return durations[id]
@@ -211,10 +209,8 @@ func TestWireInvariantsRandomWorkloads(t *testing.T) {
 				t.Fatalf("trial %d (%s): %v", trial, sched.Name(), err)
 			}
 			durations := make(map[int]timebase.Macrotick)
-			env := &sim.Env{Cfg: cfg, BitRate: frame.DefaultBitRate}
-			for i := range set.Messages {
-				m := &set.Messages[i]
-				durations[m.ID] = env.FrameDuration(m)
+			for _, m := range set.Messages {
+				durations[m.ID] = frame.Duration(m.Bytes(), frame.DefaultBitRate, cfg)
 			}
 			spans := collectSpans(t, rec, cfg, func(id int) timebase.Macrotick {
 				return durations[id]

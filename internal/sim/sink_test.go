@@ -10,7 +10,6 @@ import (
 	"github.com/flexray-go/coefficient/internal/core"
 	"github.com/flexray-go/coefficient/internal/fault"
 	"github.com/flexray-go/coefficient/internal/fspec"
-	"github.com/flexray-go/coefficient/internal/runner"
 	"github.com/flexray-go/coefficient/internal/signal"
 	"github.com/flexray-go/coefficient/internal/sim"
 	"github.com/flexray-go/coefficient/internal/timebase"
@@ -154,61 +153,5 @@ func TestSinkEquivalenceRandomWorkloads(t *testing.T) {
 				t.Errorf("trial %d: sink choice changed the metrics report", trial)
 			}
 		}
-	}
-}
-
-// TestSyncSinkSharedAcrossParallelRuns drives the parallel-runner path
-// with one SyncSink shared by every cell — the only configuration in
-// which a sink sees concurrent Record calls.  Under `make race` this is
-// the lock's regression test; in any mode it checks that the shared
-// tally equals the sum of isolated per-cell runs.
-func TestSyncSinkSharedAcrossParallelRuns(t *testing.T) {
-	const cells = 12
-	cfg := testConfig()
-	set := mixedWorkload()
-
-	runCell := func(i int, sink trace.Sink) error {
-		_, err := sim.Run(sim.Options{
-			Config:   cfg,
-			Workload: set,
-			Mode:     sim.Streaming,
-			Duration: 20 * time.Millisecond,
-			Seed:     uint64(i + 1),
-			Sink:     sink,
-		}, fspec.New(fspec.Options{}))
-		return err
-	}
-
-	// Serial reference: each cell in isolation.
-	want := make(map[trace.EventKind]int64)
-	var wantTotal int64
-	for i := 0; i < cells; i++ {
-		rec := trace.New()
-		if err := runCell(i, rec); err != nil {
-			t.Fatalf("serial cell %d: %v", i, err)
-		}
-		for _, k := range allKinds {
-			want[k] += rec.Count(k)
-		}
-		wantTotal += int64(rec.Len())
-	}
-
-	// Parallel runs sharing one synchronized counting sink.
-	counting := &trace.CountingSink{}
-	shared := trace.NewSync(counting)
-	if _, err := runner.MapCtx(nil, 8, cells, func(i int) (struct{}, error) {
-		return struct{}{}, runCell(i, shared)
-	}); err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-
-	for _, k := range allKinds {
-		if counting.Count(k) != want[k] {
-			t.Errorf("count[%v] = %d shared, %d summed serially",
-				k, counting.Count(k), want[k])
-		}
-	}
-	if counting.Total() != wantTotal {
-		t.Errorf("total = %d shared, %d summed serially", counting.Total(), wantTotal)
 	}
 }

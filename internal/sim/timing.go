@@ -428,8 +428,8 @@ func (ts *timingState) babbleCollision(e *engine, cycle int64, ch frame.Channel,
 		if b == ownerNode || !e.nodeAlive(b, slotStart) || !e.scn.Babbling(b, slotStart) {
 			continue
 		}
-		if n, ok := e.opts.Cluster.Node(b); !ok || !n.Attached(ch) {
-			continue
+		if e.env.ECU(b) == nil {
+			continue // not a node of the cluster
 		}
 		if ts.opts.Guardians {
 			// Guardian contains the babble at the node boundary.

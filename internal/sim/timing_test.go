@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -164,6 +165,54 @@ func TestBabbleGuardianContainment(t *testing.T) {
 	if off.DeadlineMissRatio[metrics.Static] <= on.DeadlineMissRatio[metrics.Static] {
 		t.Errorf("unguarded miss ratio %g not above guarded %g",
 			off.DeadlineMissRatio[metrics.Static], on.DeadlineMissRatio[metrics.Static])
+	}
+}
+
+// A babble window may name any non-negative node (scenario.Validate
+// accepts it), but a node outside the cluster has no ECU on the bus: with
+// or without guardians its babble collides with nothing, no guardian
+// counts it, and the run matches the babble-free one.
+func TestBabblerOutsideClusterIsInert(t *testing.T) {
+	scn, err := scenario.Parse([]byte(`{
+		"name": "foreign-babbler",
+		"timing": {"babble": [{"node": 42, "start": "10ms"}]}
+	}`))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	for _, guardians := range []bool{false, true} {
+		run := func(scn *scenario.Scenario) (metrics.Report, *trace.Recorder) {
+			rec := trace.New()
+			res, err := sim.Run(sim.Options{
+				Config:   testConfig(),
+				Workload: staticOnlyWorkload(),
+				Mode:     sim.Streaming,
+				Duration: 50 * time.Millisecond,
+				Seed:     9,
+				Sink:     rec,
+				Scenario: scn,
+				Timing: &sim.TimingOptions{
+					SyncEnabled: true,
+					Guardians:   guardians,
+				},
+			}, fspec.New(fspec.Options{}))
+			if err != nil {
+				t.Fatalf("Run(guardians=%v): %v", guardians, err)
+			}
+			return res.Report, rec
+		}
+		got, rec := run(scn)
+		if n := len(rec.Filter(func(ev trace.Event) bool {
+			return ev.Kind == trace.EventFault && ev.Detail == "babble-collision"
+		})); n != 0 {
+			t.Errorf("guardians=%v: %d babble collisions from a node outside the cluster", guardians, n)
+		}
+		if n := got.Sync.GuardianBlocks; n != 0 {
+			t.Errorf("guardians=%v: %d guardian blocks for a node outside the cluster", guardians, n)
+		}
+		if want, _ := run(nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("guardians=%v: the foreign babbler changed the report", guardians)
+		}
 	}
 }
 

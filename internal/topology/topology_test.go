@@ -3,8 +3,6 @@ package topology
 import (
 	"errors"
 	"testing"
-
-	"github.com/flexray-go/coefficient/internal/frame"
 )
 
 func TestDualChannelBus(t *testing.T) {
@@ -14,11 +12,6 @@ func TestDualChannelBus(t *testing.T) {
 	}
 	if len(c.Nodes) != 10 {
 		t.Fatalf("Nodes = %d, want 10", len(c.Nodes))
-	}
-	for _, ch := range []frame.Channel{frame.ChannelA, frame.ChannelB} {
-		if got := len(c.AttachedNodes(ch)); got != 10 {
-			t.Errorf("AttachedNodes(%v) = %d, want 10", ch, got)
-		}
 	}
 }
 
@@ -36,23 +29,16 @@ func TestValidateErrors(t *testing.T) {
 		{
 			name: "duplicate id",
 			cluster: Cluster{
-				Nodes: []Node{{ID: 1, ChannelA: true}, {ID: 1, ChannelA: true}},
+				Nodes: []Node{{ID: 1}, {ID: 1}},
 			},
 			wantErr: ErrDuplicateNode,
 		},
 		{
 			name: "negative id",
 			cluster: Cluster{
-				Nodes: []Node{{ID: 0, ChannelA: true}, {ID: -1, ChannelA: true}},
+				Nodes: []Node{{ID: 0}, {ID: -1}},
 			},
 			wantErr: ErrNegativeNode,
-		},
-		{
-			name: "unattached node",
-			cluster: Cluster{
-				Nodes: []Node{{ID: 1}},
-			},
-			wantErr: ErrUnattached,
 		},
 	}
 	for _, tt := range tests {
@@ -72,28 +58,5 @@ func TestNodeLookup(t *testing.T) {
 	}
 	if _, ok := c.Node(99); ok {
 		t.Error("Node(99) found")
-	}
-}
-
-func TestAttachedPartial(t *testing.T) {
-	c := Cluster{
-		Nodes: []Node{
-			{ID: 0, ChannelA: true},
-			{ID: 1, ChannelB: true},
-			{ID: 2, ChannelA: true, ChannelB: true},
-		},
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatalf("Validate() = %v", err)
-	}
-	a := c.AttachedNodes(frame.ChannelA)
-	if len(a) != 2 || a[0] != 0 || a[1] != 2 {
-		t.Errorf("AttachedNodes(A) = %v, want [0 2]", a)
-	}
-	if !c.Nodes[2].Attached(frame.ChannelB) {
-		t.Error("node 2 should be attached to B")
-	}
-	if c.Nodes[0].Attached(frame.Channel(9)) {
-		t.Error("attached to invalid channel")
 	}
 }

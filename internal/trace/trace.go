@@ -12,7 +12,6 @@ package trace
 
 import (
 	"io"
-	"sync"
 
 	"github.com/flexray-go/coefficient/internal/frame"
 	"github.com/flexray-go/coefficient/internal/timebase"
@@ -127,19 +126,17 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Sink receives simulation events by value.  Implementations are NOT
-// required to be safe for concurrent use: the engine is single-threaded
-// per run, and the parallel runner gives each replication its own sink.
-// Wrap a sink in NewSync when several goroutines genuinely share one.
+// Sink receives simulation events by value.  A sink belongs to one run:
+// the engine is single-threaded per run, and the parallel runner gives
+// each replication its own sink, so implementations need no locking.
 type Sink interface {
 	Record(Event)
 }
 
 // FullRecorder retains every event in record order — the sink the JSON
 // exporter, determinism suite, and event-level tests use.  The zero
-// value discards everything; use New to record.  Unlike the pre-sink
-// Recorder, FullRecorder takes no lock: single-threaded engine runs pay
-// nothing, and concurrent writers must wrap it in NewSync.
+// value discards everything; use New to record.  Like every sink it
+// takes no lock.
 type FullRecorder struct {
 	recording bool
 	events    []Event
@@ -276,27 +273,3 @@ type NullSink struct{}
 //
 //perf:hotpath
 func (NullSink) Record(Event) {}
-
-// SyncSink serializes Record calls onto an underlying sink with a
-// mutex.  It is the only sink that owns a lock: single-threaded runs
-// use the bare sinks, and only genuinely shared sinks pay for
-// synchronization.
-type SyncSink struct {
-	mu  sync.Mutex
-	dst Sink
-}
-
-// NewSync wraps dst so that concurrent Record calls are safe.
-func NewSync(dst Sink) *SyncSink {
-	return &SyncSink{dst: dst}
-}
-
-// Record forwards the event to the wrapped sink under the lock.
-func (s *SyncSink) Record(e Event) {
-	if s == nil || s.dst == nil {
-		return
-	}
-	s.mu.Lock()
-	s.dst.Record(e)
-	s.mu.Unlock()
-}

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"sync"
 	"testing"
 
 	"github.com/flexray-go/coefficient/internal/frame"
@@ -92,27 +91,6 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecord covers the shared-sink path: FullRecorder itself
-// is lock-free, so concurrent writers must go through a SyncSink.
-func TestConcurrentRecord(t *testing.T) {
-	r := New()
-	sink := NewSync(r)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				sink.Record(Event{Kind: EventTxEnd})
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Count(EventTxEnd) != 800 {
-		t.Errorf("Count = %d, want 800", r.Count(EventTxEnd))
-	}
-}
-
 func TestCountingSink(t *testing.T) {
 	var s CountingSink
 	s.Record(Event{Kind: EventTxStart})
@@ -150,12 +128,6 @@ func TestNullSink(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { s.Record(Event{Kind: EventTxEnd}) }); n != 0 {
 		t.Errorf("NullSink.Record allocates %v times per call, want 0", n)
 	}
-}
-
-func TestSyncSinkNilSafety(t *testing.T) {
-	var nilSync *SyncSink
-	nilSync.Record(Event{Kind: EventDrop}) // must not panic
-	NewSync(nil).Record(Event{Kind: EventDrop})
 }
 
 func TestFullRecorderOutOfRangeKind(t *testing.T) {
